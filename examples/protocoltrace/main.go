@@ -62,12 +62,12 @@ func main() {
 	access(1, blockB, false, "2) core 1 reads block B: bank 0's single entry is full -> A's entry is STASHED\n   (no invalidation message to core 0; the LLC line for A gets the hidden bit)")
 	access(2, blockA, false, "3) core 2 reads block A: directory miss + hidden bit -> DISCOVERY broadcast;\n   core 0 answers with its modified data and downgrades to Shared")
 
-	bank := fab.Banks[0]
+	bank := fab.Banks[0].Stats()
 	fmt.Printf("\noutcome: stash-evictions=%d discovery-broadcasts=%d discovery-found=%d recall-invalidations=%d\n",
-		bank.Directory().Stats().Counter("stash_evictions").Value(),
-		bank.Stats().Counter("discovery_broadcasts").Value(),
-		bank.Stats().Counter("discovery_found").Value(),
-		bank.Stats().Counter("inv_sent.recall").Value())
+		fab.Banks[0].Directory().Stats().StashEvictions.Value(),
+		bank.DiscoveryBroadcasts.Value(),
+		bank.DiscoveryFound.Value(),
+		bank.InvsSent[coherence.ReasonRecall].Value())
 	if errs := coherence.Audit(fab); len(errs) > 0 {
 		log.Fatalf("audit failed: %v", errs)
 	}

@@ -43,7 +43,7 @@ func (l *Line) Invalidate() {
 
 // Config describes one set-associative structure.
 type Config struct {
-	Name string // for stats and error messages
+	Name string // for error messages
 	Sets int    // number of sets; must be a power of two
 	Ways int    // associativity; must be >= 1
 	// IndexShift drops this many low-order block bits before the set index
@@ -66,11 +66,7 @@ type Cache struct {
 	policy Policy
 	mask   mem.Block
 
-	set      *stats.Set
-	hits     *stats.Counter
-	misses   *stats.Counter
-	installs *stats.Counter
-	evicts   *stats.Counter
+	stats Stats
 
 	// victimFn adapts the caller's per-line skip predicate to the policy's
 	// way-indexed one. It is bound once here and parameterized through the
@@ -97,16 +93,11 @@ func New(cfg Config) (*Cache, error) {
 		lines:  make([]Line, cfg.Sets*cfg.Ways),
 		policy: pol,
 		mask:   mem.Block(cfg.Sets - 1),
-		set:    stats.NewSet(cfg.Name),
 	}
 	for i := range c.lines {
 		c.lines[i].set = int32(i / cfg.Ways)
 		c.lines[i].way = int32(i % cfg.Ways)
 	}
-	c.hits = c.set.Counter("hits")
-	c.misses = c.set.Counter("misses")
-	c.installs = c.set.Counter("installs")
-	c.evicts = c.set.Counter("evictions")
 	c.victimFn = func(way int) bool {
 		return c.victimSkip != nil && c.victimSkip(c.line(c.victimSet, way))
 	}
@@ -135,8 +126,15 @@ func (c *Cache) Ways() int { return c.cfg.Ways }
 // Capacity returns the total number of lines.
 func (c *Cache) Capacity() int { return c.cfg.Sets * c.cfg.Ways }
 
-// Stats returns the cache's metric set.
-func (c *Cache) Stats() *stats.Set { return c.set }
+// Stats counts a tag array's activity.
+type Stats struct {
+	Hits, Misses stats.Counter // Lookup outcomes (Probe counts neither)
+	Installs     stats.Counter
+	Evictions    stats.Counter // valid lines displaced by Install or removed by Evict
+}
+
+// Stats returns the cache's counters.
+func (c *Cache) Stats() *Stats { return &c.stats }
 
 // SetIndex returns the set that block b maps to.
 //
@@ -159,12 +157,12 @@ func (c *Cache) Lookup(b mem.Block) *Line {
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := c.line(set, w)
 		if ln.Valid() && ln.Block == b {
-			c.hits.Inc()
+			c.stats.Hits.Inc()
 			c.policy.Touch(set, w)
 			return ln
 		}
 	}
-	c.misses.Inc()
+	c.stats.Misses.Inc()
 	return nil
 }
 
@@ -221,13 +219,13 @@ func (c *Cache) Install(ln *Line, b mem.Block, state mem.State, data uint64) {
 		panic(fmt.Sprintf("cache %s: installing block %#x into wrong set %d", c.cfg.Name, uint64(b), set))
 	}
 	if ln.Valid() {
-		c.evicts.Inc()
+		c.stats.Evictions.Inc()
 	}
 	ln.Block = b
 	ln.State = state
 	ln.Data = data
 	ln.Flags = 0
-	c.installs.Inc()
+	c.stats.Installs.Inc()
 	c.policy.Insert(set, way)
 }
 
@@ -236,7 +234,7 @@ func (c *Cache) Install(ln *Line, b mem.Block, state mem.State, data uint64) {
 //stash:hotpath
 func (c *Cache) Evict(ln *Line) {
 	if ln.Valid() {
-		c.evicts.Inc()
+		c.stats.Evictions.Inc()
 	}
 	ln.Invalidate()
 }

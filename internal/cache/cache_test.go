@@ -47,7 +47,7 @@ func TestLookupMissThenHit(t *testing.T) {
 	if ln == nil || ln.Block != 5 || ln.State != mem.Shared || ln.Data != 99 {
 		t.Fatalf("lookup after install: %+v", ln)
 	}
-	if c.Stats().Counter("hits").Value() != 1 || c.Stats().Counter("misses").Value() != 1 {
+	if c.Stats().Hits.Value() != 1 || c.Stats().Misses.Value() != 1 {
 		t.Fatal("hit/miss accounting wrong")
 	}
 }
@@ -58,7 +58,7 @@ func TestProbeDoesNotCount(t *testing.T) {
 	c.Install(v, 1, mem.Exclusive, 0)
 	c.Probe(1)
 	c.Probe(2)
-	if c.Stats().Counter("hits").Value() != 0 || c.Stats().Counter("misses").Value() != 0 {
+	if c.Stats().Hits.Value() != 0 || c.Stats().Misses.Value() != 0 {
 		t.Fatal("Probe affected hit/miss counters")
 	}
 }
@@ -128,12 +128,12 @@ func TestEvict(t *testing.T) {
 	if ln.Valid() || c.Probe(4) != nil {
 		t.Fatal("line still valid after Evict")
 	}
-	if c.Stats().Counter("evictions").Value() != 1 {
+	if c.Stats().Evictions.Value() != 1 {
 		t.Fatal("eviction not counted")
 	}
 	// Evicting an invalid line is a no-op for the counter.
 	c.Evict(ln)
-	if c.Stats().Counter("evictions").Value() != 1 {
+	if c.Stats().Evictions.Value() != 1 {
 		t.Fatal("invalid-line evict was counted")
 	}
 }

@@ -98,7 +98,7 @@ func TestAllocFreeDiscovery(t *testing.T) {
 			d.do(t, p.core, p.a)
 		}
 	}
-	if f.Banks[0].Directory().Stats().Counter("stash_evictions").Value() == 0 {
+	if f.Banks[0].Directory().Stats().StashEvictions.Value() == 0 {
 		t.Fatal("scenario broken: no stash evictions, so no discovery traffic")
 	}
 	i := 0

@@ -112,23 +112,27 @@ type Bank struct {
 	fillRetryFn  func(any)
 	allocRetryFn func(any)
 
-	set *stats.Set
+	stats BankStats
+}
 
-	getS, getM, puts  *stats.Counter
-	invsSent          [3]*stats.Counter
-	fetchesSent       *stats.Counter
-	discBroadcasts    *stats.Counter
-	discProbesSent    *stats.Counter
-	discFound         *stats.Counter
-	discStale         *stats.Counter
-	hiddenSet         *stats.Counter
-	hiddenCleared     *stats.Counter
-	llcEvictRecalls   *stats.Counter
-	llcEvictHidden    *stats.Counter
-	llcEvictUntracked *stats.Counter
-	allocRetries      *stats.Counter
-	broadcastInvs     *stats.Counter
-	queuedPeak        *stats.Histogram
+// BankStats counts one home bank's directory-controller activity.
+type BankStats struct {
+	GetS, GetM, Puts stats.Counter // requests handled, by kind
+	// InvsSent counts invalidations sent, by reason.
+	InvsSent               [ReasonLLCEvict + 1]stats.Counter
+	FetchesSent            stats.Counter // owner fetches (three-hop forwards included)
+	DiscoveryBroadcasts    stats.Counter // hidden-block discovery rounds
+	DiscoveryProbesSent    stats.Counter
+	DiscoveryFound         stats.Counter // rounds that found a private copy
+	DiscoveryStale         stats.Counter // rounds that found none
+	HiddenSet              stats.Counter // LLC hidden bits set by stash evictions
+	HiddenCleared          stats.Counter
+	LLCEvictRecall         stats.Counter   // LLC victims with a directory entry
+	LLCEvictHidden         stats.Counter   // LLC victims with the hidden bit set
+	LLCEvictUntracked      stats.Counter   // LLC victims neither tracked nor hidden
+	AllocRetries           stats.Counter   // blocked LLC-victim or entry allocations retried
+	BroadcastInvalidations stats.Counter   // overflowed entries invalidated by broadcast
+	QueueDepth             stats.Histogram // queue length behind a busy block, per queued request
 }
 
 // NewBank builds bank id with its directory slice and LLC bank.
@@ -150,7 +154,6 @@ func NewBank(id int, fab *Fabric, dir core.Directory, llcCfg cache.Config) (*Ban
 		// core's outstanding misses plus their sub-transactions landing on
 		// one bank) stays below the grow threshold.
 		tbes: newBlockTable[*dirTBE](2 * fab.Params.Cores * (mshrs + 1)),
-		set:  stats.NewSet(fmt.Sprintf("bank.%d", id)),
 	}
 	b.busyFn = b.busy
 	b.llcSkipFn = func(ln *cacheLine) bool { return ln.Valid() && b.busy(ln.Block) }
@@ -162,32 +165,13 @@ func NewBank(id int, fab *Fabric, dir core.Directory, llcCfg cache.Config) (*Ban
 	}
 	b.fillRetryFn = func(arg any) { b.fillFromMemory(arg.(*dirTBE)) }
 	b.allocRetryFn = func(arg any) { b.allocEntry(arg.(*dirTBE)) }
-	b.getS = b.set.Counter("getS")
-	b.getM = b.set.Counter("getM")
-	b.puts = b.set.Counter("puts")
-	for r := ReasonDemand; r <= ReasonLLCEvict; r++ {
-		b.invsSent[r] = b.set.Counter("inv_sent." + r.String())
-	}
-	b.fetchesSent = b.set.Counter("fetch_sent")
-	b.discBroadcasts = b.set.Counter("discovery_broadcasts")
-	b.discProbesSent = b.set.Counter("discovery_probes_sent")
-	b.discFound = b.set.Counter("discovery_found")
-	b.discStale = b.set.Counter("discovery_stale")
-	b.hiddenSet = b.set.Counter("hidden_set")
-	b.hiddenCleared = b.set.Counter("hidden_cleared")
-	b.llcEvictRecalls = b.set.Counter("llc_evict.recall")
-	b.llcEvictHidden = b.set.Counter("llc_evict.hidden")
-	b.llcEvictUntracked = b.set.Counter("llc_evict.untracked")
-	b.allocRetries = b.set.Counter("alloc_retries")
-	b.broadcastInvs = b.set.Counter("broadcast_invalidations")
-	b.queuedPeak = b.set.Histogram("queue_depth")
 	return b, nil
 }
 
-// Stats returns the bank's metric set.
+// Stats returns the bank's counters.
 //
 //stash:hotpath
-func (bk *Bank) Stats() *stats.Set { return bk.set }
+func (bk *Bank) Stats() *BankStats { return &bk.stats }
 
 // LLC exposes the LLC bank (read-only use: audits, examples).
 //
@@ -240,13 +224,13 @@ func (bk *Bank) addSharer(e *core.Entry, c int) {
 //stash:hotpath
 func (bk *Bank) sendEntryInvs(entry *core.Entry, b mem.Block, reason InvReason, skip int) int {
 	if entry.Overflowed {
-		bk.broadcastInvs.Inc()
+		bk.stats.BroadcastInvalidations.Inc()
 		n := 0
 		for c := 0; c < bk.fab.Params.Cores; c++ {
 			if c == skip {
 				continue
 			}
-			bk.invsSent[reason].Inc()
+			bk.stats.InvsSent[reason].Inc()
 			inv := bk.fab.newMsg(MsgInv, b)
 			inv.Reason = reason
 			bk.sendCore(c, inv)
@@ -260,7 +244,7 @@ func (bk *Bank) sendEntryInvs(entry *core.Entry, b mem.Block, reason InvReason, 
 		if c == skip {
 			return
 		}
-		bk.invsSent[reason].Inc()
+		bk.stats.InvsSent[reason].Inc()
 		inv := bk.fab.newMsg(MsgInv, b)
 		inv.Reason = reason
 		bk.sendCore(c, inv)
@@ -292,7 +276,7 @@ func (bk *Bank) deliver(m *Msg) {
 			}
 			tbe.qtail = m
 			tbe.qlen++
-			bk.queuedPeak.Observe(int64(tbe.qlen))
+			bk.stats.QueueDepth.Observe(int64(tbe.qlen))
 			return
 		}
 		bk.start(m)
@@ -488,9 +472,9 @@ func (bk *Bank) runCont(tbe *dirTBE) {
 //stash:hotpath
 func (bk *Bank) handleGet(tbe *dirTBE) {
 	if tbe.reqType == MsgGetS {
-		bk.getS.Inc()
+		bk.stats.GetS.Inc()
 	} else {
-		bk.getM.Inc()
+		bk.stats.GetM.Inc()
 	}
 	if line := bk.llc.Lookup(tbe.block); line != nil {
 		bk.dirPhase(tbe, line)
@@ -508,7 +492,7 @@ func (bk *Bank) fillFromMemory(tbe *dirTBE) {
 	victim := bk.llc.Victim(tbe.block, bk.llcSkipFn)
 	if victim == nil {
 		// Every candidate way has an in-flight transaction; retry.
-		bk.allocRetries.Inc()
+		bk.stats.AllocRetries.Inc()
 		if bk.fab.retryHook != nil {
 			bk.fab.retryHook(ParkedRetry{bank: bk, kind: RetryLLCVictim, tbe: tbe})
 			return
@@ -543,7 +527,7 @@ func (bk *Bank) evictLLCVictim(tbe *dirTBE, victim *cacheLine) {
 	vb := victim.Block
 	if entry := bk.dir.Probe(vb); entry != nil {
 		// Back-invalidate every tracked copy.
-		bk.llcEvictRecalls.Inc()
+		bk.stats.LLCEvictRecall.Inc()
 		sub := bk.newTBE(vb)
 		sub.parent = tbe
 		sub.line = victim
@@ -553,7 +537,7 @@ func (bk *Bank) evictLLCVictim(tbe *dirTBE, victim *cacheLine) {
 	}
 	if victim.Flags&flagHidden != 0 {
 		// A hidden private copy may exist anywhere: discover and kill it.
-		bk.llcEvictHidden.Inc()
+		bk.stats.LLCEvictHidden.Inc()
 		sub := bk.newTBE(vb)
 		sub.parent = tbe
 		sub.line = victim
@@ -561,7 +545,7 @@ func (bk *Bank) evictLLCVictim(tbe *dirTBE, victim *cacheLine) {
 		bk.wait(sub, bk.fab.Params.Cores, contEvictHidden)
 		return
 	}
-	bk.llcEvictUntracked.Inc()
+	bk.stats.LLCEvictUntracked.Inc()
 	if victim.State == mem.Modified {
 		bk.fab.Memory.Write(vb, victim.Data)
 	}
@@ -596,11 +580,11 @@ func (bk *Bank) evictRecallDone(sub *dirTBE) {
 //stash:hotpath
 func (bk *Bank) evictHiddenDone(sub *dirTBE) {
 	if sub.anyFound {
-		bk.discFound.Inc()
+		bk.stats.DiscoveryFound.Inc()
 	} else {
-		bk.discStale.Inc()
+		bk.stats.DiscoveryStale.Inc()
 	}
-	bk.hiddenCleared.Inc()
+	bk.stats.HiddenCleared.Inc()
 	bk.finishEvict(sub)
 	parent := sub.parent
 	bk.finish(sub)
@@ -612,12 +596,12 @@ func (bk *Bank) evictHiddenDone(sub *dirTBE) {
 //
 //stash:hotpath
 func (bk *Bank) discover(b mem.Block, kind DiscoverKind, reason InvReason, skip int) {
-	bk.discBroadcasts.Inc()
+	bk.stats.DiscoveryBroadcasts.Inc()
 	for c := 0; c < bk.fab.Params.Cores; c++ {
 		if c == skip {
 			continue
 		}
-		bk.discProbesSent.Inc()
+		bk.stats.DiscoveryProbesSent.Inc()
 		probe := bk.fab.newMsg(MsgDiscover, b)
 		probe.Kind = kind
 		probe.Reason = reason
@@ -662,12 +646,12 @@ func (bk *Bank) serveHidden(tbe *dirTBE) {
 func (bk *Bank) hiddenDone(tbe *dirTBE) {
 	line := tbe.line
 	line.Flags &^= flagHidden
-	bk.hiddenCleared.Inc()
+	bk.stats.HiddenCleared.Inc()
 	if tbe.anyFound {
-		bk.discFound.Inc()
+		bk.stats.DiscoveryFound.Inc()
 	} else {
 		// The hidden copy was silently gone; the bit was stale.
-		bk.discStale.Inc()
+		bk.stats.DiscoveryStale.Inc()
 	}
 	if tbe.gotDirty {
 		line.Data = tbe.dirtyData
@@ -731,14 +715,14 @@ func (bk *Bank) serveTracked(tbe *dirTBE, line *cacheLine, entry *core.Entry) {
 		}
 		tbe.owner = owner
 		if bk.fab.Params.ThreeHopForwarding {
-			bk.fetchesSent.Inc()
+			bk.stats.FetchesSent.Inc()
 			fw := bk.fab.newMsg(MsgFwdGetS, tbe.block)
 			fw.Requester = r
 			bk.sendCore(owner, fw)
 			bk.wait(tbe, 1, contFwdGetS)
 			return
 		}
-		bk.fetchesSent.Inc()
+		bk.stats.FetchesSent.Inc()
 		bk.sendCore(owner, bk.fab.newMsg(MsgFetch, tbe.block))
 		bk.wait(tbe, 1, contFetch)
 
@@ -760,7 +744,7 @@ func (bk *Bank) serveTracked(tbe *dirTBE, line *cacheLine, entry *core.Entry) {
 			return
 		}
 		tbe.owner = owner
-		bk.invsSent[ReasonDemand].Inc()
+		bk.stats.InvsSent[ReasonDemand].Inc()
 		if bk.fab.Params.ThreeHopForwarding {
 			fw := bk.fab.newMsg(MsgFwdGetM, tbe.block)
 			fw.Requester = r
@@ -914,7 +898,7 @@ func (bk *Bank) allocEntry(tbe *dirTBE) {
 			panic(fmt.Sprintf("coherence: bank %d stashed block %#x that is not LLC-resident", bk.id, uint64(res.Stashed.Block)))
 		}
 		line.Flags |= flagHidden
-		bk.hiddenSet.Inc()
+		bk.stats.HiddenSet.Inc()
 		bk.allocDone(tbe, res.Entry)
 
 	case core.AllocNeedsRecall:
@@ -926,7 +910,7 @@ func (bk *Bank) allocEntry(tbe *dirTBE) {
 		bk.wait(sub, n, contRecall)
 
 	case core.AllocBlocked:
-		bk.allocRetries.Inc()
+		bk.stats.AllocRetries.Inc()
 		if bk.fab.retryHook != nil {
 			bk.fab.retryHook(ParkedRetry{bank: bk, kind: RetryAlloc, tbe: tbe})
 			return
@@ -965,7 +949,7 @@ func (bk *Bank) recallDone(sub *dirTBE) {
 //
 //stash:hotpath
 func (bk *Bank) handlePut(tbe *dirTBE) {
-	bk.puts.Inc()
+	bk.stats.Puts.Inc()
 	b := tbe.block
 	r := tbe.reqFrom
 	entry := bk.dir.Probe(b)
@@ -989,7 +973,7 @@ func (bk *Bank) handlePut(tbe *dirTBE) {
 		} else if entry == nil && line != nil && line.Flags&flagHidden != 0 {
 			// The hidden (singleton-Shared) copy retired itself.
 			line.Flags &^= flagHidden
-			bk.hiddenCleared.Inc()
+			bk.stats.HiddenCleared.Inc()
 		}
 
 	case MsgPutE:
@@ -1005,7 +989,7 @@ func (bk *Bank) handlePut(tbe *dirTBE) {
 			}
 		} else if entry == nil && line != nil && line.Flags&flagHidden != 0 {
 			line.Flags &^= flagHidden
-			bk.hiddenCleared.Inc()
+			bk.stats.HiddenCleared.Inc()
 		}
 
 	case MsgPutM:
@@ -1021,7 +1005,7 @@ func (bk *Bank) handlePut(tbe *dirTBE) {
 			line.Data = tbe.reqData
 			line.State = mem.Modified
 			line.Flags &^= flagHidden
-			bk.hiddenCleared.Inc()
+			bk.stats.HiddenCleared.Inc()
 		default:
 			// Stale: an Inv/Fetch already collected this data, or the LLC
 			// line itself was evicted (which recalled us first). Drop it.

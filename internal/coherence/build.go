@@ -16,11 +16,11 @@ import (
 type BuildConfig struct {
 	Params Params
 	Mesh   noc.Config
-	L1     cache.Config // per-core; Name is suffixed with the core id
+	L1     cache.Config // per-core
 	// L2, when non-nil, adds an inclusive private L2 per core; the
 	// directory then tracks L2 contents.
 	L2  *cache.Config
-	LLC cache.Config // per-bank; Name is suffixed with the bank id
+	LLC cache.Config // per-bank
 	// NewDirectory builds bank's directory slice.
 	NewDirectory func(bank int) (core.Directory, error)
 }
@@ -70,29 +70,26 @@ func buildTile(f *Fabric, i int, cfg *BuildConfig) (*L1, *Bank, error) {
 	// seed, offset from the configured base, so cores don't march
 	// through identical victim sequences in lockstep.
 	l1Cfg := cfg.L1
-	l1Cfg.Name = fmt.Sprintf("%s.%d", cfg.L1.Name, i)
 	l1Cfg.Seed = cfg.L1.Seed + int64(i)*7919
 	var l2Cfg *cache.Config
 	if cfg.L2 != nil {
 		c2 := *cfg.L2
-		c2.Name = fmt.Sprintf("%s.%d", cfg.L2.Name, i)
 		c2.Seed = cfg.L2.Seed + int64(i)*7919
 		l2Cfg = &c2
 	}
 	l1, err := NewL1(i, f, l1Cfg, l2Cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("coherence: tile %d: %w", i, err)
 	}
 	dir, err := cfg.NewDirectory(i)
 	if err != nil {
 		return nil, nil, err
 	}
 	llcCfg := cfg.LLC
-	llcCfg.Name = fmt.Sprintf("%s.%d", cfg.LLC.Name, i)
 	llcCfg.Seed = cfg.LLC.Seed + int64(i)*7919
 	bank, err := NewBank(i, f, dir, llcCfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("coherence: tile %d: %w", i, err)
 	}
 	return l1, bank, nil
 }

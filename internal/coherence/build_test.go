@@ -106,7 +106,7 @@ func TestEmptySourceFinishesImmediately(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procs {
-		if !p.Finished() || p.Stats().Counter("accesses_completed").Value() != 0 {
+		if !p.Finished() || p.Stats().AccessesCompleted.Value() != 0 {
 			t.Fatal("empty-source processor did not finish cleanly")
 		}
 	}

@@ -160,7 +160,7 @@ func TestSilentEToMUpgrade(t *testing.T) {
 	// The store hit locally: exactly one GetS reached the banks.
 	var reqs int64
 	for _, bk := range f.Banks {
-		reqs += bk.getS.Value() + bk.getM.Value()
+		reqs += bk.stats.GetS.Value() + bk.stats.GetM.Value()
 	}
 	if reqs != 1 {
 		t.Fatalf("bank requests = %d, want 1 (silent upgrade)", reqs)
@@ -230,7 +230,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	store(t, f, 0, 1)
 	store(t, f, 0, 2) // evicts dirty block 1 (PutM)
 	load(t, f, 0, 1)  // refetch: oracle checks the written value survived
-	if f.L1s[0].writebacks.Value() == 0 {
+	if f.L1s[0].stats.Writebacks.Value() == 0 {
 		t.Fatal("no writeback recorded")
 	}
 	finishAndAudit(t, f)
@@ -259,7 +259,7 @@ func TestSparseConflictRecallsCachedBlocks(t *testing.T) {
 	}
 	var recalls int64
 	for _, bk := range f.Banks {
-		recalls += bk.invsSent[ReasonRecall].Value()
+		recalls += bk.stats.InvsSent[ReasonRecall].Value()
 	}
 	if recalls == 0 {
 		t.Fatal("no recall invalidations despite directory conflicts")
@@ -270,7 +270,7 @@ func TestSparseConflictRecallsCachedBlocks(t *testing.T) {
 	}
 	var coverage int64
 	for _, l1 := range f.L1s {
-		coverage += l1.coverageMisses.Value()
+		coverage += l1.stats.CoverageMisses.Value()
 	}
 	if coverage == 0 {
 		t.Fatal("no coverage misses recorded after recalls")
@@ -296,10 +296,10 @@ func TestStashEvictsWithoutInvalidation(t *testing.T) {
 	load(t, f, 0, 4)
 	load(t, f, 0, 8)
 	bk := f.Banks[0]
-	if got := bk.Directory().Stats().Counter("stash_evictions").Value(); got == 0 {
+	if got := bk.Directory().Stats().StashEvictions.Value(); got == 0 {
 		t.Fatal("no stash evictions")
 	}
-	if got := bk.invsSent[ReasonRecall].Value(); got != 0 {
+	if got := bk.stats.InvsSent[ReasonRecall].Value(); got != 0 {
 		t.Fatalf("stash sent %d recall invalidations, want 0", got)
 	}
 	// All three blocks still live in core 0's L1 (that's the point).
@@ -308,7 +308,7 @@ func TestStashEvictsWithoutInvalidation(t *testing.T) {
 			t.Fatalf("block %d state = %v, want E (not invalidated)", b, st)
 		}
 	}
-	if bk.hiddenSet.Value() == 0 {
+	if bk.stats.HiddenSet.Value() == 0 {
 		t.Fatal("hidden bit never set")
 	}
 	finishAndAudit(t, f)
@@ -322,9 +322,9 @@ func TestDiscoveryFindsHiddenCleanBlock(t *testing.T) {
 	// core 0's copy and downgrade it.
 	load(t, f, 1, 0)
 	bk := f.Banks[0]
-	if bk.discBroadcasts.Value() == 0 || bk.discFound.Value() == 0 {
+	if bk.stats.DiscoveryBroadcasts.Value() == 0 || bk.stats.DiscoveryFound.Value() == 0 {
 		t.Fatalf("discovery not exercised: broadcasts=%d found=%d",
-			bk.discBroadcasts.Value(), bk.discFound.Value())
+			bk.stats.DiscoveryBroadcasts.Value(), bk.stats.DiscoveryFound.Value())
 	}
 	if st := l1State(f, 0, 0); st != mem.Shared {
 		t.Fatalf("hidden owner state = %v, want S after downgrade", st)
@@ -344,7 +344,7 @@ func TestDiscoveryRecoversHiddenDirtyData(t *testing.T) {
 	load(t, f, 0, 4)  // stashes block 0's entry (hidden, dirty copy live)
 	load(t, f, 1, 0)  // discovery must return core 0's modified data
 	bk := f.Banks[0]
-	if bk.discFound.Value() == 0 {
+	if bk.stats.DiscoveryFound.Value() == 0 {
 		t.Fatal("discovery did not find the hidden dirty block")
 	}
 	finishAndAudit(t, f)
@@ -371,8 +371,8 @@ func TestStaleHiddenBitCleared(t *testing.T) {
 	load(t, f, 0, 4) // bank 0: stash entry 0 (hidden) — and L1 evicts 0 silently!
 	load(t, f, 1, 0) // discovery: nobody has it -> stale
 	bk := f.Banks[0]
-	if bk.discStale.Value() == 0 {
-		t.Fatalf("stale discovery not recorded (found=%d)", bk.discFound.Value())
+	if bk.stats.DiscoveryStale.Value() == 0 {
+		t.Fatalf("stale discovery not recorded (found=%d)", bk.stats.DiscoveryFound.Value())
 	}
 	finishAndAudit(t, f)
 }
@@ -384,15 +384,15 @@ func TestNotifiedEvictionClearsHiddenBit(t *testing.T) {
 	load(t, f, 0, 0) // E at core 0
 	load(t, f, 1, 4) // same bank: core 1's request stashes block 0's entry
 	bk := f.Banks[0]
-	if bk.hiddenSet.Value() == 0 {
+	if bk.stats.HiddenSet.Value() == 0 {
 		t.Fatal("entry was not stashed")
 	}
 	load(t, f, 0, 1) // core 0's 1-line L1 evicts block 0 -> PutE to bank 0
-	if bk.hiddenCleared.Value() == 0 {
+	if bk.stats.HiddenCleared.Value() == 0 {
 		t.Fatal("PutE did not clear the hidden bit")
 	}
 	load(t, f, 2, 0)
-	if bk.discBroadcasts.Value() != 0 {
+	if bk.stats.DiscoveryBroadcasts.Value() != 0 {
 		t.Fatal("discovery ran although the hidden bit was cleared")
 	}
 	finishAndAudit(t, f)
@@ -403,11 +403,11 @@ func TestHiddenDirtyWritebackClearsBitAndData(t *testing.T) {
 	store(t, f, 0, 0) // M at core 0
 	load(t, f, 1, 4)  // same bank: stashes block 0's entry (hidden, dirty)
 	bk := f.Banks[0]
-	if bk.hiddenSet.Value() == 0 {
+	if bk.stats.HiddenSet.Value() == 0 {
 		t.Fatal("entry was not stashed")
 	}
 	load(t, f, 0, 1) // core 0 evicts block 0 -> PutM (hidden writeback)
-	if bk.hiddenCleared.Value() == 0 {
+	if bk.stats.HiddenCleared.Value() == 0 {
 		t.Fatal("hidden PutM did not clear the bit")
 	}
 	load(t, f, 2, 0) // oracle: must see core 0's value from the LLC
@@ -423,9 +423,9 @@ func TestLLCEvictionOfHiddenBlockDiscovers(t *testing.T) {
 	load(t, f, 0, 2) // LLC (2 lines) must evict a line; eventually hits hidden 0
 	load(t, f, 0, 3)
 	bk := f.Banks[0]
-	if bk.llcEvictHidden.Value() == 0 {
+	if bk.stats.LLCEvictHidden.Value() == 0 {
 		t.Fatalf("no hidden LLC eviction (untracked=%d recalls=%d)",
-			bk.llcEvictUntracked.Value(), bk.llcEvictRecalls.Value())
+			bk.stats.LLCEvictUntracked.Value(), bk.stats.LLCEvictRecall.Value())
 	}
 	load(t, f, 0, 0) // refetch from memory: oracle checks dirty data survived
 	finishAndAudit(t, f)
@@ -437,7 +437,7 @@ func TestLLCEvictionRecallsTrackedBlock(t *testing.T) {
 	store(t, f, 0, 1)
 	store(t, f, 0, 2) // LLC full: must recall a tracked dirty block
 	bk := f.Banks[0]
-	if bk.llcEvictRecalls.Value() == 0 {
+	if bk.stats.LLCEvictRecall.Value() == 0 {
 		t.Fatal("no LLC-eviction recall")
 	}
 	load(t, f, 0, 0)
@@ -454,7 +454,7 @@ func TestStashSingletonSharedMode(t *testing.T) {
 	load(t, f, 1, 0)
 	load(t, f, 2, 4)
 	bk := f.Banks[0]
-	if v := bk.invsSent[ReasonRecall].Value(); v == 0 {
+	if v := bk.stats.InvsSent[ReasonRecall].Value(); v == 0 {
 		t.Fatal("two-sharer entry was not recalled")
 	}
 	// Now a singleton-S: core 3 reads block 8 (same bank). Block 4 is E at
@@ -520,8 +520,8 @@ func TestProcessorsDrive(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procs {
-		if p.Stats().Counter("accesses_completed").Value() != 50 {
-			t.Fatalf("core %d completed %d accesses", p.id, p.completed.Value())
+		if p.Stats().AccessesCompleted.Value() != 50 {
+			t.Fatalf("core %d completed %d accesses", p.id, p.stats.AccessesCompleted.Value())
 		}
 		if !p.Finished() || p.FinishCycle() == 0 {
 			t.Fatal("processor did not record completion")

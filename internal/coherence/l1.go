@@ -86,23 +86,29 @@ type L1 struct {
 	l2FillFn  func(any)             // completes a local L2-hit fill
 	skipFn    func(*cacheLine) bool // victim-selection skip predicate
 
-	set            *stats.Set
-	loads          *stats.Counter
-	stores         *stats.Counter
-	hits           *stats.Counter
-	misses         *stats.Counter
-	upgrades       *stats.Counter
-	coverageMisses *stats.Counter
-	invsByReason   [3]*stats.Counter
-	spuriousInv    *stats.Counter
-	discoverProbes *stats.Counter
-	discoverHits   *stats.Counter
-	writebacks     *stats.Counter
-	coalesced      *stats.Counter
-	stalls         *stats.Counter
-	l2Hits         *stats.Counter
-	l2Misses       *stats.Counter
-	missLatency    *stats.Histogram
+	stats L1Stats
+}
+
+// L1Stats counts one private-cache controller's activity.
+type L1Stats struct {
+	Loads, Stores stats.Counter
+	// Hits and Misses classify accesses: a private-L2 hit is a hit, an
+	// upgrade of a Shared copy a miss.
+	Hits, Misses   stats.Counter
+	Upgrades       stats.Counter // stores that found a Shared copy
+	CoverageMisses stats.Counter // misses on blocks lost to a recall or LLC eviction
+	// Invalidations counts Invs (and three-hop FwdGetMs) that found a
+	// copy or an eviction-buffer entry, by reason.
+	Invalidations  [ReasonLLCEvict + 1]stats.Counter
+	SpuriousInvs   stats.Counter // Invs that found no copy
+	DiscoverProbes stats.Counter
+	DiscoverHits   stats.Counter // probes that found the block, eviction buffer included
+	Writebacks     stats.Counter
+	MSHRCoalesced  stats.Counter // accesses merged into an in-flight miss
+	MSHRStalls     stats.Counter // accesses parked because every way of their set was busy
+	L2Hits         stats.Counter // private-L2 hits on an L1 miss
+	L2Misses       stats.Counter
+	MissLatency    stats.Histogram // cycles from issue to fill, per coherence miss
 }
 
 // NewL1 builds the private-cache controller for core id: the L1 tag array
@@ -136,7 +142,6 @@ func NewL1(id int, fab *Fabric, cfg cache.Config, l2cfg *cache.Config) (*L1, err
 		tbes:          newBlockTable[*l1TBE](2 * (mshrs + 1)),
 		evict:         newBlockTable[evictBuf](8),
 		invalidatedBy: newBlockTable[InvReason](16),
-		set:           stats.NewSet(fmt.Sprintf("l1.%d", id)),
 	}
 	l1.requestFn = func(arg any) {
 		tbe := arg.(*l1TBE)
@@ -153,31 +158,13 @@ func NewL1(id int, fab *Fabric, cfg cache.Config, l2cfg *cache.Config) (*L1, err
 	l1.skipFn = func(ln *cacheLine) bool {
 		return ln.Flags&flagReserved != 0 || (ln.Valid() && l1.tbes.has(ln.Block))
 	}
-	l1.loads = l1.set.Counter("loads")
-	l1.stores = l1.set.Counter("stores")
-	l1.hits = l1.set.Counter("hits")
-	l1.misses = l1.set.Counter("misses")
-	l1.upgrades = l1.set.Counter("upgrades")
-	l1.coverageMisses = l1.set.Counter("coverage_misses")
-	for r := ReasonDemand; r <= ReasonLLCEvict; r++ {
-		l1.invsByReason[r] = l1.set.Counter("invalidations." + r.String())
-	}
-	l1.spuriousInv = l1.set.Counter("invalidations.spurious")
-	l1.discoverProbes = l1.set.Counter("discover_probes")
-	l1.discoverHits = l1.set.Counter("discover_hits")
-	l1.writebacks = l1.set.Counter("writebacks")
-	l1.coalesced = l1.set.Counter("mshr_coalesced")
-	l1.stalls = l1.set.Counter("mshr_stalls")
-	l1.l2Hits = l1.set.Counter("l2_hits")
-	l1.l2Misses = l1.set.Counter("l2_misses")
-	l1.missLatency = l1.set.Histogram("miss_latency")
 	return l1, nil
 }
 
-// Stats returns the L1 metric set.
+// Stats returns the L1's counters.
 //
 //stash:hotpath
-func (l *L1) Stats() *stats.Set { return l.set }
+func (l *L1) Stats() *L1Stats { return &l.stats }
 
 // Cache exposes the L1 tag array (read-only use: audits, examples).
 //
@@ -234,9 +221,9 @@ func (l *L1) freeTBE(tbe *l1TBE) {
 //stash:hotpath
 func (l *L1) Access(a mem.Access, done func()) {
 	if a.Write {
-		l.stores.Inc()
+		l.stats.Stores.Inc()
 	} else {
-		l.loads.Inc()
+		l.stats.Loads.Inc()
 	}
 	l.lookupAndService(a, done)
 }
@@ -253,7 +240,7 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 		// MSHR hit: ride the in-flight miss. (Even a load that could hit a
 		// Shared line under an upgrade coalesces, keeping the line's state
 		// transitions simple.)
-		l.coalesced.Inc()
+		l.stats.MSHRCoalesced.Inc()
 		tbe.waiters = append(tbe.waiters, pendingAccess{access: a, done: done})
 		return
 	}
@@ -261,22 +248,22 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 	if ln := l.cache.Lookup(b); ln != nil {
 		switch {
 		case !a.Write:
-			l.hits.Inc()
+			l.stats.Hits.Inc()
 			l.completeLoad(ln, done)
 			return
 		case ln.State == mem.Modified:
-			l.hits.Inc()
+			l.stats.Hits.Inc()
 			l.commitStore(ln, done)
 			return
 		case ln.State == mem.Exclusive:
 			// Silent E→M upgrade: invisible to the directory.
-			l.hits.Inc()
+			l.stats.Hits.Inc()
 			ln.State = mem.Modified
 			l.commitStore(ln, done)
 			return
 		default: // Shared: upgrade via GetM
-			l.upgrades.Inc()
-			l.misses.Inc()
+			l.stats.Upgrades.Inc()
+			l.stats.Misses.Inc()
 			var l2way *cacheLine
 			if l.l2 != nil {
 				l2way = l.l2.Probe(b)
@@ -299,7 +286,7 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 	if way == nil {
 		// Every way of the set is spoken for; retry when a fill lands.
 		// (Not counted as a miss yet — the replay will classify it.)
-		l.stalls.Inc()
+		l.stats.MSHRStalls.Inc()
 		l.stalled = append(l.stalled, pendingAccess{access: a, done: done})
 		return
 	}
@@ -313,8 +300,8 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 				// Local fill from L2 (a store to an E line upgrades both
 				// levels silently). The fill holds a TBE so same-block
 				// accesses coalesce instead of starting duplicate fills.
-				l.l2Hits.Inc()
-				l.hits.Inc() // hierarchy hit: no coherence traffic
+				l.stats.L2Hits.Inc()
+				l.stats.Hits.Inc() // hierarchy hit: no coherence traffic
 				if a.Write {
 					l2ln.State = mem.Modified
 				}
@@ -331,9 +318,9 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 				return
 			default:
 				// Shared in L2, store: upgrade through the directory.
-				l.l2Hits.Inc()
-				l.upgrades.Inc()
-				l.misses.Inc()
+				l.stats.L2Hits.Inc()
+				l.stats.Upgrades.Inc()
+				l.stats.Misses.Inc()
 				if way.Valid() {
 					l.foldIntoL2(way)
 				}
@@ -347,18 +334,18 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 			}
 		}
 		// Full miss: an L2 way is needed too.
-		l.l2Misses.Inc()
+		l.stats.L2Misses.Inc()
 		l2way = l.l2.Victim(b, l.skipFn)
 		if l2way == nil {
-			l.stalls.Inc()
+			l.stats.MSHRStalls.Inc()
 			l.stalled = append(l.stalled, pendingAccess{access: a, done: done})
 			return
 		}
 	}
 
-	l.misses.Inc()
+	l.stats.Misses.Inc()
 	if _, ok := l.invalidatedBy.get(b); ok {
-		l.coverageMisses.Inc()
+		l.stats.CoverageMisses.Inc()
 		l.invalidatedBy.del(b)
 	}
 	if l.l2 != nil {
@@ -458,7 +445,7 @@ func (l *L1) evictL2Line(l2ln *cacheLine) {
 	}
 	switch state {
 	case mem.Modified:
-		l.writebacks.Inc()
+		l.stats.Writebacks.Inc()
 		l.evict.put(b, evictBuf{data: data, dirty: true})
 		wb := l.fab.newMsg(MsgPutM, b)
 		wb.From = l.id
@@ -511,7 +498,7 @@ func (l *L1) evictLine(ln *cacheLine) {
 	b := ln.Block
 	switch ln.State {
 	case mem.Modified:
-		l.writebacks.Inc()
+		l.stats.Writebacks.Inc()
 		l.evict.put(b, evictBuf{data: ln.Data, dirty: true})
 		wb := l.fab.newMsg(MsgPutM, b)
 		wb.From = l.id
@@ -611,7 +598,7 @@ func (l *L1) onFwdGetM(m *Msg) {
 	resp := l.fab.newMsg(MsgInvAck, m.Block)
 	resp.From = l.id
 	if l1ln, l2ln := l.probeHier(m.Block); l1ln != nil || l2ln != nil {
-		l.invsByReason[ReasonDemand].Inc()
+		l.stats.Invalidations[ReasonDemand].Inc()
 		grantData := hierData(l1ln, l2ln)
 		if data, dirty := hierDirty(l1ln, l2ln); dirty {
 			resp.Data, resp.HasData, resp.Dirty = data, true, true
@@ -734,7 +721,7 @@ func (l *L1) onData(m *Msg) {
 		l.send(ub)
 	}
 
-	l.missLatency.Observe(int64(uint64(l.fab.Engine.Now()) - tbe.issued))
+	l.stats.MissLatency.Observe(int64(uint64(l.fab.Engine.Now()) - tbe.issued))
 	if tbe.write {
 		if ln.State != mem.Modified {
 			panic(fmt.Sprintf("coherence: core %d write granted %v", l.id, ln.State))
@@ -845,7 +832,7 @@ func (l *L1) onInv(m *Msg) {
 	ack.From = l.id
 	l1ln, l2ln := l.probeHier(m.Block)
 	if l1ln != nil || l2ln != nil {
-		l.invsByReason[m.Reason].Inc()
+		l.stats.Invalidations[m.Reason].Inc()
 		if m.Reason != ReasonDemand {
 			l.invalidatedBy.put(m.Block, m.Reason)
 		}
@@ -856,12 +843,12 @@ func (l *L1) onInv(m *Msg) {
 		l.markUpgradeInvalidated(m.Block)
 	} else if buf, ok := l.evict.get(m.Block); ok {
 		// The line is on its way out; answer from the eviction buffer.
-		l.invsByReason[m.Reason].Inc()
+		l.stats.Invalidations[m.Reason].Inc()
 		if buf.dirty {
 			ack.Data, ack.HasData, ack.Dirty = buf.data, true, true
 		}
 	} else {
-		l.spuriousInv.Inc()
+		l.stats.SpuriousInvs.Inc()
 	}
 	l.send(ack)
 }
@@ -893,11 +880,11 @@ func (l *L1) onFetch(m *Msg) {
 //
 //stash:hotpath
 func (l *L1) onDiscover(m *Msg) {
-	l.discoverProbes.Inc()
+	l.stats.DiscoverProbes.Inc()
 	resp := l.fab.newMsg(MsgDiscoverResp, m.Block)
 	resp.From = l.id
 	if l1ln, l2ln := l.probeHier(m.Block); l1ln != nil || l2ln != nil {
-		l.discoverHits.Inc()
+		l.stats.DiscoverHits.Inc()
 		resp.Found = true
 		if data, dirty := hierDirty(l1ln, l2ln); dirty {
 			resp.Data, resp.HasData, resp.Dirty = data, true, true
@@ -916,7 +903,7 @@ func (l *L1) onDiscover(m *Msg) {
 	} else if buf, ok := l.evict.get(m.Block); ok {
 		// A hidden block caught mid-writeback: report its data but no
 		// retained copy.
-		l.discoverHits.Inc()
+		l.stats.DiscoverHits.Inc()
 		resp.Found = true
 		if buf.dirty {
 			resp.Data, resp.HasData, resp.Dirty = buf.data, true, true

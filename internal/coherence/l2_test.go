@@ -47,17 +47,17 @@ func TestL2HitServicesLocally(t *testing.T) {
 	}
 	var reqs int64
 	for _, bk := range f.Banks {
-		reqs += bk.getS.Value()
+		reqs += bk.stats.GetS.Value()
 	}
 	load(t, f, 0, 0) // L2 hit
 	var reqs2 int64
 	for _, bk := range f.Banks {
-		reqs2 += bk.getS.Value()
+		reqs2 += bk.stats.GetS.Value()
 	}
 	if reqs2 != reqs {
 		t.Fatalf("L2 hit went to the bank (%d -> %d requests)", reqs, reqs2)
 	}
-	if f.L1s[0].l2Hits.Value() == 0 {
+	if f.L1s[0].stats.L2Hits.Value() == 0 {
 		t.Fatal("no L2 hit recorded")
 	}
 	finishAndAudit(t, f)
@@ -69,7 +69,7 @@ func TestL2DirtyFoldAndWriteback(t *testing.T) {
 	f := testFabric(t, 4, fullMapFactory(), withL1(1, 1), withL2(1, 2))
 	store(t, f, 0, 0)
 	load(t, f, 0, 1) // L1 evicts dirty 0 into L2 (no writeback yet)
-	if f.L1s[0].writebacks.Value() != 0 {
+	if f.L1s[0].stats.Writebacks.Value() != 0 {
 		t.Fatal("L1->L2 fold produced a writeback")
 	}
 	if st := l2State(f, 0, 0); st != mem.Modified {
@@ -115,11 +115,11 @@ func TestL2StashDiscoveryFindsL2OnlyBlock(t *testing.T) {
 	load(t, f, 0, 1) // L1 evicts 0 into L2 (block stays tracked)
 	load(t, f, 1, 4) // same bank: stashes block 0's entry -> hidden
 	bk := f.Banks[0]
-	if bk.hiddenSet.Value() == 0 {
+	if bk.stats.HiddenSet.Value() == 0 {
 		t.Fatal("entry was not stashed")
 	}
 	load(t, f, 2, 0) // discovery must find core 0's L2 copy with dirty data
-	if bk.discFound.Value() == 0 {
+	if bk.stats.DiscoveryFound.Value() == 0 {
 		t.Fatal("discovery did not find the L2-only hidden block")
 	}
 	finishAndAudit(t, f)

@@ -14,37 +14,34 @@ import (
 type Memory struct {
 	values map[mem.Block]uint64
 
-	set    *stats.Set
-	reads  *stats.Counter
-	writes *stats.Counter
+	stats MemoryStats
+}
+
+// MemoryStats counts DRAM accesses.
+type MemoryStats struct {
+	Reads, Writes stats.Counter
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	m := &Memory{
-		values: make(map[mem.Block]uint64),
-		set:    stats.NewSet("memory"),
-	}
-	m.reads = m.set.Counter("reads")
-	m.writes = m.set.Counter("writes")
-	return m
+	return &Memory{values: make(map[mem.Block]uint64)}
 }
 
 // Read returns the value of block b, counting one DRAM read.
 func (m *Memory) Read(b mem.Block) uint64 {
-	m.reads.Inc()
+	m.stats.Reads.Inc()
 	return m.values[b]
 }
 
 // Write stores the value of block b, counting one DRAM write. Writebacks
 // are posted: the caller does not wait.
 func (m *Memory) Write(b mem.Block, v uint64) {
-	m.writes.Inc()
+	m.stats.Writes.Inc()
 	m.values[b] = v
 }
 
-// Stats returns the memory metric set.
-func (m *Memory) Stats() *stats.Set { return m.set }
+// Stats returns the memory's counters.
+func (m *Memory) Stats() *MemoryStats { return &m.stats }
 
 // FoldStats accumulates o's access counters into m. The parallel engine
 // gives each tile its own Memory (blocks partition perfectly by home
@@ -54,6 +51,6 @@ func (m *Memory) Stats() *stats.Set { return m.set }
 // not merged — nothing reads them after a parallel run (the audit is
 // checker-gated and the checker is off).
 func (m *Memory) FoldStats(o *Memory) {
-	m.reads.Add(o.reads.Value())
-	m.writes.Add(o.writes.Value())
+	m.stats.Reads.Add(o.stats.Reads.Value())
+	m.stats.Writes.Add(o.stats.Writes.Value())
 }

@@ -62,12 +62,12 @@ func TestMSHRCoalescingSameBlock(t *testing.T) {
 	driveStream(t, f, accs)
 	var reqs int64
 	for _, bk := range f.Banks {
-		reqs += bk.getS.Value() + bk.getM.Value()
+		reqs += bk.stats.GetS.Value() + bk.stats.GetM.Value()
 	}
 	if reqs != 1 {
 		t.Fatalf("bank saw %d requests, want 1 (coalesced)", reqs)
 	}
-	if f.L1s[0].coalesced.Value() == 0 {
+	if f.L1s[0].stats.MSHRCoalesced.Value() == 0 {
 		t.Fatal("no coalescing recorded")
 	}
 }
@@ -102,7 +102,7 @@ func TestMSHRSetConflictStalls(t *testing.T) {
 		{Addr: mem.AddrOf(3)},
 	}
 	driveStream(t, f, accs)
-	if f.L1s[0].stalls.Value() == 0 {
+	if f.L1s[0].stats.MSHRStalls.Value() == 0 {
 		t.Fatal("no MSHR set-conflict stalls recorded")
 	}
 }

@@ -21,7 +21,7 @@ func TestPointerLimitOverflowBroadcastsOnWrite(t *testing.T) {
 		t.Fatalf("entry did not overflow: %v", entry)
 	}
 	store(t, f, 2, 5) // broadcast invalidation
-	if f.Banks[f.HomeBank(5)].broadcastInvs.Value() == 0 {
+	if f.Banks[f.HomeBank(5)].stats.BroadcastInvalidations.Value() == 0 {
 		t.Fatal("no broadcast invalidation recorded")
 	}
 	for _, c := range []int{0, 1} {
@@ -48,7 +48,7 @@ func TestPointerLimitExactUnderLimit(t *testing.T) {
 		t.Fatalf("entry overflowed below the limit: %v", entry)
 	}
 	store(t, f, 2, 5)
-	if f.Banks[f.HomeBank(5)].broadcastInvs.Value() != 0 {
+	if f.Banks[f.HomeBank(5)].stats.BroadcastInvalidations.Value() != 0 {
 		t.Fatal("broadcast used although the entry was precise")
 	}
 	finishAndAudit(t, f)
@@ -62,7 +62,7 @@ func TestPointerLimitRecallBroadcasts(t *testing.T) {
 	load(t, f, 1, 0) // overflow
 	load(t, f, 2, 4) // same bank, 1-entry dir: recall of overflowed entry
 	bk := f.Banks[0]
-	if bk.broadcastInvs.Value() == 0 {
+	if bk.stats.BroadcastInvalidations.Value() == 0 {
 		t.Fatal("recall of overflowed entry did not broadcast")
 	}
 	for _, c := range []int{0, 1} {
@@ -97,10 +97,10 @@ func TestPointerLimitStashInteraction(t *testing.T) {
 	load(t, f, 1, 0) // overflowed entry in bank 0's only slot
 	load(t, f, 2, 4) // conflict: must recall, not stash
 	bk := f.Banks[0]
-	if v := bk.Directory().Stats().Counter("stash_evictions").Value(); v != 0 {
+	if v := bk.Directory().Stats().StashEvictions.Value(); v != 0 {
 		t.Fatalf("stash directory stashed an overflowed entry (%d)", v)
 	}
-	if bk.broadcastInvs.Value() == 0 {
+	if bk.stats.BroadcastInvalidations.Value() == 0 {
 		t.Fatal("expected a broadcast recall")
 	}
 	finishAndAudit(t, f)

@@ -1,8 +1,6 @@
 package coherence
 
 import (
-	"fmt"
-
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -58,9 +56,8 @@ type Processor struct {
 	issueFn func()
 	doneFn  func()
 
-	set       *stats.Set
-	completed *stats.Counter
-	doneAt    uint64
+	stats  ProcessorStats
+	doneAt uint64
 }
 
 // newProcessor wires core id to its L1 and source.
@@ -71,13 +68,11 @@ func newProcessor(id int, fab *Fabric, l1 *L1, src AccessSource) *Processor {
 	}
 	p := &Processor{
 		id: id, fab: fab, l1: l1, src: src, mshrs: mshrs,
-		set: stats.NewSet(fmt.Sprintf("core.%d", id)),
 	}
-	p.completed = p.set.Counter("accesses_completed")
 	p.issueFn = p.issue
 	p.doneFn = func() {
 		p.outstanding--
-		p.completed.Inc()
+		p.stats.AccessesCompleted.Inc()
 		p.maybeFinish()
 		p.pump()
 	}
@@ -97,8 +92,13 @@ func (p *Processor) Finished() bool { return p.finished }
 // Finished).
 func (p *Processor) FinishCycle() uint64 { return p.doneAt }
 
-// Stats returns the processor metric set.
-func (p *Processor) Stats() *stats.Set { return p.set }
+// ProcessorStats counts a core's retired accesses.
+type ProcessorStats struct {
+	AccessesCompleted stats.Counter
+}
+
+// Stats returns the processor's counters.
+func (p *Processor) Stats() *ProcessorStats { return &p.stats }
 
 // L1 returns the processor's cache controller.
 func (p *Processor) L1() *L1 { return p.l1 }

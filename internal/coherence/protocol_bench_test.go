@@ -76,7 +76,7 @@ func BenchmarkProtocolDiscovery(b *testing.B) {
 			drive(p.core, p.a)
 		}
 	}
-	if f.Banks[0].Directory().Stats().Counter("stash_evictions").Value() == 0 {
+	if f.Banks[0].Directory().Stats().StashEvictions.Value() == 0 {
 		b.Fatal("scenario broken: no stash evictions, so no discovery traffic")
 	}
 	b.ReportAllocs()

@@ -56,7 +56,7 @@ func TestThreeHopReducesLatencyVsTwoHop(t *testing.T) {
 		finishAndAudit(t, f)
 		sum := int64(0)
 		for _, l1 := range f.L1s {
-			sum += l1.Stats().Histogram("miss_latency").Sum()
+			sum += l1.Stats().MissLatency.Sum()
 		}
 		return sum
 	}

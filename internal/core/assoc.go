@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
 // AssocConfig describes a set-associative directory's geometry. Both the
@@ -176,35 +175,5 @@ func (s *assocStore) forEach(fn func(*Entry)) {
 		if s.entries[i].valid {
 			fn(&s.entries[i])
 		}
-	}
-}
-
-// dirStats bundles the counters every bounded organization reports.
-type dirStats struct {
-	set       *stats.Set
-	lookups   *stats.Counter
-	hits      *stats.Counter
-	misses    *stats.Counter
-	allocs    *stats.Counter
-	removes   *stats.Counter
-	recalls   *stats.Counter // evictions requiring back-invalidation
-	stashes   *stats.Counter // silent private-entry drops (stash only)
-	blocked   *stats.Counter // allocations deferred by busy transactions
-	relocates *stats.Counter // cuckoo path relocations
-}
-
-func newDirStats(name string) *dirStats {
-	s := stats.NewSet(name)
-	return &dirStats{
-		set:       s,
-		lookups:   s.Counter("lookups"),
-		hits:      s.Counter("hits"),
-		misses:    s.Counter("misses"),
-		allocs:    s.Counter("allocations"),
-		removes:   s.Counter("removals"),
-		recalls:   s.Counter("recall_evictions"),
-		stashes:   s.Counter("stash_evictions"),
-		blocked:   s.Counter("alloc_blocked"),
-		relocates: s.Counter("relocations"),
 	}
 }

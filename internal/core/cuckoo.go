@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
 // CuckooConfig describes a d-ary cuckoo directory slice.
@@ -46,7 +45,7 @@ type Cuckoo struct {
 	slots   []Entry // ways * slotsPerWay, way-major
 	maxPath int
 	seeds   []uint64
-	st      *dirStats
+	st      DirStats
 
 	// Relocation-search scratch, reused across Allocate calls so conflict
 	// handling does not rebuild its frontier and visited set from nothing.
@@ -70,7 +69,6 @@ func NewCuckoo(cfg CuckooConfig) (*Cuckoo, error) {
 		slots:   make([]Entry, cfg.Ways*cfg.SlotsPerWay),
 		maxPath: maxPath,
 		seeds:   make([]uint64, cfg.Ways),
-		st:      newDirStats("dir.cuckoo"),
 	}
 	for i := range d.slots {
 		d.slots[i].set = int32(i / cfg.SlotsPerWay) // sub-table index
@@ -106,15 +104,15 @@ func (d *Cuckoo) Capacity() int { return len(d.slots) }
 
 // Lookup implements Directory.
 func (d *Cuckoo) Lookup(b mem.Block) *Entry {
-	d.st.lookups.Inc()
+	d.st.Lookups.Inc()
 	for w := 0; w < d.cfg.Ways; w++ {
 		e := d.slotFor(w, b)
 		if e.valid && e.Block == b {
-			d.st.hits.Inc()
+			d.st.Hits.Inc()
 			return e
 		}
 	}
-	d.st.misses.Inc()
+	d.st.Misses.Inc()
 	return nil
 }
 
@@ -144,7 +142,7 @@ func (d *Cuckoo) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	for w := 0; w < d.cfg.Ways; w++ {
 		if e := d.slotFor(w, b); !e.valid {
 			e.reset(b)
-			d.st.allocs.Inc()
+			d.st.Allocations.Inc()
 			return AllocResult{Outcome: AllocOK, Entry: e}
 		}
 	}
@@ -180,7 +178,7 @@ func (d *Cuckoo) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 			e := frontier[root].slot
 			d.frontier = frontier
 			e.reset(b)
-			d.st.allocs.Inc()
+			d.st.Allocations.Inc()
 			return AllocResult{Outcome: AllocOK, Entry: e}
 		}
 		if busy != nil && busy(occ.Block) {
@@ -203,11 +201,11 @@ func (d *Cuckoo) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	for w := 0; w < d.cfg.Ways; w++ {
 		e := d.slotFor(w, b)
 		if busy == nil || !busy(e.Block) {
-			d.st.recalls.Inc()
+			d.st.RecallEvictions.Inc()
 			return AllocResult{Outcome: AllocNeedsRecall, Victim: e}
 		}
 	}
-	d.st.blocked.Inc()
+	d.st.AllocBlocked.Inc()
 	return AllocResult{Outcome: AllocBlocked}
 }
 
@@ -234,7 +232,7 @@ func (d *Cuckoo) shiftPath(frontier []cuckooNode, end int) {
 		src.Sharers.Clear()
 		src.Owned = false
 		src.Overflowed = false
-		d.st.relocates.Inc()
+		d.st.Relocations.Inc()
 	}
 }
 
@@ -247,7 +245,7 @@ func (d *Cuckoo) Remove(b mem.Block) {
 			e.Sharers.Clear()
 			e.Owned = false
 			e.Overflowed = false
-			d.st.removes.Inc()
+			d.st.Removals.Inc()
 			return
 		}
 	}
@@ -274,4 +272,4 @@ func (d *Cuckoo) ForEach(fn func(*Entry)) {
 }
 
 // Stats implements Directory.
-func (d *Cuckoo) Stats() *stats.Set { return d.st.set }
+func (d *Cuckoo) Stats() *DirStats { return &d.st }

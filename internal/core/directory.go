@@ -267,7 +267,19 @@ type Directory interface {
 	OccupiedEntries() int
 	// ForEach visits every valid entry in a deterministic order.
 	ForEach(fn func(*Entry))
-	// Stats returns the organization's metric set (lookups, hits, misses,
-	// allocations, stash evictions, recall evictions...).
-	Stats() *stats.Set
+	// Stats returns the organization's counters.
+	Stats() *DirStats
+}
+
+// DirStats counts a directory organization's activity. Counters for events
+// an organization never has (stash evictions outside the stash directory,
+// relocations outside cuckoo) stay zero.
+type DirStats struct {
+	Lookups, Hits, Misses stats.Counter // Lookup outcomes; Probe counts none
+	Allocations           stats.Counter
+	Removals              stats.Counter
+	RecallEvictions       stats.Counter // evictions requiring back-invalidation
+	StashEvictions        stats.Counter // silent private-entry drops (stash only)
+	AllocBlocked          stats.Counter // allocations deferred by busy transactions
+	Relocations           stats.Counter // cuckoo path relocations
 }

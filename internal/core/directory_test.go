@@ -175,10 +175,10 @@ func TestLookupAllocateRemoveAllOrgs(t *testing.T) {
 func TestProbeDoesNotCount(t *testing.T) {
 	for name, d := range directoriesUnderTest(t) {
 		d.Allocate(1, nil)
-		before := d.Stats().Counter("lookups").Value()
+		before := d.Stats().Lookups.Value()
 		d.Probe(1)
 		d.Probe(2)
-		if d.Stats().Counter("lookups").Value() != before {
+		if d.Stats().Lookups.Value() != before {
 			t.Errorf("%s: Probe counted as lookup", name)
 		}
 	}
@@ -234,7 +234,7 @@ func TestSparseConflictDemandsRecall(t *testing.T) {
 	if r2.Outcome != AllocOK {
 		t.Fatalf("retry outcome = %v", r2.Outcome)
 	}
-	if d.Stats().Counter("recall_evictions").Value() != 1 {
+	if d.Stats().RecallEvictions.Value() != 1 {
 		t.Fatal("recall not counted")
 	}
 }
@@ -285,10 +285,10 @@ func TestStashPrefersStashableVictim(t *testing.T) {
 	if d.Probe(2) != nil {
 		t.Fatal("stashed entry still tracked")
 	}
-	if d.Stats().Counter("stash_evictions").Value() != 1 {
+	if d.Stats().StashEvictions.Value() != 1 {
 		t.Fatal("stash eviction not counted")
 	}
-	if d.Stats().Counter("recall_evictions").Value() != 0 {
+	if d.Stats().RecallEvictions.Value() != 0 {
 		t.Fatal("unexpected recall")
 	}
 }
@@ -357,7 +357,7 @@ func TestCuckooRelocatesInsteadOfRecalling(t *testing.T) {
 		res := d.Allocate(mem.Block(i), nil)
 		if res.Outcome != AllocOK {
 			t.Fatalf("insert %d/%d: outcome %v (recalls=%d)",
-				i, n, res.Outcome, d.Stats().Counter("recall_evictions").Value())
+				i, n, res.Outcome, d.Stats().RecallEvictions.Value())
 		}
 		res.Entry.Sharers.Add(i % 16)
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
 // FullMap is the ideal, unbounded directory: one entry per tracked block,
@@ -16,28 +15,14 @@ import (
 type FullMap struct {
 	entries map[mem.Block]*Entry
 
-	set     *stats.Set
-	lookups *stats.Counter
-	hits    *stats.Counter
-	misses  *stats.Counter
-	allocs  *stats.Counter
-	removes *stats.Counter
+	st DirStats
 }
 
 var _ Directory = (*FullMap)(nil)
 
 // NewFullMap returns an empty ideal directory.
 func NewFullMap() *FullMap {
-	d := &FullMap{
-		entries: make(map[mem.Block]*Entry),
-		set:     stats.NewSet("dir.fullmap"),
-	}
-	d.lookups = d.set.Counter("lookups")
-	d.hits = d.set.Counter("hits")
-	d.misses = d.set.Counter("misses")
-	d.allocs = d.set.Counter("allocations")
-	d.removes = d.set.Counter("removals")
-	return d
+	return &FullMap{entries: make(map[mem.Block]*Entry)}
 }
 
 // Name implements Directory.
@@ -48,12 +33,12 @@ func (d *FullMap) Capacity() int { return 0 }
 
 // Lookup implements Directory.
 func (d *FullMap) Lookup(b mem.Block) *Entry {
-	d.lookups.Inc()
+	d.st.Lookups.Inc()
 	if e, ok := d.entries[b]; ok {
-		d.hits.Inc()
+		d.st.Hits.Inc()
 		return e
 	}
-	d.misses.Inc()
+	d.st.Misses.Inc()
 	return nil
 }
 
@@ -70,7 +55,7 @@ func (d *FullMap) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	e := &Entry{}
 	e.reset(b)
 	d.entries[b] = e
-	d.allocs.Inc()
+	d.st.Allocations.Inc()
 	return AllocResult{Outcome: AllocOK, Entry: e}
 }
 
@@ -79,7 +64,7 @@ func (d *FullMap) Remove(b mem.Block) {
 	if e, ok := d.entries[b]; ok {
 		e.valid = false
 		delete(d.entries, b)
-		d.removes.Inc()
+		d.st.Removals.Inc()
 	}
 }
 
@@ -101,4 +86,4 @@ func (d *FullMap) ForEach(fn func(*Entry)) {
 }
 
 // Stats implements Directory.
-func (d *FullMap) Stats() *stats.Set { return d.set }
+func (d *FullMap) Stats() *DirStats { return &d.st }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/mem"
-	"repro/internal/stats"
-)
+import "repro/internal/mem"
 
 // Sparse is the conventional set-associative sparse directory the paper
 // uses as its baseline. It enforces strict inclusion: every block cached in
@@ -13,7 +10,7 @@ import (
 // directories slow.
 type Sparse struct {
 	store *assocStore
-	st    *dirStats
+	st    DirStats
 }
 
 var _ Directory = (*Sparse)(nil)
@@ -24,7 +21,7 @@ func NewSparse(cfg AssocConfig) (*Sparse, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Sparse{store: store, st: newDirStats("dir.sparse")}, nil
+	return &Sparse{store: store}, nil
 }
 
 // Name implements Directory.
@@ -35,13 +32,13 @@ func (d *Sparse) Capacity() int { return d.store.capacity() }
 
 // Lookup implements Directory.
 func (d *Sparse) Lookup(b mem.Block) *Entry {
-	d.st.lookups.Inc()
+	d.st.Lookups.Inc()
 	if e := d.store.find(b); e != nil {
-		d.st.hits.Inc()
+		d.st.Hits.Inc()
 		d.store.touch(e)
 		return e
 	}
-	d.st.misses.Inc()
+	d.st.Misses.Inc()
 	return nil
 }
 
@@ -56,22 +53,22 @@ func (d *Sparse) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	}
 	if e := d.store.freeSlot(b); e != nil {
 		d.store.install(e, b)
-		d.st.allocs.Inc()
+		d.st.Allocations.Inc()
 		return AllocResult{Outcome: AllocOK, Entry: e}
 	}
 	v := d.store.victim(b, busy, false, nil)
 	if v == nil {
-		d.st.blocked.Inc()
+		d.st.AllocBlocked.Inc()
 		return AllocResult{Outcome: AllocBlocked}
 	}
-	d.st.recalls.Inc()
+	d.st.RecallEvictions.Inc()
 	return AllocResult{Outcome: AllocNeedsRecall, Victim: v}
 }
 
 // Remove implements Directory.
 func (d *Sparse) Remove(b mem.Block) {
 	if d.store.remove(b) {
-		d.st.removes.Inc()
+		d.st.Removals.Inc()
 	}
 }
 
@@ -82,4 +79,4 @@ func (d *Sparse) OccupiedEntries() int { return d.store.occupied() }
 func (d *Sparse) ForEach(fn func(*Entry)) { d.store.forEach(fn) }
 
 // Stats implements Directory.
-func (d *Sparse) Stats() *stats.Set { return d.st.set }
+func (d *Sparse) Stats() *DirStats { return &d.st }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/mem"
-	"repro/internal/stats"
-)
+import "repro/internal/mem"
 
 // StashConfig extends the set-associative geometry with the stash
 // directory's policy knobs.
@@ -32,7 +29,7 @@ type StashConfig struct {
 type Stash struct {
 	cfg   StashConfig
 	store *assocStore
-	st    *dirStats
+	st    DirStats
 	// stashableFn is the Stashable method bound once, so Allocate does not
 	// materialize a method value per call.
 	stashableFn func(*Entry) bool
@@ -46,7 +43,7 @@ func NewStash(cfg StashConfig) (*Stash, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Stash{cfg: cfg, store: store, st: newDirStats("dir.stash")}
+	d := &Stash{cfg: cfg, store: store}
 	d.stashableFn = d.Stashable
 	return d, nil
 }
@@ -59,13 +56,13 @@ func (d *Stash) Capacity() int { return d.store.capacity() }
 
 // Lookup implements Directory.
 func (d *Stash) Lookup(b mem.Block) *Entry {
-	d.st.lookups.Inc()
+	d.st.Lookups.Inc()
 	if e := d.store.find(b); e != nil {
-		d.st.hits.Inc()
+		d.st.Hits.Inc()
 		d.store.touch(e)
 		return e
 	}
-	d.st.misses.Inc()
+	d.st.Misses.Inc()
 	return nil
 }
 
@@ -92,7 +89,7 @@ func (d *Stash) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	}
 	if e := d.store.freeSlot(b); e != nil {
 		d.store.install(e, b)
-		d.st.allocs.Inc()
+		d.st.Allocations.Inc()
 		return AllocResult{Outcome: AllocOK, Entry: e}
 	}
 	// First choice: silently drop a stashable (private) victim.
@@ -102,25 +99,25 @@ func (d *Stash) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 		v.Sharers.Clear()
 		v.Owned = false
 		d.store.install(v, b)
-		d.st.stashes.Inc()
-		d.st.allocs.Inc()
+		d.st.StashEvictions.Inc()
+		d.st.Allocations.Inc()
 		return AllocResult{Outcome: AllocStashed, Entry: v, Stashed: stashed}
 	}
 
 	// Fall back to a conventional back-invalidating eviction.
 	v := d.store.victim(b, busy, false, nil)
 	if v == nil {
-		d.st.blocked.Inc()
+		d.st.AllocBlocked.Inc()
 		return AllocResult{Outcome: AllocBlocked}
 	}
-	d.st.recalls.Inc()
+	d.st.RecallEvictions.Inc()
 	return AllocResult{Outcome: AllocNeedsRecall, Victim: v}
 }
 
 // Remove implements Directory.
 func (d *Stash) Remove(b mem.Block) {
 	if d.store.remove(b) {
-		d.st.removes.Inc()
+		d.st.Removals.Inc()
 	}
 }
 
@@ -131,4 +128,4 @@ func (d *Stash) OccupiedEntries() int { return d.store.occupied() }
 func (d *Stash) ForEach(fn func(*Entry)) { d.store.forEach(fn) }
 
 // Stats implements Directory.
-func (d *Stash) Stats() *stats.Set { return d.st.set }
+func (d *Stash) Stats() *DirStats { return &d.st }

@@ -18,11 +18,15 @@
 // the action path from the root — rather than by snapshotting the
 // controllers' object graphs. Replay keeps the checker honest: the only
 // state that matters is state the real protocol can rebuild
-// deterministically.
+// deterministically. Expanding a node replays it once per enabled action
+// but the last, which is applied to the world already replayed to list
+// the actions, so each transition costs one fabric build.
 package mcheck
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cache"
@@ -114,7 +118,7 @@ func (c *Config) validate() error {
 
 // Violation is one safety failure with its minimal reproducing trace.
 type Violation struct {
-	Kind    string   // "invariant", "value", "deadlock", "livelock", "audit", "leak", "event-budget"
+	Kind    string // "invariant", "value", "deadlock", "livelock", "audit", "leak", "event-budget"
 	Message string
 	Trace   []string // action descriptions from the initial state
 }
@@ -137,8 +141,8 @@ type Edge struct {
 // message type, and the receiver's per-block state before the delivery and
 // after the fabric re-quiesced.
 type TableRow struct {
-	Receiver string // "L1" or "bank"
-	Msg      string
+	Receiver  string // "L1" or "bank"
+	Msg       string
 	Pre, Post string
 }
 
@@ -190,12 +194,12 @@ const (
 // identified by (bank, kind, block), injections by (core, addr).
 type action struct {
 	kind     actionKind
-	src, dst noc.NodeID            // aDeliver
-	bank     int                   // aRetry
-	rkind    coherence.RetryKind   // aRetry
-	block    mem.Block             // aRetry
-	core     int                   // aLoad/aStore/aEvict
-	addr     int                   // aLoad/aStore/aEvict: block index
+	src, dst noc.NodeID          // aDeliver
+	bank     int                 // aRetry
+	rkind    coherence.RetryKind // aRetry
+	block    mem.Block           // aRetry
+	core     int                 // aLoad/aStore/aEvict
+	addr     int                 // aLoad/aStore/aEvict: block index
 }
 
 // channel is one point-to-point FIFO of captured messages.
@@ -311,12 +315,23 @@ type Explorer struct {
 	visited map[string]int32
 	res     *Result
 	rows    map[TableRow]struct{}
+	parked  []coherence.ParkedRetry // scratch for sortedParked
+	replays int                     // worlds rebuilt from the root by replay
 }
 
 // Run explores cfg's configuration and returns the result. An error means
 // the checker itself failed (bad configuration, replay divergence) — a
 // protocol bug is not an error, it is a Violation in the result.
 func Run(cfg Config) (*Result, error) {
+	e, err := explore(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return e.res, nil
+}
+
+// explore runs the search and returns the finished explorer.
+func explore(cfg Config) (*Explorer, error) {
 	cfg.setDefaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -358,7 +373,7 @@ func Run(cfg Config) (*Result, error) {
 			return a.Post < b.Post
 		})
 	}
-	return e.res, nil
+	return e, nil
 }
 
 // newWorld builds a fresh fabric at the initial state with the capture
@@ -430,18 +445,41 @@ type errDiverged struct{ msg string }
 
 func (d errDiverged) Error() string { return "replay divergence: " + d.msg }
 
-// apply executes one action on w, drains the engine, and returns a human
-// description of what happened.
-func (e *Explorer) apply(w *world, a action) (string, error) {
+// describe renders a, which must be enabled in w, as one human-readable
+// step. A delivery's text names the message at the channel head, so it
+// must be rendered before apply consumes it.
+func (e *Explorer) describe(w *world, a action) string {
+	switch a.kind {
+	case aDeliver:
+		if ch := w.channelFor(a.src, a.dst); len(ch.q) > 0 {
+			m := ch.q[0]
+			return fmt.Sprintf("deliver %v(blk %#x) node%d->node%d", m.Type, uint64(m.Block), a.src, a.dst)
+		}
+		return fmt.Sprintf("deliver node%d->node%d", a.src, a.dst)
+	case aRetry:
+		return fmt.Sprintf("fire %v(blk %#x) at bank %d", a.rkind, uint64(a.block), a.bank)
+	case aLoad, aStore:
+		op := "load"
+		if a.kind == aStore {
+			op = "store"
+		}
+		return fmt.Sprintf("core %d: %s blk %#x", a.core, op, uint64(e.blocks[a.addr]))
+	case aEvict:
+		return fmt.Sprintf("core %d: evict blk %#x", a.core, uint64(e.blocks[a.addr]))
+	}
+	return fmt.Sprintf("unknown action kind %d", a.kind)
+}
+
+// apply executes one action on w and drains the engine.
+func (e *Explorer) apply(w *world, a action) error {
 	switch a.kind {
 	case aDeliver:
 		ch := w.channelFor(a.src, a.dst)
 		if len(ch.q) == 0 {
-			return "", errDiverged{fmt.Sprintf("channel %d->%d empty", a.src, a.dst)}
+			return errDiverged{fmt.Sprintf("channel %d->%d empty", a.src, a.dst)}
 		}
 		m := ch.q[0]
 		ch.q = ch.q[1:]
-		desc := fmt.Sprintf("deliver %v(blk %#x) node%d->node%d", m.Type, uint64(m.Block), a.src, a.dst)
 		var row TableRow
 		if e.rows != nil {
 			if bankBound(m.Type) {
@@ -453,7 +491,7 @@ func (e *Explorer) apply(w *world, a action) (string, error) {
 		blk := m.Block
 		w.f.DeliverDirect(a.dst, m)
 		if err := e.drain(w); err != nil {
-			return desc, err
+			return err
 		}
 		if e.rows != nil {
 			if row.Receiver == "bank" {
@@ -463,7 +501,7 @@ func (e *Explorer) apply(w *world, a action) (string, error) {
 			}
 			e.rows[row] = struct{}{}
 		}
-		return desc, nil
+		return nil
 
 	case aRetry:
 		idx := -1
@@ -474,41 +512,48 @@ func (e *Explorer) apply(w *world, a action) (string, error) {
 			}
 		}
 		if idx < 0 {
-			return "", errDiverged{fmt.Sprintf("no parked %v for blk %#x at bank %d", a.rkind, uint64(a.block), a.bank)}
+			return errDiverged{fmt.Sprintf("no parked %v for blk %#x at bank %d", a.rkind, uint64(a.block), a.bank)}
 		}
 		p := w.parked[idx]
 		w.parked = append(w.parked[:idx], w.parked[idx+1:]...)
-		desc := fmt.Sprintf("fire %v(blk %#x) at bank %d", a.rkind, uint64(a.block), a.bank)
 		p.Fire()
-		return desc, e.drain(w)
+		return e.drain(w)
 
 	case aLoad, aStore:
-		blk := e.blocks[a.addr]
-		op := "load"
-		if a.kind == aStore {
-			op = "store"
-		}
-		desc := fmt.Sprintf("core %d: %s blk %#x", a.core, op, uint64(blk))
 		if w.outstanding[a.core] {
-			return "", errDiverged{desc + " while outstanding"}
+			return errDiverged{e.describe(w, a) + " while outstanding"}
 		}
 		w.injections++
 		w.outstanding[a.core] = true
 		c := a.core
-		w.f.L1s[c].Access(mem.Access{Addr: mem.AddrOf(blk), Write: a.kind == aStore},
+		w.f.L1s[c].Access(mem.Access{Addr: mem.AddrOf(e.blocks[a.addr]), Write: a.kind == aStore},
 			func() { w.outstanding[c] = false })
-		return desc, e.drain(w)
+		return e.drain(w)
 
 	case aEvict:
-		blk := e.blocks[a.addr]
-		desc := fmt.Sprintf("core %d: evict blk %#x", a.core, uint64(blk))
 		w.injections++
-		if !w.f.L1s[a.core].ForceEvict(blk) {
-			return "", errDiverged{desc + " not evictable"}
+		if !w.f.L1s[a.core].ForceEvict(e.blocks[a.addr]) {
+			return errDiverged{e.describe(w, a) + " not evictable"}
 		}
-		return desc, e.drain(w)
+		return e.drain(w)
 	}
-	return "", errDiverged{fmt.Sprintf("unknown action kind %d", a.kind)}
+	return errDiverged{fmt.Sprintf("unknown action kind %d", a.kind)}
+}
+
+// sortedParked returns w's parked retries in canonical (bank, block, kind)
+// order. The slice is scratch, valid until the next call.
+func (e *Explorer) sortedParked(w *world) []coherence.ParkedRetry {
+	e.parked = append(e.parked[:0], w.parked...)
+	slices.SortFunc(e.parked, func(a, b coherence.ParkedRetry) int {
+		if c := cmp.Compare(a.BankID(), b.BankID()); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Block(), b.Block()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind(), b.Kind())
+	})
+	return e.parked
 }
 
 // enabled enumerates w's actions in canonical order: deliveries (channel
@@ -520,19 +565,7 @@ func (e *Explorer) enabled(w *world) []action {
 			out = append(out, action{kind: aDeliver, src: ch.src, dst: ch.dst})
 		}
 	}
-	parked := make([]coherence.ParkedRetry, len(w.parked))
-	copy(parked, w.parked)
-	sort.Slice(parked, func(i, j int) bool {
-		a, b := parked[i], parked[j]
-		if a.BankID() != b.BankID() {
-			return a.BankID() < b.BankID()
-		}
-		if a.Block() != b.Block() {
-			return a.Block() < b.Block()
-		}
-		return a.Kind() < b.Kind()
-	})
-	for _, p := range parked {
+	for _, p := range e.sortedParked(w) {
 		out = append(out, action{kind: aRetry, bank: p.BankID(), rkind: p.Kind(), block: p.Block()})
 	}
 	if e.cfg.MaxDepth > 0 && w.injections >= e.cfg.MaxDepth {
@@ -561,8 +594,9 @@ func (e *Explorer) enabled(w *world) []action {
 
 // encode renders w's complete canonical state: transport, parked retries,
 // stimulus bookkeeping, then the fabric itself (one shared stamp renamer
-// across all of it).
-func (e *Explorer) encode(w *world) string {
+// across all of it). The bytes are the encoder's buffer, valid until the
+// next encode.
+func (e *Explorer) encode(w *world) []byte {
 	enc := e.enc
 	enc.Reset()
 	for _, ch := range w.chans {
@@ -578,18 +612,7 @@ func (e *Explorer) encode(w *world) string {
 		}
 	}
 	enc.Byte('R')
-	parked := make([]coherence.ParkedRetry, len(w.parked))
-	copy(parked, w.parked)
-	sort.Slice(parked, func(i, j int) bool {
-		a, b := parked[i], parked[j]
-		if a.BankID() != b.BankID() {
-			return a.BankID() < b.BankID()
-		}
-		if a.Block() != b.Block() {
-			return a.Block() < b.Block()
-		}
-		return a.Kind() < b.Kind()
-	})
+	parked := e.sortedParked(w)
 	enc.U64(uint64(len(parked)))
 	for _, p := range parked {
 		enc.U64(uint64(p.BankID()))
@@ -604,7 +627,7 @@ func (e *Explorer) encode(w *world) string {
 		}
 	}
 	enc.Fabric(w.f)
-	return string(enc.Bytes())
+	return enc.Bytes()
 }
 
 // path returns the action sequence from the root to node id.
@@ -621,6 +644,7 @@ func (e *Explorer) path(id int32) []action {
 
 // replay rebuilds node id's world from scratch.
 func (e *Explorer) replay(id int32) (*world, error) {
+	e.replays++
 	w, err := e.newWorld()
 	if err != nil {
 		return nil, err
@@ -629,15 +653,16 @@ func (e *Explorer) replay(id int32) (*world, error) {
 		return nil, err
 	}
 	for _, a := range e.path(id) {
-		if _, err := e.apply(w, a); err != nil {
+		if err := e.apply(w, a); err != nil {
 			return nil, fmt.Errorf("replaying node %d: %w", id, err)
 		}
 	}
 	return w, nil
 }
 
-// trace renders node id's path as human-readable steps (by replaying it).
-func (e *Explorer) trace(id int32) []string {
+// trace renders node id's path as human-readable steps (by replaying it),
+// followed by next's step when given: the action that failed from id.
+func (e *Explorer) trace(id int32, next ...action) []string {
 	w, err := e.newWorld()
 	if err != nil {
 		return []string{fmt.Sprintf("<trace unavailable: %v>", err)}
@@ -645,12 +670,13 @@ func (e *Explorer) trace(id int32) []string {
 	_ = e.drain(w)
 	var out []string
 	for _, a := range e.path(id) {
-		d, err := e.apply(w, a)
-		out = append(out, d)
-		if err != nil {
-			out = append(out, fmt.Sprintf("<%v>", err))
-			break
+		out = append(out, e.describe(w, a))
+		if err := e.apply(w, a); err != nil {
+			return append(out, fmt.Sprintf("<%v>", err))
 		}
+	}
+	for _, a := range next {
+		out = append(out, e.describe(w, a))
 	}
 	return out
 }
@@ -700,7 +726,7 @@ func (e *Explorer) search() error {
 		return err
 	}
 	e.nodes = []node{{parent: -1}}
-	e.visited[e.encode(w0)] = 0
+	e.visited[string(e.encode(w0))] = 0
 	e.res.States = 1
 	e.checkState(w0, 0, 0)
 
@@ -715,8 +741,9 @@ func (e *Explorer) search() error {
 		if err != nil {
 			return err
 		}
-		parentKey := e.encode(pw)
+		parentKey := string(e.encode(pw))
 		parentChk := len(pw.f.Checker.Violations())
+		open := pw.f.OpenWork()
 		acts := e.enabled(pw)
 
 		// Deadlock: open protocol work with nothing deliverable and no
@@ -731,21 +758,29 @@ func (e *Explorer) search() error {
 				retries++
 			}
 		}
-		if pw.f.OpenWork() && !hasDeliver && retries == 0 {
+		if open && !hasDeliver && retries == 0 {
 			e.violation("deadlock", "open transactions with no deliverable message and no retry to fire", id)
 			continue
 		}
 
 		retrySelfLoops := 0
-		for _, a := range acts {
+		for i, a := range acts {
 			if e.done() {
 				break
 			}
-			cw, err := e.replay(id)
-			if err != nil {
-				return err
+			// The last action consumes the parent's own world; every
+			// earlier one gets a fresh replay.
+			cw := pw
+			if i < len(acts)-1 {
+				if cw, err = e.replay(id); err != nil {
+					return err
+				}
 			}
-			desc, aerr := e.apply(cw, a)
+			var desc string
+			if e.cfg.RecordEdges {
+				desc = e.describe(cw, a)
+			}
+			aerr := e.apply(cw, a)
 			e.res.Transitions++
 			if aerr != nil {
 				if _, ok := aerr.(errDiverged); ok {
@@ -753,22 +788,22 @@ func (e *Explorer) search() error {
 				}
 				// Event-budget blowout: report it with the offending step
 				// appended to the parent's trace.
-				v := Violation{Kind: "event-budget", Message: aerr.Error(), Trace: append(e.trace(id), desc)}
+				v := Violation{Kind: "event-budget", Message: aerr.Error(), Trace: e.trace(id, a)}
 				e.res.Violations = append(e.res.Violations, v)
 				continue
 			}
 			k := e.encode(cw)
-			if a.kind == aRetry && k == parentKey {
+			if a.kind == aRetry && string(k) == parentKey {
 				retrySelfLoops++
 			}
-			if prev, ok := e.visited[k]; ok {
+			if prev, ok := e.visited[string(k)]; ok {
 				if e.cfg.RecordEdges {
 					e.res.Edges = append(e.res.Edges, Edge{From: id, To: prev, Label: desc})
 				}
 				continue
 			}
 			nid := int32(len(e.nodes))
-			e.visited[k] = nid
+			e.visited[string(k)] = nid
 			d := e.nodes[id].depth + 1
 			e.nodes = append(e.nodes, node{parent: id, depth: d, act: a})
 			if int(d) > e.res.Depth {
@@ -785,7 +820,7 @@ func (e *Explorer) search() error {
 		// Livelock: protocol work is stuck behind retries whose firing
 		// changes nothing, and no delivery can unblock them — the blocked
 		// allocations will spin forever no matter what else is injected.
-		if pw.f.OpenWork() && !hasDeliver && retries > 0 && retrySelfLoops == retries && !e.done() {
+		if open && !hasDeliver && retries > 0 && retrySelfLoops == retries && !e.done() {
 			e.violation("livelock", "all enabled retries loop back to the same state with open transactions", id)
 		}
 	}

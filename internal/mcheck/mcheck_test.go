@@ -62,6 +62,43 @@ func TestConflictBounded(t *testing.T) {
 	}
 }
 
+// TestReplayCounts pins how many worlds the 2x2 depth-2 conflict slice
+// rebuilds from the root: one per expanded node plus one per enabled
+// action but the last, which reuses the world replayed to list them.
+func TestReplayCounts(t *testing.T) {
+	for _, tc := range []struct {
+		kind    string
+		replays int
+	}{{"sparse", 536}, {"stash", 504}} {
+		e, err := explore(Config{Cores: 2, Addrs: 2, Kind: tc.kind, MaxDepth: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.kind, err)
+		}
+		if e.replays != tc.replays {
+			t.Errorf("%s: %d replays, want %d (%s)", tc.kind, e.replays, tc.replays, e.res.Summary())
+		}
+	}
+}
+
+// TestConflictSliceAllocs caps the allocations of the sparse+stash 2x2
+// depth-2 pair, the benchmark's model-checker job. Each replay builds a
+// whole fabric, so both what a build allocates and how many builds a
+// transition costs show here.
+func TestConflictSliceAllocs(t *testing.T) {
+	const limit = 250_000
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, kind := range []string{"sparse", "stash"} {
+			if _, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	t.Logf("%.0f allocations per sparse+stash pair (limit %d)", allocs, limit)
+	if allocs > limit {
+		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.0f times, want <= %d", allocs, limit)
+	}
+}
+
 // TestSilentAndThreeHopVariants covers the protocol's two optional modes
 // on the exhaustible configuration.
 func TestSilentAndThreeHopVariants(t *testing.T) {
@@ -173,22 +210,22 @@ func TestEncodingCanonical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1 := e1.encode(w1)
+	k1 := string(e1.encode(w1))
 
 	e2 := &Explorer{cfg: e1.cfg, enc: coherence.NewStateEncoder(), blocks: e1.blocks}
 	w2, err := e2.newWorld()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2 := e2.encode(w2)
+	k2 := string(e2.encode(w2))
 	if k1 != k2 {
 		t.Errorf("fresh worlds encode differently (%d vs %d bytes)", len(k1), len(k2))
 	}
 
-	if _, err := e2.apply(w2, action{kind: aLoad, core: 0, addr: 0}); err != nil {
+	if err := e2.apply(w2, action{kind: aLoad, core: 0, addr: 0}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	if e2.encode(w2) == k1 {
+	if string(e2.encode(w2)) == k1 {
 		t.Errorf("state changed by a load encodes identically to the initial state")
 	}
 }

@@ -119,11 +119,7 @@ type Mesh struct {
 	// a new message. Links are unidirectional; see linkIndex.
 	linkFree []sim.Cycle
 
-	set       *stats.Set
-	msgs      [NumClasses]*stats.Counter
-	flitHops  [NumClasses]*stats.Counter
-	latency   *stats.Histogram
-	delivered *stats.Counter
+	stats Stats
 
 	// free recycles Post-acquired messages; deliverFn is the single
 	// long-lived delivery callback shared by every in-flight message, so a
@@ -148,14 +144,7 @@ func New(engine *sim.Engine, cfg Config) (*Mesh, error) {
 		// 4 outgoing directions per node is an upper bound; unused slots
 		// stay at zero and are never indexed.
 		linkFree: make([]sim.Cycle, n*4),
-		set:      stats.NewSet("noc"),
 	}
-	for c := Class(0); c < NumClasses; c++ {
-		m.msgs[c] = m.set.Counter("messages." + c.String())
-		m.flitHops[c] = m.set.Counter("flit_hops." + c.String())
-	}
-	m.latency = m.set.Histogram("latency")
-	m.delivered = m.set.Counter("delivered")
 	// Bind the method value once: every in-flight message shares this one
 	// callback, so sends schedule delivery without allocating a closure.
 	m.deliverFn = m.deliver
@@ -169,7 +158,7 @@ func New(engine *sim.Engine, cfg Config) (*Mesh, error) {
 //stash:hotpath
 func (m *Mesh) deliver(arg any) {
 	msg := arg.(*Message)
-	m.delivered.Inc()
+	m.stats.Delivered.Inc()
 	m.endpoints[msg.Dst].Deliver(msg)
 	if msg.pooled {
 		m.putMessage(msg)
@@ -203,8 +192,16 @@ func (m *Mesh) putMessage(msg *Message) {
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// Stats returns the mesh metric set.
-func (m *Mesh) Stats() *stats.Set { return m.set }
+// Stats counts the mesh's traffic.
+type Stats struct {
+	Messages  [NumClasses]stats.Counter // messages sent, by class
+	FlitHops  [NumClasses]stats.Counter // flits × links crossed, by class
+	Latency   stats.Histogram           // send-to-arrival cycles per message
+	Delivered stats.Counter             // serial-engine deliveries plus folded local ones
+}
+
+// Stats returns the mesh's counters.
+func (m *Mesh) Stats() *Stats { return &m.stats }
 
 // Attach registers the endpoint for node id. It must be called once per
 // node before any traffic reaches that node.
@@ -294,9 +291,9 @@ func (m *Mesh) route(src, dst NodeID, class Class, flits int, now sim.Cycle) sim
 			x, y = nx, ny
 			hops++
 		}
-		m.flitHops[class].Add(int64(flits * hops))
+		m.stats.FlitHops[class].Add(int64(flits * hops))
 	}
-	m.latency.Observe(int64(t - now))
+	m.stats.Latency.Observe(int64(t - now))
 	return t
 }
 
@@ -312,7 +309,7 @@ func (m *Mesh) Send(msg *Message) sim.Cycle {
 	if msg.Flits < 1 {
 		panic("noc: message with no flits")
 	}
-	m.msgs[msg.Class].Inc()
+	m.stats.Messages[msg.Class].Inc()
 	if m.endpoints[msg.Dst] == nil {
 		panic(fmt.Sprintf("noc: no endpoint attached to node %d", msg.Dst))
 	}
@@ -335,7 +332,7 @@ func (m *Mesh) ReserveRoute(src, dst NodeID, class Class, flits int, sent sim.Cy
 	if flits < 1 {
 		panic("noc: message with no flits")
 	}
-	m.msgs[class].Inc()
+	m.stats.Messages[class].Inc()
 	return m.route(src, dst, class, flits, sent)
 }
 
@@ -373,11 +370,11 @@ type LocalTraffic struct {
 func (m *Mesh) FoldLocal(l *LocalTraffic) {
 	var self int64
 	for c := Class(0); c < NumClasses; c++ {
-		m.msgs[c].Add(l.Msgs[c])
+		m.stats.Messages[c].Add(l.Msgs[c])
 		self += l.Msgs[c]
 	}
-	m.latency.ObserveN(int64(m.cfg.RouterLatency), self)
-	m.delivered.Add(l.Delivered)
+	m.stats.Latency.ObserveN(int64(m.cfg.RouterLatency), self)
+	m.stats.Delivered.Add(l.Delivered)
 }
 
 // Post sends a pooled message: the transfer envelope is recycled after
@@ -395,13 +392,13 @@ func (m *Mesh) Post(src, dst NodeID, class Class, flits int, payload any) sim.Cy
 func (m *Mesh) TotalFlitHops() int64 {
 	var total int64
 	for c := Class(0); c < NumClasses; c++ {
-		total += m.flitHops[c].Value()
+		total += m.stats.FlitHops[c].Value()
 	}
 	return total
 }
 
 // FlitHops returns the flit-hops recorded for one class.
-func (m *Mesh) FlitHops(c Class) int64 { return m.flitHops[c].Value() }
+func (m *Mesh) FlitHops(c Class) int64 { return m.stats.FlitHops[c].Value() }
 
 // Messages returns the message count recorded for one class.
-func (m *Mesh) Messages(c Class) int64 { return m.msgs[c].Value() }
+func (m *Mesh) Messages(c Class) int64 { return m.stats.Messages[c].Value() }

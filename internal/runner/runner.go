@@ -788,8 +788,11 @@ func (r *Runner) runOnce(j *Job) (*system.Results, error) {
 	}
 }
 
-// finish records the job's outcome, publishes it to waiters, and emits the
-// terminal event.
+// finish records the job's outcome, emits the terminal event and retires
+// the job from the inflight table before it publishes the outcome to
+// waiters. A waiter that returns has therefore seen every event of its job,
+// and a repeat submission it makes next finds the cached result instead of
+// coalescing onto the finished job.
 func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duration) {
 	j.mu.Lock()
 	j.finishedAt = time.Now()
@@ -802,9 +805,13 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	}
 	attempt := j.attempts
 	j.mu.Unlock()
-	close(j.done)
-	if j.cancel != nil {
-		j.cancel() // release the exec context and its waiter monitors
+
+	if err != nil {
+		r.met.failed.Add(1)
+		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Err: err})
+	} else {
+		r.met.completed.Add(1)
+		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
 	}
 
 	r.mu.Lock()
@@ -814,11 +821,8 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	r.retainLocked(j)
 	r.mu.Unlock()
 
-	if err != nil {
-		r.met.failed.Add(1)
-		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Err: err})
-	} else {
-		r.met.completed.Add(1)
-		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
+	close(j.done)
+	if j.cancel != nil {
+		j.cancel() // release the exec context and its waiter monitors
 	}
 }

@@ -127,22 +127,30 @@ type EventQueue struct {
 	wheelOcc   [wheelWords]uint64
 	wheelCount int
 
-	// slab seeds ring buffers: one allocation covers every bucket's
-	// initial buffer, so bringing a wheel up costs 1 allocation instead of
-	// wheelSize. This matters most to the parallel engine, which builds
-	// one EventQueue per tile per run.
-	slab []eventSlot
+	// slab seeds ring buffers: a bucket's first use carves its initial
+	// buffer from the current slab chunk, and each new chunk covers as
+	// many buckets as are seeded already (seedChunk at first). A
+	// model-checker world that touches a handful of buckets pays for one
+	// small chunk; a run that touches every bucket (the parallel engine
+	// builds one EventQueue per tile per run) brings the wheel up in
+	// log2(wheelSize/seedChunk)+1 allocations with no seed left unused.
+	slab   []eventSlot
+	seeded int // buckets given a ring buffer so far
 }
 
 // ringSeed is the initial per-bucket ring capacity carved from the slab.
 // Must be a power of two (ring indexing masks by capacity).
 const ringSeed = 8
 
+// seedChunk is how many buckets' seeds the first slab chunk covers.
+const seedChunk = 8
+
 // seedRing hands out one initial ring buffer from the queue's slab.
 func (q *EventQueue) seedRing() []eventSlot {
 	if len(q.slab) < ringSeed {
-		q.slab = make([]eventSlot, wheelSize*ringSeed)
+		q.slab = make([]eventSlot, max(q.seeded, seedChunk)*ringSeed)
 	}
+	q.seeded++
 	buf := q.slab[:ringSeed:ringSeed]
 	q.slab = q.slab[ringSeed:]
 	return buf

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -168,6 +170,34 @@ func TestEventsRunCounter(t *testing.T) {
 	e.Run(0)
 	if e.EventsRun() != 5 {
 		t.Fatalf("EventsRun = %d, want 5", e.EventsRun())
+	}
+}
+
+// TestFreshEngineSeedsOnlyUsedBuckets bounds the bytes a fresh engine
+// allocates when it schedules into a single wheel bucket: the engine
+// itself plus one chunk of ring seeds. The model checker builds an engine
+// per explored transition and each touches only a few buckets, so
+// anything a fresh engine allocates for buckets it never uses is paid
+// once per transition.
+func TestFreshEngineSeedsOnlyUsedBuckets(t *testing.T) {
+	const engines = 200
+	fn := func() {}
+	keep := make([]*Engine, engines) // engines escape, as they do in real use
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		e := NewEngine()
+		e.After(1, "t", fn)
+		e.Run(0)
+		keep[i] = e
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / engines
+	limit := uint64(unsafe.Sizeof(Engine{})) + 8<<10
+	t.Logf("%d bytes per fresh engine (limit %d)", per, limit)
+	if per > limit {
+		t.Errorf("a fresh engine scheduling one event allocates %d bytes, want <= %d", per, limit)
 	}
 }
 

@@ -36,8 +36,9 @@ type RunRequest struct {
 	// Checker defaults to on; send false to trade auditing for speed.
 	Checker *bool `json:"checker,omitempty"`
 	// Shards > 0 runs the parallel engine with that many workers and
-	// forces the checker off (parallel runs cannot host the globally
-	// ordered value oracle). 0 keeps the serial engine.
+	// defaults the checker off (parallel runs cannot host the globally
+	// ordered value oracle); an explicit "checker": true is refused. 0
+	// keeps the serial engine.
 	Shards int `json:"shards,omitempty"`
 }
 
@@ -98,7 +99,11 @@ func (q *RunRequest) Config() (system.Config, error) {
 	}
 	if q.Shards > 0 {
 		cfg.Shards = q.Shards
-		cfg.Checker = false
+		// Only the default yields to the parallel engine: an explicit
+		// checker request stays as asked and fails Validate.
+		if q.Checker == nil {
+			cfg.Checker = false
+		}
 	}
 	return cfg, cfg.Validate()
 }

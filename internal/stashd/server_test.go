@@ -194,6 +194,42 @@ func TestBadRequestsRejected(t *testing.T) {
 	}
 }
 
+// TestShardsCheckerRequests pins how a parallel request treats the
+// checker: omitted, it defaults off and the run succeeds; an explicit true
+// is not rewritten but refused, since parallel runs cannot host it.
+func TestShardsCheckerRequests(t *testing.T) {
+	leakcheck.Check(t)
+	ts, _ := newTestServer(t, "")
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	const base = `"workload":"blackscholes","quick":true,"cores":4,"accessesPerCore":1500,"workloadScale":0.25,"shards":2`
+
+	resp := post(`{` + base + `}`)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("shards without checker: status = %d, want 200", resp.StatusCode)
+	}
+	var rr RunResponse
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	if c := rr.Result.Config; c.Checker || c.Shards != 2 {
+		t.Fatalf("shards without checker ran with checker=%v shards=%d, want false and 2", c.Checker, c.Shards)
+	}
+
+	bad := post(`{` + base + `,"checker":true}`)
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("shards with explicit checker: status = %d, want 400", bad.StatusCode)
+	}
+}
+
 // TestConcurrentSweepsShareDiskCache is the acceptance scenario: two
 // concurrent identical sweeps against one server simulate each config at
 // most once (coalescing or cache hits cover the overlap), and a third

@@ -1,16 +1,13 @@
 // Package stats provides the metric-collection substrate used by every
-// simulator component: named counters, histograms, and sets that group them
-// for reporting. Collection is allocation-free on the hot path (counters
-// are plain int64 fields handed out once), and reporting renders aligned
-// plain-text tables so experiment harnesses can print paper-style rows.
+// simulator component: counters and histograms that each component embeds
+// as named fields of its own stat struct (cache.Stats, noc.Stats,
+// coherence.L1Stats, core.DirStats, ...), so every counter is read back by
+// field and a misspelled name is a compile error. Collection is
+// allocation-free, and table.go renders aligned plain-text tables so
+// experiment harnesses can print paper-style rows.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-	"strings"
-)
+import "math"
 
 // Counter is a monotonically increasing event count. The zero value is
 // ready to use. Counters are not safe for concurrent use; the simulator is
@@ -111,96 +108,4 @@ func (h *Histogram) StdDev() float64 {
 		v = 0 // numerical noise
 	}
 	return math.Sqrt(v)
-}
-
-// Reset discards all samples.
-func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Set is a named collection of counters and histograms belonging to one
-// component. Components register their metrics once at construction; the
-// harness walks sets for reporting.
-type Set struct {
-	name     string
-	counters map[string]*Counter
-	hists    map[string]*Histogram
-}
-
-// NewSet returns an empty metric set with the given component name.
-func NewSet(name string) *Set {
-	return &Set{
-		name:     name,
-		counters: make(map[string]*Counter),
-		hists:    make(map[string]*Histogram),
-	}
-}
-
-// Name returns the component name.
-func (s *Set) Name() string { return s.name }
-
-// Counter returns the counter registered under name, creating it on first
-// use. The returned pointer stays valid for the life of the set, so hot
-// paths should capture it once.
-func (s *Set) Counter(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := new(Counter)
-	s.counters[name] = c
-	return c
-}
-
-// Histogram returns the histogram registered under name, creating it on
-// first use.
-func (s *Set) Histogram(name string) *Histogram {
-	if h, ok := s.hists[name]; ok {
-		return h
-	}
-	h := new(Histogram)
-	s.hists[name] = h
-	return h
-}
-
-// CounterNames returns the registered counter names in sorted order.
-func (s *Set) CounterNames() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// HistogramNames returns the registered histogram names in sorted order.
-func (s *Set) HistogramNames() []string {
-	names := make([]string, 0, len(s.hists))
-	for n := range s.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Reset zeroes every metric in the set.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.Reset()
-	}
-	for _, h := range s.hists {
-		h.Reset()
-	}
-}
-
-// String renders the set as an aligned two-column table.
-func (s *Set) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "[%s]\n", s.name)
-	for _, n := range s.CounterNames() {
-		fmt.Fprintf(&b, "  %-40s %12d\n", n, s.counters[n].Value())
-	}
-	for _, n := range s.HistogramNames() {
-		h := s.hists[n]
-		fmt.Fprintf(&b, "  %-40s n=%d mean=%.2f min=%d max=%d sd=%.2f\n",
-			n, h.Count(), h.Mean(), h.Min(), h.Max(), h.StdDev())
-	}
-	return b.String()
 }

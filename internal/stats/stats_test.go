@@ -83,52 +83,6 @@ func TestHistogramPropertyMeanWithinBounds(t *testing.T) {
 	}
 }
 
-func TestSetRegistersOnce(t *testing.T) {
-	s := NewSet("x")
-	a := s.Counter("hits")
-	b := s.Counter("hits")
-	if a != b {
-		t.Fatal("Counter should return the same pointer for the same name")
-	}
-	a.Inc()
-	if s.Counter("hits").Value() != 1 {
-		t.Fatal("increment not visible via registry")
-	}
-	h1 := s.Histogram("lat")
-	h2 := s.Histogram("lat")
-	if h1 != h2 {
-		t.Fatal("Histogram should return the same pointer for the same name")
-	}
-}
-
-func TestSetNamesSorted(t *testing.T) {
-	s := NewSet("x")
-	s.Counter("zeta")
-	s.Counter("alpha")
-	s.Counter("mid")
-	names := s.CounterNames()
-	want := []string{"alpha", "mid", "zeta"}
-	for i, n := range want {
-		if names[i] != n {
-			t.Fatalf("names = %v, want %v", names, want)
-		}
-	}
-}
-
-func TestSetResetAndString(t *testing.T) {
-	s := NewSet("component")
-	s.Counter("events").Add(7)
-	s.Histogram("lat").Observe(3)
-	out := s.String()
-	if !strings.Contains(out, "component") || !strings.Contains(out, "events") {
-		t.Fatalf("String() = %q", out)
-	}
-	s.Reset()
-	if s.Counter("events").Value() != 0 || s.Histogram("lat").Count() != 0 {
-		t.Fatal("Reset did not zero metrics")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Fig X", "workload", "value")
 	tb.AddRow("blackscholes", "1.00")

@@ -7,10 +7,11 @@ import "testing"
 // oracle, a shards run cost ~2.5x the allocations of the identical serial
 // run (7.6k vs 3.1k on the 16-core sweep point: 17 event queues each
 // bringing up 256 ring buffers one make() at a time, plus per-tile oracle
-// maps growing to the store working set). Per-tile setup now carves ring
-// buffers from one slab per queue, so a shards run must stay within 1.8x
-// of serial. A regression here means per-tile construction started
-// allocating per bucket (or per store) again.
+// maps growing to the store working set). Each queue now carves its ring
+// buffers from slab chunks that double as buckets come into use, so a
+// queue that touches its whole wheel costs six allocations, and a shards
+// run must stay within 1.8x of serial. A regression here means per-tile
+// construction started allocating per bucket (or per store) again.
 func TestParallelRunAllocParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full runs under AllocsPerRun")

@@ -110,30 +110,29 @@ func (r *Results) Clone() *Results {
 	return &c
 }
 
-// collect walks the fabric's statistics sets into a Results. cycles and
-// events come from the caller because the serial path reads them off the
-// single engine while the parallel path aggregates per-tile engines (with
-// all per-tile statistics already folded into fab).
+// collect reads the components' typed stat structs into a Results. cycles
+// and events come from the caller because the serial path reads them off
+// the single engine while the parallel path aggregates per-tile engines
+// (with all per-tile statistics already folded into fab).
 func collect(cfg Config, fab *coherence.Fabric, procs []*coherence.Processor, sampler *occupancySampler, cycles sim.Cycle, events uint64) *Results {
 	r := &Results{Config: cfg, Cycles: uint64(cycles), EventsRun: events}
 
 	var missLatSum, missLatN int64
 	for _, l1 := range fab.L1s {
 		s := l1.Stats()
-		r.Loads += s.Counter("loads").Value()
-		r.Stores += s.Counter("stores").Value()
-		r.L1Hits += s.Counter("hits").Value()
-		r.L1Misses += s.Counter("misses").Value()
-		r.CoverageMisses += s.Counter("coverage_misses").Value()
-		r.InvsDemand += s.Counter("invalidations.demand").Value()
-		r.InvsRecall += s.Counter("invalidations.recall").Value()
-		r.InvsLLCEvict += s.Counter("invalidations.llc-evict").Value()
-		r.SpuriousInvs += s.Counter("invalidations.spurious").Value()
-		r.L2Hits += s.Counter("l2_hits").Value()
-		r.L2Misses += s.Counter("l2_misses").Value()
-		h := s.Histogram("miss_latency")
-		missLatSum += h.Sum()
-		missLatN += h.Count()
+		r.Loads += s.Loads.Value()
+		r.Stores += s.Stores.Value()
+		r.L1Hits += s.Hits.Value()
+		r.L1Misses += s.Misses.Value()
+		r.CoverageMisses += s.CoverageMisses.Value()
+		r.InvsDemand += s.Invalidations[coherence.ReasonDemand].Value()
+		r.InvsRecall += s.Invalidations[coherence.ReasonRecall].Value()
+		r.InvsLLCEvict += s.Invalidations[coherence.ReasonLLCEvict].Value()
+		r.SpuriousInvs += s.SpuriousInvs.Value()
+		r.L2Hits += s.L2Hits.Value()
+		r.L2Misses += s.L2Misses.Value()
+		missLatSum += s.MissLatency.Sum()
+		missLatN += s.MissLatency.Count()
 	}
 	if missLatN > 0 {
 		r.AvgMissLatency = float64(missLatSum) / float64(missLatN)
@@ -149,36 +148,36 @@ func collect(cfg Config, fab *coherence.Fabric, procs []*coherence.Processor, sa
 	var llcHits int64
 	for _, bank := range fab.Banks {
 		d := bank.Directory().Stats()
-		r.DirLookups += d.Counter("lookups").Value()
-		r.DirHits += d.Counter("hits").Value()
-		r.DirMisses += d.Counter("misses").Value()
-		r.DirAllocations += d.Counter("allocations").Value()
-		r.DirRemovals += d.Counter("removals").Value()
-		r.StashEvictions += d.Counter("stash_evictions").Value()
-		r.RecallEvictions += d.Counter("recall_evictions").Value()
-		r.CuckooRelocations += d.Counter("relocations").Value()
+		r.DirLookups += d.Lookups.Value()
+		r.DirHits += d.Hits.Value()
+		r.DirMisses += d.Misses.Value()
+		r.DirAllocations += d.Allocations.Value()
+		r.DirRemovals += d.Removals.Value()
+		r.StashEvictions += d.StashEvictions.Value()
+		r.RecallEvictions += d.RecallEvictions.Value()
+		r.CuckooRelocations += d.Relocations.Value()
 		r.DirEntriesTotal += bank.Directory().Capacity()
 
 		b := bank.Stats()
-		r.DiscoveryBroadcasts += b.Counter("discovery_broadcasts").Value()
-		r.DiscoveryProbes += b.Counter("discovery_probes_sent").Value()
-		r.DiscoveryFound += b.Counter("discovery_found").Value()
-		r.DiscoveryStale += b.Counter("discovery_stale").Value()
-		r.HiddenSet += b.Counter("hidden_set").Value()
-		r.HiddenCleared += b.Counter("hidden_cleared").Value()
-		r.BroadcastInvalidations += b.Counter("broadcast_invalidations").Value()
+		r.DiscoveryBroadcasts += b.DiscoveryBroadcasts.Value()
+		r.DiscoveryProbes += b.DiscoveryProbesSent.Value()
+		r.DiscoveryFound += b.DiscoveryFound.Value()
+		r.DiscoveryStale += b.DiscoveryStale.Value()
+		r.HiddenSet += b.HiddenSet.Value()
+		r.HiddenCleared += b.HiddenCleared.Value()
+		r.BroadcastInvalidations += b.BroadcastInvalidations.Value()
 
 		l := bank.LLC().Stats()
-		llcHits += l.Counter("hits").Value()
-		r.LLCMisses += l.Counter("misses").Value()
+		llcHits += l.Hits.Value()
+		r.LLCMisses += l.Misses.Value()
 	}
 	r.LLCAccesses = llcHits + r.LLCMisses
 	if r.DirEntriesTotal > 0 {
 		r.RealizedCoverage = float64(r.DirEntriesTotal) / float64(cfg.AggregatePrivateBlocks())
 	}
 
-	r.MemReads = fab.Memory.Stats().Counter("reads").Value()
-	r.MemWrites = fab.Memory.Stats().Counter("writes").Value()
+	r.MemReads = fab.Memory.Stats().Reads.Value()
+	r.MemWrites = fab.Memory.Stats().Writes.Value()
 
 	r.FlitHopsByClass = make(map[string]int64, int(noc.NumClasses))
 	for c := noc.Class(0); c < noc.NumClasses; c++ {
