@@ -1,14 +1,14 @@
 # Repo verification targets. `make ci` is what the verify step runs: it
-# lints everything (go vet plus the stashvet analyzers), runs the full
-# suite under the race detector (which exercises the concurrent paths of
-# internal/runner and cmd/stashd), and runs the engine benchmarks once as
-# a compile-and-smoke check.
+# lints everything (go vet, gofmt and the stashvet analyzers), runs the
+# full suite under the race detector (which exercises the concurrent paths
+# of internal/runner and internal/stashd), and runs the engine benchmarks
+# once as a compile-and-smoke check.
 
 GO ?= go
 
-.PHONY: ci build test race vet lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke race-psim race-fleet
+.PHONY: ci build test race vet fmt-check lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke race-psim
 
-ci: lint race race-psim race-fleet mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol
+ci: lint race race-psim mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol
 
 build:
 	$(GO) build ./...
@@ -16,23 +16,29 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is vet plus the repo's own analyzers (cmd/stashvet), all eight:
-# pool ownership (poolcheck), hot-path zero-alloc (hotpath), simulation
-# determinism (determinism), the service-layer concurrency family — lock
-# discipline (lockcheck), cancellable blocking (ctxcheck), goroutine-send
-# leaks (chanleak), mixed atomic access (atomiccheck) — and parallel-
+# fmt-check fails when any tracked Go file is not gofmt-clean, naming the
+# files to run `gofmt -w` on. It uses the gofmt of the toolchain $(GO) runs.
+fmt-check:
+	@files=$$(git ls-files '*.go') && bad=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) && \
+	if [ -n "$$bad" ]; then echo "gofmt: files need formatting:" >&2; echo "$$bad" >&2; exit 1; fi
+
+# lint is vet and fmt-check plus the repo's own analyzers (cmd/stashvet),
+# all seven: pool ownership (poolcheck), hot-path zero-alloc (hotpath),
+# simulation determinism (determinism), the service-layer concurrency
+# family — lock discipline and typed atomics (lockcheck), cancellable
+# blocking (ctxcheck), goroutine-send leaks (chanleak) — and parallel-
 # engine tile isolation (sharecheck). A finding fails the build (exit 1),
 # as does any //stash: directive count above its committed baseline in
 # .stashvet-budget (exit 3, so CI can tell "fix the code" from "review
 # the budget raise").
-lint: vet
+lint: vet fmt-check
 	$(GO) run ./cmd/stashvet -budget .stashvet-budget ./...
 
 # lint-fast skips go vet: just the stashvet analyzers, for tight
 # edit-check loops. Use `go run ./cmd/stashvet -run=<name> ./...` to
 # narrow further to one analyzer. Fact recomputation is not skipped:
 # facts live in memory for one driver run (no on-disk fact cache), so
-# sharecheck/atomiccheck re-derive dependency summaries every time.
+# sharecheck re-derives dependency summaries every time.
 # Measured cost of the whole facts layer is ~0.1s on this repo (see
 # DESIGN.md "Static analysis"), which is noise next to go vet — hence
 # lint-fast drops vet, not facts.
@@ -88,13 +94,6 @@ race:
 # between a barrier bug and main.
 race-psim:
 	$(GO) test -race -count=1 ./internal/psim ./internal/system
-
-# race-fleet runs the service tier — coordinator, worker HTTP layer, and
-# runner — under the race detector with caching disabled, so the fleet's
-# cross-process coordination paths (dedup, failover, shedding, streaming)
-# are re-raced even when the full-suite run hits its test cache.
-race-fleet:
-	$(GO) test -race -count=1 ./internal/fleet ./internal/stashd ./internal/runner
 
 # bench records the engine scheduler benchmarks into BENCH_engine.json
 # (the repo's perf trajectory), then runs the figure/table suite.

@@ -6,30 +6,22 @@
 // Usage:
 //
 //	stashd [-addr :8344] [-cache-dir DIR] [-j N] [-job-timeout D] [-retries N]
-//	       [-rate N] [-burst N] [-max-queue N] [-origin NAME]
-//	stashd -coordinator -workers URL,URL,... [-cache-dir DIR] [-rate N]
-//	       [-max-pending N] [-max-per-worker N]
+//	       [-max-queue N] [-drain-timeout D] [-v]
 //
-// The second form runs the fleet coordinator: no simulations execute in
-// this process. /run and /sweep consistent-hash each job's canonical config
-// key across the worker stashds, identical in-flight configs collapse to
-// one dispatch fleet-wide, and -cache-dir (when it names the directory the
-// workers share) lets the coordinator answer repeats from the shared store
-// without dispatching at all.
+// Endpoints:
 //
-// Endpoints (both modes):
+//	POST /run           one simulation; body {"workload":"canneal","dir":"stash",...}
+//	POST /sweep         workload x dirkind x coverage batch; streams JSON lines
+//	POST /internal/run  one fully resolved configuration
+//	GET  /jobs/{id}     job status snapshot
+//	GET  /metrics       text-format counters
+//	GET  /healthz       liveness probe
 //
-//	POST /run        one simulation; body {"workload":"canneal","dir":"stash",...}
-//	POST /sweep      workload x dirkind x coverage batch; streams JSON lines
-//	GET  /metrics    text-format counters
-//	GET  /healthz    liveness probe
-//
-// Worker mode additionally serves GET /jobs/{id} and POST /internal/run
-// (the coordinator's dispatch format).
+// -cache-dir may name a directory that stashsim and experiments also use:
+// every writer renames complete files into place, so they can share it.
 //
 // On SIGINT/SIGTERM the server stops accepting connections, lets in-flight
-// requests finish, and (in worker mode) drains the job queue before
-// exiting.
+// requests finish, and drains the job queue before exiting.
 package main
 
 import (
@@ -40,11 +32,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/runner"
 	"repro/internal/stashd"
 )
@@ -52,93 +42,46 @@ import (
 func main() {
 	var (
 		addr       = flag.String("addr", ":8344", "listen address")
-		cacheDir   = flag.String("cache-dir", "stashd-cache", "disk result-cache directory; in coordinator mode, the shared store to probe (empty disables)")
+		cacheDir   = flag.String("cache-dir", "stashd-cache", "disk result-cache directory (empty disables)")
 		workers    = flag.Int("j", -1, "concurrent simulations (-1 = all cores)")
 		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-simulation timeout (0 = none)")
 		retries    = flag.Int("retries", 1, "retries for transient simulation failures")
+		maxQueue   = flag.Int("max-queue", 0, "shed with 503 when the job queue would exceed this depth (0 = unbounded)")
 		drain      = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for in-flight requests")
 		verbose    = flag.Bool("v", false, "log every job lifecycle event")
-
-		origin   = flag.String("origin", "", "node name recorded in shared-cache entries (default: hostname)")
-		rate     = flag.Float64("rate", 0, "per-client admitted requests/sec on /run and /sweep, 429 beyond (0 = unlimited)")
-		burst    = flag.Float64("burst", 0, "rate-limit token-bucket size (0 = max(1, 2*rate))")
-		maxQueue = flag.Int("max-queue", 0, "shed with 503 when the job queue would exceed this depth (worker mode; 0 = unbounded)")
-
-		coordinator  = flag.Bool("coordinator", false, "run as fleet coordinator: proxy jobs to -workers instead of simulating")
-		workerURLs   = flag.String("workers", "", "comma-separated worker stashd base URLs (coordinator mode)")
-		maxPending   = flag.Int("max-pending", 0, "shed with 503 when fleet-wide pending jobs would exceed this (coordinator mode; 0 = unbounded)")
-		maxPerWorker = flag.Int("max-per-worker", 0, "outstanding dispatches per worker (coordinator mode; 0 = default)")
 	)
 	flag.Parse()
 
-	var handler http.Handler
-	var r *runner.Runner
-	if *coordinator {
-		var urls []string
-		for _, u := range strings.Split(*workerURLs, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, strings.TrimRight(u, "/"))
-			}
-		}
-		co, err := fleet.NewCoordinator(fleet.CoordinatorOptions{
-			Workers:      urls,
-			StoreDir:     *cacheDir,
-			MaxPerWorker: *maxPerWorker,
-			MaxPending:   *maxPending,
-			RatePerSec:   *rate,
-			Burst:        *burst,
-		})
-		if err != nil {
-			log.Fatalf("stashd: %v", err)
-		}
-		handler = co
-		log.Printf("stashd coordinator: %d workers, store=%q", len(urls), *cacheDir)
-	} else {
-		nodeName := *origin
-		if nodeName == "" {
-			nodeName, _ = os.Hostname()
-		}
-		opts := runner.Options{
-			Workers:  *workers,
-			Timeout:  *jobTimeout,
-			Retries:  *retries,
-			CacheDir: *cacheDir,
-			Origin:   nodeName,
-		}
-		if *verbose {
-			opts.Events = func(e runner.Event) {
-				switch e.Kind {
-				case runner.EventFinished:
-					hit := e.CacheHit
-					if hit == "" {
-						hit = "run"
-					}
-					log.Printf("%s %s %s/%s cov=%.4g (%s, %v)", e.JobID, e.Kind, e.Config.DirKind,
-						e.Config.WorkloadName(), e.Config.Coverage, hit, e.Duration.Round(time.Millisecond))
-				case runner.EventFailed:
-					log.Printf("%s %s: %v", e.JobID, e.Kind, e.Err)
-				}
-			}
-		}
-		r = runner.New(opts)
-		handler = stashd.NewServerWith(r, stashd.Options{
-			RatePerSec: *rate,
-			Burst:      *burst,
-			MaxQueue:   *maxQueue,
-		})
+	opts := runner.Options{
+		Workers:  *workers,
+		Timeout:  *jobTimeout,
+		Retries:  *retries,
+		CacheDir: *cacheDir,
 	}
-	srv := &http.Server{Addr: *addr, Handler: handler}
+	if *verbose {
+		opts.Events = func(e runner.Event) {
+			switch e.Kind {
+			case runner.EventFinished:
+				hit := e.CacheHit
+				if hit == "" {
+					hit = "run"
+				}
+				log.Printf("%s %s %s/%s cov=%.4g (%s, %v)", e.JobID, e.Kind, e.Config.DirKind,
+					e.Config.WorkloadName(), e.Config.Coverage, hit, e.Duration.Round(time.Millisecond))
+			case runner.EventFailed:
+				log.Printf("%s %s: %v", e.JobID, e.Kind, e.Err)
+			}
+		}
+	}
+	r := runner.New(opts)
+	srv := &http.Server{Addr: *addr, Handler: stashd.NewServerWith(r, stashd.Options{MaxQueue: *maxQueue})}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	if !*coordinator {
-		log.Printf("stashd listening on %s (workers=%d, cache=%q)", *addr, *workers, *cacheDir)
-	} else {
-		log.Printf("stashd coordinator listening on %s", *addr)
-	}
+	log.Printf("stashd listening on %s (workers=%d, cache=%q)", *addr, *workers, *cacheDir)
 
 	select {
 	case err := <-errc:
@@ -152,8 +95,6 @@ func main() {
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("stashd: shutdown: %v", err)
 	}
-	if r != nil {
-		r.Close() // waits for every queued and running job
-	}
+	r.Close() // waits for every queued and running job
 	log.Printf("stashd: drained, bye")
 }

@@ -7,7 +7,8 @@
 //	determinism  simulation packages must not read wall clocks, draw from
 //	             global math/rand, spawn goroutines, or iterate maps
 //	lockcheck    //stash:guardedby fields only touched with their mutex
-//	             held; unlock on every path; declared lock order respected
+//	             held; unlock on every path; declared lock order respected;
+//	             typed atomics, never function-style sync/atomic
 //	ctxcheck     blocking service-layer operations must be cancellable or
 //	             annotated //stash:blocking; context.Context first in
 //	             parameter lists and never stored in structs
@@ -16,8 +17,6 @@
 //	sharecheck   tile isolation in the parallel engine: worker-reachable
 //	             code writes only //stash:tileowned state; //stash:shared
 //	             state is read-only unless mediated by a //stash:fold
-//	atomiccheck  a field touched by function-style sync/atomic anywhere
-//	             must be atomic everywhere (service layer)
 //
 // Usage:
 //
@@ -47,7 +46,6 @@ import (
 	"os"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/atomiccheck"
 	"repro/internal/analysis/chanleak"
 	"repro/internal/analysis/ctxcheck"
 	"repro/internal/analysis/determinism"
@@ -65,7 +63,6 @@ var analyzers = []*analysis.Analyzer{
 	ctxcheck.Analyzer,
 	chanleak.Analyzer,
 	sharecheck.Analyzer,
-	atomiccheck.Analyzer,
 }
 
 var (

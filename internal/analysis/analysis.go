@@ -1,10 +1,10 @@
 // Package analysis is a small static-analysis framework modeled on the
 // golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic),
 // reimplemented on the standard library alone so the repo stays
-// dependency-free. It backs the stashvet suite (cmd/stashvet): poolcheck,
-// hotpath and determinism, the analyzers that turn this repo's runtime
-// invariants — pool ownership, hot-path zero-alloc, simulation determinism —
-// into build-time errors.
+// dependency-free. It backs the stashvet suite (cmd/stashvet), the analyzers
+// that turn this repo's runtime invariants — pool ownership, hot-path
+// zero-alloc, simulation determinism, lock discipline, tile isolation — into
+// build-time errors.
 //
 // The framework deliberately supports only what those analyzers need:
 //
@@ -15,8 +15,8 @@
 //     FactTypes run over every applicable package in dependency order and
 //     attach typed facts to objects and packages; passes over importing
 //     packages read them back. This is what makes the interprocedural
-//     analyzers (sharecheck, atomiccheck) possible without SSA: each pass
-//     exports per-function summaries, and callers consume them.
+//     analyzer (sharecheck) possible without SSA: each pass exports
+//     per-function summaries, and callers consume them.
 //   - //stash:ignore suppression with a mandatory reason,
 //   - an analysistest-style fixture harness (internal/analysis/analysistest).
 //
@@ -41,9 +41,9 @@ type Analyzer struct {
 	Doc string
 
 	// AppliesTo, when non-nil, restricts the analyzer to packages whose
-	// import path it accepts. The determinism analyzer uses it to scope
-	// itself to the simulation packages while leaving the runner/stashd
-	// service layer alone. A nil AppliesTo runs everywhere.
+	// import path it accepts, usually one Layer's (scope.go): determinism
+	// scopes itself to the simulation packages while leaving the
+	// runner/stashd service layer alone. A nil AppliesTo runs everywhere.
 	AppliesTo func(pkgPath string) bool
 
 	// FactTypes declares the fact types this analyzer exports and imports

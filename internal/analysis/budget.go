@@ -45,7 +45,7 @@ type budgetClass struct {
 var budgetClasses = []budgetClass{
 	{
 		name:     "ignore",
-		re:       regexp.MustCompile(`^[^/"]*//stash:ignore (lockcheck|ctxcheck|chanleak|sharecheck|atomiccheck)`),
+		re:       regexp.MustCompile(`^[^/"]*//stash:ignore (lockcheck|ctxcheck|chanleak|sharecheck)`),
 		tests:    true,
 		describe: "//stash:ignore escapes for concurrency analyzers",
 	},

@@ -32,17 +32,9 @@ import (
 	"go/constant"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
-
-// servicePackages are the import-path suffixes the analyzer applies to.
-var servicePackages = []string{
-	"internal/runner",
-	"internal/stashd",
-	"internal/fleet",
-}
 
 // Analyzer is the goroutine-send leak check.
 var Analyzer = &analysis.Analyzer{
@@ -53,15 +45,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// AppliesTo scopes the analyzer to the service layer by import-path suffix.
-func AppliesTo(pkgPath string) bool {
-	for _, s := range servicePackages {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
+// AppliesTo scopes the analyzer to the service layer.
+func AppliesTo(pkgPath string) bool { return analysis.ServiceLayer.Contains(pkgPath) }
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {

@@ -25,17 +25,9 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
-
-// servicePackages are the import-path suffixes the analyzer applies to.
-var servicePackages = []string{
-	"internal/runner",
-	"internal/stashd",
-	"internal/fleet",
-}
 
 // Analyzer is the context-propagation check.
 var Analyzer = &analysis.Analyzer{
@@ -47,16 +39,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// AppliesTo scopes the analyzer to the service layer by import-path suffix,
-// so fixture modules exercise the same rules.
-func AppliesTo(pkgPath string) bool {
-	for _, s := range servicePackages {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
+// AppliesTo scopes the analyzer to the service layer.
+func AppliesTo(pkgPath string) bool { return analysis.ServiceLayer.Contains(pkgPath) }
 
 func run(pass *analysis.Pass) error {
 	for _, file := range pass.Files {

@@ -10,30 +10,14 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 
 	"repro/internal/analysis"
 )
 
-// simPackages are the import-path suffixes the analyzer applies to: the
-// deterministic simulation core. Everything else (cmd/, internal/runner,
-// internal/stashd, internal/experiments) is service layer and exempt.
-var simPackages = []string{
-	"internal/sim",
-	"internal/psim",
-	"internal/coherence",
-	"internal/core",
-	"internal/noc",
-	"internal/trace",
-	"internal/cache",
-	"internal/mem",
-	"internal/system",
-}
-
 // parallelPackages are the suffixes where a //stash:parallel sanction is
 // honored: the conservative parallel engine, whose workers are spawned and
 // joined inside one Run call and synchronize only through its barrier.
-var parallelPackages = []string{
+var parallelPackages = analysis.Layer{
 	"internal/psim",
 }
 
@@ -61,27 +45,14 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// AppliesTo scopes the analyzer to the simulation core by import-path
-// suffix. Suffix matching (rather than exact paths) lets fixture modules and
-// forks exercise the same rules.
-func AppliesTo(pkgPath string) bool {
-	return matchesSuffix(pkgPath, simPackages)
-}
+// AppliesTo scopes the analyzer to the deterministic simulation core.
+// Everything else (cmd/, internal/runner, internal/stashd,
+// internal/experiments) is service layer and exempt.
+func AppliesTo(pkgPath string) bool { return analysis.SimulationLayer.Contains(pkgPath) }
 
 // allowsParallel reports whether //stash:parallel sanctions are honored in
 // the package.
-func allowsParallel(pkgPath string) bool {
-	return matchesSuffix(pkgPath, parallelPackages)
-}
-
-func matchesSuffix(pkgPath string, suffixes []string) bool {
-	for _, s := range suffixes {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
+func allowsParallel(pkgPath string) bool { return parallelPackages.Contains(pkgPath) }
 
 // sanction is one //stash:parallel comment found in a file.
 type sanction struct {

@@ -14,9 +14,9 @@ import (
 // before dependents, the order `go list -deps` already guarantees — and may
 // attach typed facts to objects and packages as it goes. A later pass over
 // an importing package reads those facts back, which is what lets sharecheck
-// and atomiccheck reason interprocedurally (a handler in internal/coherence
-// calling into internal/noc sees noc's per-function write summaries) without
-// any whole-program SSA.
+// reason interprocedurally (a handler in internal/coherence calling into
+// internal/noc sees noc's per-function write summaries) without any
+// whole-program SSA.
 //
 // Differences from golang.org/x/tools/go/analysis, all consequences of the
 // single-process driver:

@@ -21,6 +21,12 @@
 // not held on every path (double unlock), and returning with a mutex still
 // locked and no deferred unlock.
 //
+// Lock-free state follows one rule: every function-style sync/atomic use
+// (atomic.AddInt64(&n, 1) and friends) is a finding, in every package.
+// Typed atomics (atomic.Int64 and friends) make each access a method call,
+// so a value cannot be written bare on one path and atomically on another;
+// the function-style API allows exactly that mix.
+//
 // The analysis is intraprocedural and must-hold: branch states merge by
 // intersection, so "held" means held on every path reaching the point.
 // Locks are named structurally ("r.mu", "j.mu"); where the mutex expression
@@ -46,7 +52,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "lockcheck",
 	Doc: "enforce //stash:guardedby field access under the named mutex, unlock-on-every-path, " +
 		"double-lock/double-unlock detection, //stash:locked call preconditions and the " +
-		"declared //stash:lockorder partial order",
+		"declared //stash:lockorder partial order; typed atomics instead of function-style sync/atomic",
 	Run: run,
 }
 
@@ -80,8 +86,25 @@ func run(pass *analysis.Pass) error {
 				analyzeFunc(pass, f, fd)
 			}
 		}
+		checkAtomicFuncs(pass, file)
 	}
 	return nil
+}
+
+// checkAtomicFuncs reports every use of a package-level sync/atomic
+// function, called or not.
+func checkAtomicFuncs(pass *analysis.Pass, file *ast.File) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		if ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Type().(*types.Signature).Recv() == nil {
+			pass.Reportf(sel.Pos(), "function-style atomic.%s: use a typed atomic (atomic.Int64 and friends) so no access can be bare", fn.Name())
+		}
+		return true
+	})
 }
 
 // collect builds the directive tables from the whole universe. Malformed

@@ -1,9 +1,12 @@
 // Package locks exercises the lockcheck analyzer: guarded field access,
-// //stash:locked preconditions, unlock discipline and the declared lock
-// order.
+// //stash:locked preconditions, unlock discipline, the declared lock order
+// and the typed-atomics rule.
 package locks
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 //stash:lockorder Registry.mu < Session.mu
 
@@ -137,4 +140,21 @@ func bumpHits() {
 	cacheStats.Lock()
 	cacheStats.hits++
 	cacheStats.Unlock()
+}
+
+// Function-style sync/atomic lets a counter be written bare on one path and
+// atomically on another; a typed atomic admits no bare access at all.
+var requests int64
+
+func countRequest() {
+	atomic.AddInt64(&requests, 1) // want `function-style atomic.AddInt64`
+}
+
+type meter struct {
+	requests atomic.Int64
+}
+
+func (m *meter) countRequest() int64 {
+	m.requests.Add(1)
+	return m.requests.Load()
 }

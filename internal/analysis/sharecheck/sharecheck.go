@@ -68,20 +68,6 @@ import (
 	"repro/internal/analysis"
 )
 
-// scopePackages are the import-path suffixes the analyzer applies to: the
-// simulation core that runs (or may run) under the parallel engine.
-var scopePackages = []string{
-	"internal/sim",
-	"internal/psim",
-	"internal/coherence",
-	"internal/core",
-	"internal/noc",
-	"internal/trace",
-	"internal/cache",
-	"internal/mem",
-	"internal/system",
-}
-
 // Analyzer is the tile-isolation check.
 var Analyzer = &analysis.Analyzer{
 	Name: "sharecheck",
@@ -93,16 +79,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// AppliesTo scopes the analyzer to the simulation core by import-path
-// suffix, like the determinism analyzer.
-func AppliesTo(pkgPath string) bool {
-	for _, s := range scopePackages {
-		if pkgPath == s || strings.HasSuffix(pkgPath, "/"+s) {
-			return true
-		}
-	}
-	return false
-}
+// AppliesTo scopes the analyzer to the simulation core, which runs (or may
+// run) under the parallel engine.
+func AppliesTo(pkgPath string) bool { return analysis.SimulationLayer.Contains(pkgPath) }
 
 // ownClass is the sharing classification of a field or package variable.
 type ownClass uint8

@@ -11,24 +11,11 @@ import (
 	"repro/internal/system"
 )
 
-// Cache-hit provenance values recorded on jobs and events. Memory and disk
-// are the runner's own two tiers; peer and remote exist because the disk
-// tier doubles as a fleet-shared content-addressed store: any worker can
-// populate it and every node can probe it, so a hit is attributed to the
-// node that paid for the simulation.
+// Cache-hit provenance values recorded on jobs and events: which of the
+// runner's two tiers answered.
 const (
 	HitMemory = "memory"
-	// HitDisk is a disk entry this node wrote itself (or a pre-fleet entry
-	// with no recorded origin).
-	HitDisk = "disk"
-	// HitPeer is a disk entry populated by a different node sharing the
-	// cache directory — the fleet's cross-worker cache reuse.
-	HitPeer = "peer"
-	// HitRemote is claimed by the fleet coordinator when it satisfies a
-	// request from the shared store without dispatching to any worker. The
-	// runner never produces it itself; the constant lives here so every
-	// provenance value has one home.
-	HitRemote = "remote"
+	HitDisk   = "disk"
 )
 
 // memCache is an LRU of completed results keyed by config key. A
@@ -80,19 +67,14 @@ func (c *memCache) put(key string, res *system.Results) {
 // *diskCache is the real implementation; tests wrap it to inject latency
 // and failures into the probe and persist paths.
 type resultStore interface {
-	// get returns the stored result for key plus the origin recorded by the
-	// node that wrote it ("" for entries from before origins existed).
-	get(key string) (*system.Results, string, bool)
+	get(key string) (*system.Results, bool)
 	put(key string, cfg system.Config, res *system.Results) error
 }
 
 // diskEnvelope is the on-disk JSON schema: the key guards against renamed
-// files, the config documents what produced the result, and the origin
-// names the node that wrote the entry so a fleet sharing the directory can
-// attribute cross-worker hits (HitPeer).
+// files, and the config documents what produced the result.
 type diskEnvelope struct {
 	Key     string          `json:"key"`
-	Origin  string          `json:"origin,omitempty"`
 	SavedAt time.Time       `json:"savedAt"`
 	Config  system.Config   `json:"config"`
 	Results *system.Results `json:"results"`
@@ -100,8 +82,9 @@ type diskEnvelope struct {
 
 // staleTempAge is how old an orphaned temp file must be before the open-time
 // sweep removes it. The write path holds a temp file only for milliseconds,
-// but in a shared fleet directory another node may be mid-write right now —
-// the age floor keeps the sweep from racing a live writer's rename.
+// but another process sharing the directory (stashsim, experiments or a
+// second stashd) may be mid-write right now — the age floor keeps the sweep
+// from racing a live writer's rename.
 const staleTempAge = time.Hour
 
 // diskCache persists one JSON file per result under a directory. Every
@@ -111,8 +94,7 @@ const staleTempAge = time.Hour
 // open-time sweep collects temp files orphaned by a crashed writer, so a
 // long-lived shared directory cannot accrete garbage.
 type diskCache struct {
-	dir    string
-	origin string
+	dir string
 	// rename is os.Rename; tests substitute it to exercise the
 	// orphan-cleanup path.
 	rename func(oldpath, newpath string) error
@@ -120,17 +102,17 @@ type diskCache struct {
 
 // newDiskCache opens (and, on first write, creates) the cache directory and
 // sweeps temp files orphaned by crashed writers.
-func newDiskCache(dir, origin string) *diskCache {
-	d := &diskCache{dir: dir, origin: origin, rename: os.Rename}
+func newDiskCache(dir string) *diskCache {
+	d := &diskCache{dir: dir, rename: os.Rename}
 	d.sweepStaleTemps(time.Now())
 	return d
 }
 
 // sweepStaleTemps removes `*.tmp*` leftovers older than staleTempAge. A
-// crashed or failed writer orphans at most one temp file, but a fleet of
-// workers sharing one directory turns that slow leak into real disk
-// pressure, so every node collects on open. Errors are ignored: the sweep
-// is best-effort hygiene, and a file another node deletes first is fine.
+// crashed or failed writer orphans at most one temp file, but every
+// process that shares the directory, across every restart, adds to that
+// slow leak, so each one collects on open. Errors are ignored: the sweep is
+// best-effort hygiene, and a file another process deletes first is fine.
 func (d *diskCache) sweepStaleTemps(now time.Time) {
 	matches, err := filepath.Glob(filepath.Join(d.dir, "*.tmp*"))
 	if err != nil {
@@ -148,42 +130,23 @@ func (d *diskCache) sweepStaleTemps(now time.Time) {
 	}
 }
 
-// Store is a read-only view of a disk-cache directory: the fleet
-// coordinator's probe into the shared content-addressed store. It never
-// writes and never sweeps — population stays the workers' job.
-type Store struct {
-	d diskCache
-}
-
-// OpenStore opens dir for probing. The directory need not exist yet; every
-// probe into a missing directory is simply a miss.
-func OpenStore(dir string) *Store {
-	return &Store{d: diskCache{dir: dir, rename: os.Rename}}
-}
-
-// Get returns the stored result for key and the origin of the node that
-// wrote it.
-func (s *Store) Get(key string) (res *system.Results, origin string, ok bool) {
-	return s.d.get(key)
-}
-
 func (d *diskCache) path(key string) string {
 	return filepath.Join(d.dir, key+".json")
 }
 
-func (d *diskCache) get(key string) (*system.Results, string, bool) {
+func (d *diskCache) get(key string) (*system.Results, bool) {
 	b, err := os.ReadFile(d.path(key))
 	if err != nil {
-		return nil, "", false
+		return nil, false
 	}
 	var env diskEnvelope
 	if err := json.Unmarshal(b, &env); err != nil {
-		return nil, "", false // corrupt file: treat as a miss
+		return nil, false // corrupt file: treat as a miss
 	}
 	if env.Key != key || env.Results == nil {
-		return nil, "", false
+		return nil, false
 	}
-	return env.Results, env.Origin, true
+	return env.Results, true
 }
 
 func (d *diskCache) put(key string, cfg system.Config, res *system.Results) error {
@@ -191,7 +154,7 @@ func (d *diskCache) put(key string, cfg system.Config, res *system.Results) erro
 		return err
 	}
 	b, err := json.MarshalIndent(diskEnvelope{
-		Key: key, Origin: d.origin, SavedAt: time.Now().UTC(), Config: cfg, Results: res,
+		Key: key, SavedAt: time.Now().UTC(), Config: cfg, Results: res,
 	}, "", " ")
 	if err != nil {
 		return err
@@ -210,8 +173,8 @@ func (d *diskCache) put(key string, cfg system.Config, res *system.Results) erro
 		return err
 	}
 	if err := d.rename(tmp.Name(), d.path(key)); err != nil {
-		// A failed rename must not orphan the temp file: in a fleet-shared
-		// directory the leak compounds across workers and restarts.
+		// A failed rename must not orphan the temp file: in a shared
+		// directory the leak compounds across processes and restarts.
 		os.Remove(tmp.Name())
 		return err
 	}

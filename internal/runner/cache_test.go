@@ -16,11 +16,11 @@ import (
 
 // TestDiskCachePutRemovesTempOnRenameFailure is the regression test for the
 // temp-file orphan: a failed rename must clean up after itself, because in a
-// fleet-shared cache directory the leak compounds across workers.
+// shared cache directory the leak compounds across processes and restarts.
 func TestDiskCachePutRemovesTempOnRenameFailure(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
-	d := newDiskCache(dir, "node-a")
+	d := newDiskCache(dir)
 	injected := errors.New("injected rename failure")
 	d.rename = func(_, _ string) error { return injected }
 
@@ -39,7 +39,7 @@ func TestDiskCachePutRemovesTempOnRenameFailure(t *testing.T) {
 	if len(tmps) != 0 {
 		t.Fatalf("failed put orphaned temp files: %v", tmps)
 	}
-	if _, _, ok := d.get(key); ok {
+	if _, ok := d.get(key); ok {
 		t.Fatal("failed put still produced a readable entry")
 	}
 
@@ -48,14 +48,14 @@ func TestDiskCachePutRemovesTempOnRenameFailure(t *testing.T) {
 	if err := d.put(key, cfg, fakeResults(cfg)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := d.get(key); !ok {
+	if _, ok := d.get(key); !ok {
 		t.Fatal("entry unreadable after successful put")
 	}
 }
 
 // TestDiskCacheOpenSweepsStaleTemps: opening a cache directory collects temp
 // files orphaned by crashed writers — but only old ones, so the sweep cannot
-// race a peer that is mid-write right now.
+// race another process that is mid-write right now.
 func TestDiskCacheOpenSweepsStaleTemps(t *testing.T) {
 	leakcheck.Check(t)
 	dir := t.TempDir()
@@ -72,70 +72,16 @@ func TestDiskCacheOpenSweepsStaleTemps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	newDiskCache(dir, "node-a")
+	newDiskCache(dir)
 
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("stale temp file survived the open sweep: %v", err)
 	}
 	if _, err := os.Stat(fresh); err != nil {
-		t.Fatalf("fresh temp file (a possible live peer write) was removed: %v", err)
+		t.Fatalf("fresh temp file (a possible live write) was removed: %v", err)
 	}
 	if _, err := os.Stat(entry); err != nil {
 		t.Fatalf("real cache entry was removed: %v", err)
-	}
-}
-
-// TestPeerHitProvenance: a node probing the shared store distinguishes its
-// own entries (disk) from entries another node populated (peer).
-func TestPeerHitProvenance(t *testing.T) {
-	leakcheck.Check(t)
-	dir := t.TempDir()
-	cfg := tinyConfig(7)
-
-	ra := New(Options{Workers: 1, CacheDir: dir, Origin: "worker-a"})
-	ra.execute = func(c system.Config) (*system.Results, error) { return fakeResults(c), nil }
-	if _, err := ra.Run(context.Background(), cfg); err != nil {
-		t.Fatal(err)
-	}
-	ra.Close()
-
-	// The writer itself, restarted, sees its own entry as a plain disk hit.
-	ra2 := New(Options{Workers: 1, CacheDir: dir, Origin: "worker-a"})
-	defer ra2.Close()
-	ja, err := ra2.Submit(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ja.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if hit := ja.Status().CacheHit; hit != HitDisk {
-		t.Fatalf("own entry reported as %q, want %q", hit, HitDisk)
-	}
-
-	// A different node sharing the directory sees a peer hit.
-	rb := New(Options{Workers: 1, CacheDir: dir, Origin: "worker-b"})
-	defer rb.Close()
-	rb.execute = func(c system.Config) (*system.Results, error) {
-		t.Error("peer node re-simulated a config already in the shared store")
-		return fakeResults(c), nil
-	}
-	jb, err := rb.Submit(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := jb.Wait(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cycles != fakeResults(cfg).Cycles {
-		t.Fatalf("peer hit returned wrong result: %+v", res)
-	}
-	if hit := jb.Status().CacheHit; hit != HitPeer {
-		t.Fatalf("cross-node entry reported as %q, want %q", hit, HitPeer)
-	}
-	if m := rb.Metrics(); m.CacheHitsPeer != 1 || m.CacheHits() != 1 {
-		t.Fatalf("peer hit not counted: %+v", m)
 	}
 }
 
@@ -148,7 +94,7 @@ type slowStore struct {
 	gets  atomic.Int64
 }
 
-func (s *slowStore) get(key string) (*system.Results, string, bool) {
+func (s *slowStore) get(key string) (*system.Results, bool) {
 	s.gets.Add(1)
 	time.Sleep(s.delay)
 	return s.inner.get(key)

@@ -25,7 +25,6 @@ type counters struct {
 
 	hitsMemory atomic.Int64
 	hitsDisk   atomic.Int64
-	hitsPeer   atomic.Int64
 	misses     atomic.Int64
 	diskErrors atomic.Int64
 
@@ -76,11 +75,9 @@ type Metrics struct {
 	// already queued or running instead of spawning their own.
 	JobsCoalesced int64
 
-	// Cache outcomes, judged at submission time. Peer hits are disk-store
-	// entries populated by a different node sharing the cache directory.
+	// Cache outcomes, judged at submission time.
 	CacheHitsMemory int64
 	CacheHitsDisk   int64
-	CacheHitsPeer   int64
 	CacheMisses     int64
 	// CacheWriteErrors counts failed disk-cache persists (the run itself
 	// still succeeds).
@@ -109,7 +106,6 @@ func (r *Runner) Metrics() Metrics {
 		JobsCoalesced:    c.coalesced.Load(),
 		CacheHitsMemory:  c.hitsMemory.Load(),
 		CacheHitsDisk:    c.hitsDisk.Load(),
-		CacheHitsPeer:    c.hitsPeer.Load(),
 		CacheMisses:      c.misses.Load(),
 		CacheWriteErrors: c.diskErrors.Load(),
 		InFlight:         c.inFlight.Load(),
@@ -119,5 +115,5 @@ func (r *Runner) Metrics() Metrics {
 	}
 }
 
-// CacheHits returns the combined memory+disk+peer hit count.
-func (m Metrics) CacheHits() int64 { return m.CacheHitsMemory + m.CacheHitsDisk + m.CacheHitsPeer }
+// CacheHits returns the combined memory+disk hit count.
+func (m Metrics) CacheHits() int64 { return m.CacheHitsMemory + m.CacheHitsDisk }

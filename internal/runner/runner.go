@@ -52,14 +52,9 @@ type Options struct {
 	Retries int
 	// CacheDir, when non-empty, persists results as JSON files so
 	// identical configs hit the cache across process restarts. Corrupt or
-	// unreadable entries degrade to misses. A fleet of workers may share
-	// one directory: writes are atomic, and entries record their Origin so
-	// cross-worker hits surface as HitPeer.
+	// unreadable entries degrade to misses. Several processes may share
+	// one directory: writes are atomic (temp file + rename).
 	CacheDir string
-	// Origin names this node in disk-cache entries it writes. Empty is
-	// fine for a single-node server; a fleet gives each worker a distinct
-	// origin so shared-store hits can be attributed (HitDisk vs HitPeer).
-	Origin string
 	// MemoryEntries bounds the in-memory LRU in front of the disk cache:
 	// 0 selects DefaultMemoryEntries, UnlimitedMemory (< 0) removes the
 	// bound.
@@ -356,7 +351,7 @@ func New(opts Options) *Runner {
 		probes:   make(map[string]*diskProbe),
 	}
 	if opts.CacheDir != "" {
-		r.disk = newDiskCache(opts.CacheDir, opts.Origin)
+		r.disk = newDiskCache(opts.CacheDir)
 	}
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(workers)
@@ -494,8 +489,8 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	// single-flighted per key. The first submitter becomes the prober;
 	// identical submissions racing it park on the probe instead of
 	// slipping past the unlocked window and enqueueing a duplicate
-	// multi-second simulation (a real cost once a fleet multiplies
-	// submitters of the same sweep).
+	// multi-second simulation (concurrent identical sweeps do exactly
+	// this).
 	for {
 		p, ok := r.probes[key]
 		if !ok {
@@ -535,7 +530,7 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	r.probes[key] = p
 	r.mu.Unlock()
 
-	res, origin, hit := r.disk.get(key)
+	res, hit := r.disk.get(key)
 
 	r.mu.Lock()
 	delete(r.probes, key)
@@ -546,12 +541,7 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	}
 	if hit {
 		r.mem.put(key, res)
-		prov := HitDisk
-		if origin != "" && origin != r.opts.Origin {
-			// The entry was populated by another node sharing the store.
-			prov = HitPeer
-		}
-		j := r.completeFromCacheLocked(key, cfg, res, prov)
+		j := r.completeFromCacheLocked(key, cfg, res, HitDisk)
 		r.mu.Unlock()
 		close(p.done)
 		r.emitCached(j)
@@ -649,12 +639,9 @@ func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *sys
 	close(j.done)
 	r.met.queued.Add(1)
 	r.met.completed.Add(1)
-	switch hit {
-	case HitMemory:
+	if hit == HitMemory {
 		r.met.hitsMemory.Add(1)
-	case HitPeer:
-		r.met.hitsPeer.Add(1)
-	default:
+	} else {
 		r.met.hitsDisk.Add(1)
 	}
 	r.retainLocked(j)

@@ -57,6 +57,32 @@ func TestKeyStableAndSensitive(t *testing.T) {
 	}
 }
 
+// TestKeyChangesWithModelVersion: the same config keys differently under
+// another model version, so a cache shared across a model change misses
+// instead of serving the earlier model's results.
+func TestKeyChangesWithModelVersion(t *testing.T) {
+	leakcheck.Check(t)
+	cfg := tinyConfig(1)
+	cur, err := Key(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := keyFor(system.ModelVersion, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cur != same {
+		t.Fatalf("Key = %s, keyFor(ModelVersion) = %s: Key must use the current model version", cur, same)
+	}
+	next, err := keyFor(system.ModelVersion+"-next", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next == cur {
+		t.Fatal("a different model version produced the same key")
+	}
+}
+
 func TestRunRealSimulationAndMemoryHit(t *testing.T) {
 	leakcheck.Check(t)
 	r := New(Options{Workers: 1})
@@ -114,12 +140,19 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 		t.Error("disk-cached config was re-executed")
 		return fakeResults(cfg), nil
 	}
-	res2, err := r2.Run(context.Background(), tinyConfig(7))
+	j, err := r2.Submit(context.Background(), tinyConfig(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := j.Wait(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Cycles != res.Cycles {
 		t.Fatalf("disk result cycles = %d, want %d", res2.Cycles, res.Cycles)
+	}
+	if hit := j.Status().CacheHit; hit != HitDisk {
+		t.Fatalf("restarted runner reported provenance %q, want %q", hit, HitDisk)
 	}
 	if m := r2.Metrics(); m.CacheHitsDisk != 1 {
 		t.Fatalf("disk hits = %d, want 1", m.CacheHitsDisk)

@@ -109,9 +109,9 @@ func (q *RunRequest) Config() (system.Config, error) {
 }
 
 // InternalRunRequest is the POST /internal/run body: one fully resolved
-// configuration, dispatched by the fleet coordinator. Workers key their
-// caches on exactly this config, so the coordinator's consistent-hash key
-// and the worker's cache key always agree.
+// configuration, run exactly as sent and cached under its own key. It
+// serves configs RunRequest cannot express, such as a non-default base
+// machine; trace files are refused.
 type InternalRunRequest struct {
 	Config system.Config `json:"config"`
 }

@@ -3,12 +3,14 @@ package stashd
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/runner"
 	"repro/internal/testutil/leakcheck"
@@ -83,63 +85,6 @@ func TestSweepDoneLineFlushedBeforeClose(t *testing.T) {
 	}
 }
 
-// TestRateLimitSheds429WithRetryAfter: a client over its token budget gets
-// 429 + Retry-After while an independent client is still admitted.
-func TestRateLimitSheds429WithRetryAfter(t *testing.T) {
-	leakcheck.Check(t)
-	r := runner.New(runner.Options{Workers: 2})
-	ts := httptest.NewServer(NewServerWith(r, Options{RatePerSec: 0.5, Burst: 1}))
-	t.Cleanup(func() {
-		ts.Close()
-		r.Close()
-	})
-
-	post := func(client string) *http.Response {
-		rr := tinyBase()
-		rr.Workload = "blackscholes"
-		rr.DirKind = "stash"
-		rr.Coverage = 1
-		b, err := json.Marshal(rr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req, err := http.NewRequest("POST", ts.URL+"/run", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("X-Stashd-Client", client)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-
-	first := post("alice")
-	first.Body.Close()
-	if first.StatusCode != http.StatusOK {
-		t.Fatalf("first request status = %d", first.StatusCode)
-	}
-	second := post("alice")
-	second.Body.Close()
-	if second.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request status = %d, want 429", second.StatusCode)
-	}
-	retry, err := strconv.Atoi(second.Header.Get("Retry-After"))
-	if err != nil || retry < 1 {
-		t.Fatalf("429 Retry-After = %q, want an integer >= 1", second.Header.Get("Retry-After"))
-	}
-	other := post("bob")
-	other.Body.Close()
-	if other.StatusCode != http.StatusOK {
-		t.Fatalf("independent client status = %d, want 200", other.StatusCode)
-	}
-
-	if shed := metricValue(t, ts, "stashd_shed_rate_total"); shed != 1 {
-		t.Fatalf("stashd_shed_rate_total = %v, want 1", shed)
-	}
-}
-
 // TestQueueDepthSheds503WithRetryAfter: a sweep that would push the queue
 // past MaxQueue is refused at admission with 503 + Retry-After instead of
 // queueing without bound.
@@ -180,8 +125,9 @@ func TestQueueDepthSheds503WithRetryAfter(t *testing.T) {
 	}
 }
 
-// TestInternalRunEndpoint: the coordinator's dispatch format executes the
-// exact config it carries and reports cache provenance on a repeat.
+// TestInternalRunEndpoint: a fully resolved config runs exactly as sent and
+// reports cache provenance on a repeat, while invalid configs and configs
+// naming server-side trace files are refused at the edge.
 func TestInternalRunEndpoint(t *testing.T) {
 	leakcheck.Check(t)
 	ts, _ := newTestServer(t, t.TempDir())
@@ -230,29 +176,31 @@ func TestInternalRunEndpoint(t *testing.T) {
 	if badResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("invalid internal config status = %d, want 400", badResp.StatusCode)
 	}
-}
 
-// TestLimiterRefillAndPrune exercises the token bucket directly: refill
-// over time, retry-after arithmetic, and the bounded client table.
-func TestLimiterRefillAndPrune(t *testing.T) {
-	leakcheck.Check(t)
-	now := time.Unix(1000, 0)
-	l := NewLimiter(2, 2)
-
-	for i := 0; i < 2; i++ {
-		if ok, _ := l.Allow("c", now); !ok {
-			t.Fatalf("burst admission %d refused", i)
-		}
+	// A config naming a server-side file is refused before the simulator
+	// can open it, and nothing of the file comes back in the response.
+	const secret = "TOP-SECRET-LINE"
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte(secret+" value\n"), 0o600); err != nil {
+		t.Fatal(err)
 	}
-	ok, retry := l.Allow("c", now)
-	if ok || retry < time.Second {
-		t.Fatalf("over-burst admission = %v retry %v, want refusal with retry >= 1s", ok, retry)
+	traced := cfg
+	traced.Cores = 1
+	traced.Workload = ""
+	traced.TraceFiles = []string{path}
+	if err := traced.Validate(); err != nil {
+		t.Fatalf("trace config must be otherwise valid to exercise the refusal: %v", err)
 	}
-	// Half a second refills one token at rate 2.
-	if ok, _ := l.Allow("c", now.Add(500*time.Millisecond)); !ok {
-		t.Fatal("refilled token refused")
+	tracedResp := postJSON(t, ts.URL+"/internal/run", InternalRunRequest{Config: traced})
+	defer tracedResp.Body.Close()
+	body, err := io.ReadAll(tracedResp.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if NewLimiter(0, 0) != nil {
-		t.Fatal("rate 0 must mean unlimited (nil limiter)")
+	if tracedResp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trace-file internal config status = %d, want 400 (body %s)", tracedResp.StatusCode, body)
+	}
+	if strings.Contains(string(body), secret) {
+		t.Fatalf("response leaked the named file's contents: %s", body)
 	}
 }

@@ -16,18 +16,12 @@ import (
 	"time"
 
 	"repro/internal/runner"
+	"repro/internal/system"
 )
 
 // Options configure the HTTP layer's admission control. The zero value
-// disables both mechanisms: every request is admitted, as before the fleet
-// existed.
+// admits every request.
 type Options struct {
-	// RatePerSec admits this many /run and /sweep requests per client per
-	// second (token bucket of size Burst); 0 disables rate limiting.
-	// Refusals are 429 with a Retry-After header.
-	RatePerSec float64
-	// Burst is the token-bucket capacity; 0 picks max(1, 2*RatePerSec).
-	Burst float64
 	// MaxQueue sheds work once the runner's queue depth plus the request's
 	// own job count would exceed it; 0 disables shedding. Refusals are 503
 	// with a Retry-After header, so overload degrades instead of queueing
@@ -40,19 +34,17 @@ type Options struct {
 //	POST /run           one simulation, JSON in / JSON out
 //	POST /sweep         a workload x dirkind x coverage batch, streamed as
 //	                    chunked JSON lines (application/x-ndjson)
-//	POST /internal/run  one fully resolved system.Config — the fleet
-//	                    coordinator's dispatch format
+//	POST /internal/run  one fully resolved system.Config, for configs the
+//	                    RunRequest fields cannot express
 //	GET  /jobs/{id}     job status snapshot
 //	GET  /metrics       text-format aggregate counters
 //	GET  /healthz       liveness probe
 type Server struct {
-	runner  *runner.Runner
-	mux     *http.ServeMux
-	start   time.Time
-	opts    Options
-	limiter *Limiter
+	runner *runner.Runner
+	mux    *http.ServeMux
+	start  time.Time
+	opts   Options
 
-	shedRate  atomic.Int64 // 429s issued
 	shedQueue atomic.Int64 // 503s issued
 
 	mu           sync.Mutex
@@ -69,11 +61,10 @@ func NewServer(r *runner.Runner) *Server {
 // NewServerWith is NewServer plus admission control.
 func NewServerWith(r *runner.Runner, opts Options) *Server {
 	s := &Server{
-		runner:  r,
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
-		opts:    opts,
-		limiter: NewLimiter(opts.RatePerSec, opts.Burst),
+		runner: r,
+		mux:    http.NewServeMux(),
+		start:  time.Now(),
+		opts:   opts,
 	}
 	s.mux.HandleFunc("POST /run", s.handleRun)
 	s.mux.HandleFunc("POST /sweep", s.handleSweep)
@@ -84,23 +75,6 @@ func NewServerWith(r *runner.Runner, opts Options) *Server {
 		fmt.Fprintln(w, "ok")
 	})
 	return s
-}
-
-// admitRate applies the per-client token bucket; a refusal writes the 429
-// itself and returns false.
-func (s *Server) admitRate(w http.ResponseWriter, req *http.Request) bool {
-	if s.limiter == nil {
-		return true
-	}
-	ok, retry := s.limiter.Allow(ClientKey(req), time.Now())
-	if ok {
-		return true
-	}
-	s.shedRate.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(int(retry/time.Second)))
-	httpError(w, http.StatusTooManyRequests,
-		fmt.Errorf("stashd: client %s over rate limit; retry after %v", ClientKey(req), retry))
-	return false
 }
 
 // admitQueue sheds new jobs when the queue is past the configured
@@ -151,9 +125,6 @@ func httpError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
-	if !s.admitRate(w, req) {
-		return
-	}
 	var rr RunRequest
 	if err := json.NewDecoder(req.Body).Decode(&rr); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("stashd: bad request body: %w", err))
@@ -164,6 +135,12 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
+	s.runOne(w, req, cfg)
+}
+
+// runOne admits, runs and answers one validated config: the shared tail of
+// POST /run and POST /internal/run.
+func (s *Server) runOne(w http.ResponseWriter, req *http.Request, cfg system.Config) {
 	if !s.admitQueue(w, 1) {
 		return
 	}
@@ -194,9 +171,6 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
-	if !s.admitRate(w, req) {
-		return
-	}
 	var sr SweepRequest
 	if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("stashd: bad request body: %w", err))
@@ -287,10 +261,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		}
 	}
 	done.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	// The done line is the stream's terminator: a client (and the fleet
-	// coordinator proxying for one) treats its absence as a truncated
-	// sweep, so the encode error is checked and the line flushed before the
-	// handler returns and the connection can close.
+	// The done line is the stream's terminator: a client treats its
+	// absence as a truncated sweep, so the encode error is checked and the
+	// line flushed before the handler returns and the connection can close.
 	if err := enc.Encode(done); err != nil {
 		return
 	}
@@ -299,46 +272,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// handleInternalRun executes one fully resolved system.Config — the fleet
-// coordinator's dispatch format, bypassing RunRequest defaulting so the
-// worker runs exactly the config the coordinator hashed to pick it. The
-// per-client rate limit does not apply (the coordinator already limited the
-// originating client); queue shedding does, and its 503 is what triggers
-// coordinator failover.
+// handleInternalRun executes one fully resolved system.Config, bypassing
+// RunRequest defaulting, for configs the request fields cannot express
+// (another base machine, say). It refuses trace files: the simulator would
+// open whatever server-side paths the client named, and a parse error would
+// echo their first line back in the response.
 func (s *Server) handleInternalRun(w http.ResponseWriter, req *http.Request) {
 	var ir InternalRunRequest
 	if err := json.NewDecoder(req.Body).Decode(&ir); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("stashd: bad request body: %w", err))
 		return
 	}
+	if len(ir.Config.TraceFiles) != 0 {
+		httpError(w, http.StatusBadRequest, fmt.Errorf("stashd: trace files are not accepted over HTTP"))
+		return
+	}
 	if err := ir.Config.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if !s.admitQueue(w, 1) {
-		return
-	}
-	job, err := s.runner.Submit(req.Context(), ir.Config)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	res, err := job.Wait(req.Context())
-	if err != nil {
-		if req.Context().Err() != nil {
-			return // the coordinator (or its client) disconnected
-		}
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	st := job.Status()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(RunResponse{
-		JobID:      st.ID,
-		CacheHit:   st.CacheHit,
-		DurationMS: st.DurationMS,
-		Result:     res,
-	})
+	s.runOne(w, req, ir.Config)
 }
 
 // beginSweep and endSweep maintain the active-sweep gauge reported by
@@ -385,12 +338,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "stashd_cache_hits_total %d\n", m.CacheHits())
 	fmt.Fprintf(w, "stashd_cache_hits_memory_total %d\n", m.CacheHitsMemory)
 	fmt.Fprintf(w, "stashd_cache_hits_disk_total %d\n", m.CacheHitsDisk)
-	fmt.Fprintf(w, "stashd_cache_hits_peer_total %d\n", m.CacheHitsPeer)
 	fmt.Fprintf(w, "stashd_cache_misses_total %d\n", m.CacheMisses)
 	fmt.Fprintf(w, "stashd_cache_write_errors_total %d\n", m.CacheWriteErrors)
 	fmt.Fprintf(w, "stashd_inflight_workers %d\n", m.InFlight)
 	fmt.Fprintf(w, "stashd_queue_depth %d\n", m.QueueDepth)
-	fmt.Fprintf(w, "stashd_shed_rate_total %d\n", s.shedRate.Load())
 	fmt.Fprintf(w, "stashd_shed_queue_total %d\n", s.shedQueue.Load())
 	fmt.Fprintf(w, "stashd_active_sweeps %d\n", s.activeSweepCount())
 	fmt.Fprintf(w, "stashd_run_latency_p50_ms %.3f\n", ms(m.RunLatencyP50))

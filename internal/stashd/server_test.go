@@ -432,7 +432,7 @@ func TestMetricsEndpointShape(t *testing.T) {
 		"stashd_jobs_queued_total", "stashd_jobs_completed_total",
 		"stashd_cache_hits_total", "stashd_cache_misses_total",
 		"stashd_run_latency_p50_ms", "stashd_run_latency_p95_ms",
-		"stashd_inflight_workers",
+		"stashd_inflight_workers", "stashd_queue_depth", "stashd_shed_queue_total",
 	} {
 		if !strings.Contains(buf.String(), want+" ") {
 			t.Errorf("metrics page missing %s:\n%s", want, buf.String())

@@ -15,6 +15,13 @@ import (
 	"repro/internal/workloads"
 )
 
+// ModelVersion names the simulation model's behaviour. runner.Key folds it
+// into every cache key, so a result cached by an earlier model is never
+// served as a hit. Bump it with any change that alters the Results of some
+// config; TestModelVersionPinsGoldens fails when the golden fixtures change
+// while it stays put.
+const ModelVersion = "1"
+
 // Directory organization names accepted by Config.DirKind.
 const (
 	DirFullMap = "fullmap"

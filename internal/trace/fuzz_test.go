@@ -39,7 +39,7 @@ func FuzzBinarySource(f *testing.F) {
 		{Addr: (1 << 62) - 64, Write: true},
 	})
 	f.Add(valid)
-	f.Add(valid[:len(valid)-1])                                  // mid-record cut
+	f.Add(valid[:len(valid)-1])                                       // mid-record cut
 	f.Add(append(mustEncode(nil), bytes.Repeat([]byte{0xff}, 10)...)) // varint overflow
 
 	f.Fuzz(func(t *testing.T, data []byte) {
