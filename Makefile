@@ -1,14 +1,15 @@
 # Repo verification targets. `make ci` is what the verify step runs: it
 # lints everything (go vet, gofmt and the stashvet analyzers), runs the
 # full suite under the race detector (which exercises the concurrent paths
-# of internal/runner and internal/stashd), and runs the engine benchmarks
-# once as a compile-and-smoke check.
+# of internal/runner and internal/stashd), runs the engine benchmarks
+# once as a compile-and-smoke check, and vets and self-tests the
+# benchmark module in perfbench/.
 
 GO ?= go
 
-.PHONY: ci build test race vet fmt-check lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke race-psim
+.PHONY: ci build test race vet fmt-check lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke race-psim perfbench-check
 
-ci: lint race race-psim mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol
+ci: lint race race-psim mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol perfbench-check
 
 build:
 	$(GO) build ./...
@@ -85,6 +86,12 @@ proto-table-check:
 
 test:
 	$(GO) test ./...
+
+# perfbench-check builds, vets and self-tests the benchmark. perfbench/ is
+# a module of its own, so `./...` in the targets above never compiles it,
+# and an API change that breaks the benchmark would otherwise pass CI.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 race:
 	$(GO) test -race ./...

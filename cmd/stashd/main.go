@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	stashd [-addr :8344] [-cache-dir DIR] [-j N] [-job-timeout D] [-retries N]
+//	stashd [-addr :8344] [-cache-dir DIR] [-j N] [-job-timeout D]
 //	       [-max-queue N] [-drain-timeout D] [-v]
 //
 // Endpoints:
@@ -44,8 +44,7 @@ func main() {
 		addr       = flag.String("addr", ":8344", "listen address")
 		cacheDir   = flag.String("cache-dir", "stashd-cache", "disk result-cache directory (empty disables)")
 		workers    = flag.Int("j", -1, "concurrent simulations (-1 = all cores)")
-		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-simulation timeout (0 = none)")
-		retries    = flag.Int("retries", 1, "retries for transient simulation failures")
+		jobTimeout = flag.Duration("job-timeout", 10*time.Minute, "per-simulation timeout; a timed-out simulation stops (0 = none)")
 		maxQueue   = flag.Int("max-queue", 0, "shed with 503 when the job queue would exceed this depth (0 = unbounded)")
 		drain      = flag.Duration("drain-timeout", time.Minute, "graceful-shutdown budget for in-flight requests")
 		verbose    = flag.Bool("v", false, "log every job lifecycle event")
@@ -55,7 +54,6 @@ func main() {
 	opts := runner.Options{
 		Workers:  *workers,
 		Timeout:  *jobTimeout,
-		Retries:  *retries,
 		CacheDir: *cacheDir,
 	}
 	if *verbose {

@@ -94,7 +94,7 @@ func main() {
 
 	// Execute through the shared run service so -cache-dir reuses (and
 	// feeds) the same disk cache stashd and the experiment harness use,
-	// and Ctrl-C cancels a queued run cleanly.
+	// and Ctrl-C stops the run, queued or simulating.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	r := runner.New(runner.Options{Workers: 1, CacheDir: *cacheDir})

@@ -254,8 +254,8 @@ func (pf *ParallelFabric) EventsRun() uint64 {
 
 // Drive starts the processors, runs the parallel engine to completion and
 // folds the per-tile statistics into the root fabric. Mirrors
-// Fabric.Drive's error contract: event-limit overrun and deadlock are
-// errors; the oracle/audit steps are skipped because parallel mode runs
+// Fabric.Drive's error contract: event-limit overrun, a Stop and deadlock
+// are errors; the oracle/audit steps are skipped because parallel mode runs
 // with the checker disabled (enforced by the system layer's Validate).
 func (pf *ParallelFabric) Drive(procs []*Processor, maxEvents uint64) error {
 	if pf.Root.OnMessage != nil {
@@ -279,6 +279,9 @@ func (pf *ParallelFabric) Drive(procs []*Processor, maxEvents uint64) error {
 		}
 		return err
 	}
+	if n := eng.Pending(); n != 0 {
+		return fmt.Errorf("coherence: stopped with %d events pending", n)
+	}
 	for _, p := range procs {
 		if !p.Finished() {
 			return fmt.Errorf("coherence: deadlock — core %d stalled at cycle %d with queue drained%s",
@@ -294,6 +297,14 @@ func (pf *ParallelFabric) Drive(procs []*Processor, maxEvents uint64) error {
 		pf.Root.Mesh.FoldLocal(&tl.traffic)
 	}
 	return nil
+}
+
+// Stop stops every tile engine, so a running Drive returns at its next
+// epoch barrier with events still queued. Safe to call from any goroutine.
+func (pf *ParallelFabric) Stop() {
+	for _, e := range pf.engines {
+		e.Stop()
+	}
 }
 
 // MinHopLatency exposes the run's lookahead (epoch width) for reporting.

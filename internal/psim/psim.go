@@ -168,7 +168,9 @@ func (e *Engine) Cycles() sim.Cycle {
 }
 
 // Run executes epochs until every queue drains and merge produces no new
-// work, or the event budget runs out. merge is called on the driver thread
+// work, the event budget runs out, or an LP's engine is stopped
+// (sim.Engine.Stop): the driver checks that flag between epochs and then
+// returns with events still queued. merge is called on the driver thread
 // at each epoch boundary with all workers parked at the barrier; it must
 // replay the epoch's cross-LP messages into the destination queues (in
 // canonical order — see Drain) and may schedule at any cycle >= the epoch
@@ -228,11 +230,15 @@ func (e *Engine) drive(merge func(epochEnd sim.Cycle), total *uint64) error {
 	}
 }
 
-// nextEvent returns the earliest pending cycle across all LPs.
+// nextEvent returns the earliest pending cycle across all LPs, or false
+// once every queue has drained or any LP's engine has been stopped.
 func (e *Engine) nextEvent() (sim.Cycle, bool) {
 	var min sim.Cycle
 	any := false
 	for _, lp := range e.lps {
+		if lp.Stopped() {
+			return 0, false
+		}
 		if t, ok := lp.NextEventTime(); ok && (!any || t < min) {
 			min, any = t, true
 		}

@@ -116,7 +116,7 @@ func TestSubmitDiskProbeSingleFlight(t *testing.T) {
 	r.disk = store
 	var executions atomic.Int64
 	release := make(chan struct{})
-	r.execute = func(c system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) {
 		executions.Add(1)
 		<-release
 		return fakeResults(c), nil
@@ -169,7 +169,7 @@ func TestSubmitProbeWaiterHonorsCancellation(t *testing.T) {
 	r := New(Options{Workers: 1, CacheDir: dir})
 	defer r.Close()
 	r.disk = &slowStore{inner: r.disk, delay: 250 * time.Millisecond}
-	r.execute = func(c system.Config) (*system.Results, error) { return fakeResults(c), nil }
+	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) { return fakeResults(c), nil }
 
 	cfg := tinyConfig(4)
 	go r.Submit(context.Background(), cfg) // the prober

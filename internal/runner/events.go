@@ -19,8 +19,8 @@ const (
 	// EventFinished fires when a job completes successfully, whether from
 	// a cache (CacheHit non-empty) or from a real run (Duration set).
 	EventFinished
-	// EventFailed fires when a job exhausts its attempts, times out, or is
-	// cancelled before running.
+	// EventFailed fires when a job's simulation fails, panics, times out
+	// or is cancelled, or when the job is cancelled before running.
 	EventFailed
 )
 
@@ -47,8 +47,6 @@ type Event struct {
 	JobID  string
 	Key    string
 	Config system.Config
-	// Attempt is the 1-based attempt number (finished/failed events).
-	Attempt int
 	// CacheHit is HitMemory or HitDisk when the result came from a cache,
 	// empty when it was simulated.
 	CacheHit string

@@ -20,7 +20,6 @@ type counters struct {
 	started   atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
-	retries   atomic.Int64
 	coalesced atomic.Int64
 
 	hitsMemory atomic.Int64
@@ -69,8 +68,6 @@ type Metrics struct {
 	JobsStarted   int64
 	JobsCompleted int64
 	JobsFailed    int64
-	// Retries counts re-attempts after transient failures.
-	Retries int64
 	// JobsCoalesced counts submissions that attached to an identical job
 	// already queued or running instead of spawning their own.
 	JobsCoalesced int64
@@ -102,7 +99,6 @@ func (r *Runner) Metrics() Metrics {
 		JobsStarted:      c.started.Load(),
 		JobsCompleted:    c.completed.Load(),
 		JobsFailed:       c.failed.Load(),
-		Retries:          c.retries.Load(),
 		JobsCoalesced:    c.coalesced.Load(),
 		CacheHitsMemory:  c.hitsMemory.Load(),
 		CacheHitsDisk:    c.hitsDisk.Load(),

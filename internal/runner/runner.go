@@ -1,11 +1,12 @@
-// Package runner is the run-service job engine: it executes system.Config
-// simulations on a bounded worker pool with context cancellation, per-job
-// timeouts, panic recovery and bounded retry, in front of a two-level
-// result cache (in-memory LRU backed by JSON files on disk) keyed by a
-// stable hash of the canonicalized Config. Identical configs submitted
-// concurrently coalesce onto one execution. Every job emits structured
-// lifecycle events and aggregate counters, which cmd/stashd serves over
-// HTTP and the experiment harness adapts into its progress callback.
+// Package runner is the run-service job engine: it simulates each
+// system.Config on a worker of a bounded pool, with panic recovery and
+// with context cancellation and per-job timeouts that stop the
+// simulation, in front of a two-level result cache (in-memory LRU backed
+// by JSON files on disk) keyed by a stable hash of the canonicalized
+// Config. Identical configs submitted concurrently coalesce onto one
+// execution. Every job emits structured lifecycle events and aggregate
+// counters, which cmd/stashd serves over HTTP and the experiment harness
+// adapts into its progress callback.
 //
 // All entry points (Run, RunAll, Submit, Metrics, Job) are safe for
 // concurrent use.
@@ -37,19 +38,15 @@ const maxRetainedJobs = 4096
 var ErrClosed = errors.New("runner: closed")
 
 // Options configure a Runner. The zero value is usable: GOMAXPROCS
-// workers, no timeout, no retries, no disk cache, a default-bounded
-// memory cache, no event sink.
+// workers, no timeout, no disk cache, a default-bounded memory cache, no
+// event sink.
 type Options struct {
 	// Workers bounds concurrent simulations; <= 0 means GOMAXPROCS.
 	Workers int
-	// Timeout bounds one simulation attempt; 0 disables. A timed-out
-	// simulation cannot be preempted — it is abandoned to finish in the
-	// background while its job reports failure.
+	// Timeout bounds one simulation; 0 disables. A timed-out simulation
+	// stops after its current event, and its job fails with an error that
+	// names the timeout.
 	Timeout time.Duration
-	// Retries is how many times a transient failure (panic, or an error
-	// wrapped with Transient) is re-attempted. Deterministic simulation
-	// errors are never retried.
-	Retries int
 	// CacheDir, when non-empty, persists results as JSON files so
 	// identical configs hit the cache across process restarts. Corrupt or
 	// unreadable entries degrade to misses. Several processes may share
@@ -67,7 +64,7 @@ type Options struct {
 	// executor: no memoization, no disk persistence, no coalescing of
 	// identical submissions — every Submit simulates. The public facade
 	// uses this so library callers keep run-every-call semantics while
-	// sharing the pool, panic recovery and retry machinery.
+	// sharing the pool and its panic recovery.
 	DisableCache bool
 }
 
@@ -98,6 +95,7 @@ type Job struct {
 	execCtx context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
+	queued  sync.Once // emits the queued event; see Runner.announce
 
 	mu         sync.Mutex
 	waiters    int             //stash:guardedby mu
@@ -105,7 +103,6 @@ type Job struct {
 	enqueuedAt time.Time       //stash:guardedby mu
 	startedAt  time.Time       //stash:guardedby mu
 	finishedAt time.Time       //stash:guardedby mu
-	attempts   int             //stash:guardedby mu
 	cacheHit   string          //stash:guardedby mu
 	result     *system.Results //stash:guardedby mu
 	err        error           //stash:guardedby mu
@@ -223,7 +220,6 @@ type JobStatus struct {
 	DirKind    string    `json:"dirKind"`
 	Coverage   float64   `json:"coverage"`
 	Cores      int       `json:"cores"`
-	Attempts   int       `json:"attempts"`
 	CacheHit   string    `json:"cacheHit,omitempty"`
 	EnqueuedAt time.Time `json:"enqueuedAt"`
 	StartedAt  time.Time `json:"startedAt"`
@@ -245,7 +241,6 @@ func (j *Job) Status() JobStatus {
 		DirKind:    j.cfg.DirKind,
 		Coverage:   j.cfg.Coverage,
 		Cores:      j.cfg.Cores,
-		Attempts:   j.attempts,
 		CacheHit:   j.cacheHit,
 		EnqueuedAt: j.enqueuedAt,
 		StartedAt:  j.startedAt,
@@ -263,28 +258,6 @@ func (j *Job) Status() JobStatus {
 	return s
 }
 
-// transientError marks an error as retryable.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the runner retries it (up to Options.Retries).
-// The runner classifies simulation panics as transient itself; execution
-// backends with genuinely flaky failure modes wrap their errors with this.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err}
-}
-
-// IsTransient reports whether err is marked retryable.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t)
-}
-
 // Runner executes simulation jobs. Create one with New and release it with
 // Close.
 //
@@ -297,7 +270,7 @@ func IsTransient(err error) bool {
 type Runner struct {
 	opts Options
 	// execute is the simulation backend; tests substitute it.
-	execute func(system.Config) (*system.Results, error)
+	execute func(context.Context, system.Config) (*system.Results, error)
 
 	mem  *memCache
 	disk resultStore
@@ -344,7 +317,7 @@ func New(opts Options) *Runner {
 	}
 	r := &Runner{
 		opts:     opts,
-		execute:  system.Run,
+		execute:  system.RunContext,
 		mem:      newMemCache(memEntries),
 		inflight: make(map[string]*Job),
 		jobs:     make(map[string]*Job),
@@ -481,7 +454,7 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 		// ruled out coalescing, leaving no window for a duplicate.
 		j, w := r.enqueueLocked(ctx, key, cfg)
 		r.mu.Unlock()
-		r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
+		r.announce(j)
 		return j, w, nil
 	}
 
@@ -550,7 +523,7 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	j, w := r.enqueueLocked(ctx, key, cfg)
 	r.mu.Unlock()
 	close(p.done)
-	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
+	r.announce(j)
 	return j, w, nil
 }
 
@@ -591,8 +564,9 @@ func (r *Runner) QueueDepth() int {
 }
 
 // Close stops accepting submissions and blocks until every queued and
-// running job has drained. Queued jobs whose context is already cancelled
-// finish immediately as failed; running simulations complete.
+// running job has drained, so no simulation outlives it. Queued jobs whose
+// context is already cancelled finish immediately as failed; running
+// simulations complete or stop at their timeout.
 func (r *Runner) Close() {
 	r.mu.Lock()
 	if !r.closed {
@@ -689,8 +663,17 @@ func (r *Runner) worker() {
 	}
 }
 
+// announce emits j's queued event exactly once. The submitter calls it
+// after releasing the runner lock, and the worker that picks j up calls it
+// before emitting anything else, so the queued event comes first even when
+// the worker wins the race.
+func (r *Runner) announce(j *Job) {
+	j.queued.Do(func() { r.emit(Event{Kind: EventQueued, JobID: j.id, Key: j.key, Config: j.cfg}) })
+}
+
 // process runs one queued job to completion (or failure).
 func (r *Runner) process(j *Job) {
+	r.announce(j)
 	if err := j.execCtx.Err(); err != nil {
 		r.finish(j, nil, fmt.Errorf("runner: job %s cancelled before start: %w", j.id, err), 0)
 		return
@@ -705,22 +688,7 @@ func (r *Runner) process(j *Job) {
 	defer r.met.inFlight.Add(-1)
 	r.emit(Event{Kind: EventStarted, JobID: j.id, Key: j.key, Config: j.cfg})
 
-	maxAttempts := 1 + r.opts.Retries
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	var res *system.Results
-	var err error
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt
-		j.mu.Unlock()
-		res, err = r.runOnce(j)
-		if err == nil || !IsTransient(err) || j.execCtx.Err() != nil || attempt == maxAttempts {
-			break
-		}
-		r.met.retries.Add(1)
-	}
+	res, err := r.simulate(j)
 	dur := time.Since(start)
 
 	if err == nil {
@@ -739,40 +707,28 @@ func (r *Runner) process(j *Job) {
 	r.finish(j, res, err, dur)
 }
 
-// runOnce executes one simulation attempt with panic recovery, bounded by
-// the job timeout and the submitter's context. The simulation itself is
-// not preemptible: on timeout or cancellation the attempt's goroutine is
-// abandoned (it finishes in the background and its result is discarded).
-func (r *Runner) runOnce(j *Job) (*system.Results, error) {
-	type outcome struct {
-		res *system.Results
-		err error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- outcome{nil, Transient(fmt.Errorf("runner: simulation panicked: %v", p))}
-			}
-		}()
-		res, err := r.execute(j.cfg)
-		ch <- outcome{res, err}
-	}()
-
-	var timeoutC <-chan time.Time
+// simulate runs j's simulation on the calling worker under the job's exec
+// context, bounded by the job timeout: cancelling the one or reaching the
+// other stops the engine. A panic is recovered and reported as an error
+// that names the config.
+func (r *Runner) simulate(j *Job) (res *system.Results, err error) {
+	ctx := j.execCtx
 	if r.opts.Timeout > 0 {
-		t := time.NewTimer(r.opts.Timeout)
-		defer t.Stop()
-		timeoutC = t.C
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.opts.Timeout)
+		defer cancel()
 	}
-	select {
-	case o := <-ch:
-		return o.res, o.err
-	case <-timeoutC:
-		return nil, fmt.Errorf("runner: job %s exceeded timeout %v", j.id, r.opts.Timeout)
-	case <-j.execCtx.Done():
-		return nil, j.execCtx.Err()
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("runner: %s/%s cov=%.3g: simulation panicked: %v",
+				j.cfg.DirKind, j.cfg.WorkloadName(), j.cfg.Coverage, p)
+		}
+	}()
+	res, err = r.execute(ctx, j.cfg)
+	if err != nil && j.execCtx.Err() == nil && ctx.Err() != nil {
+		err = fmt.Errorf("runner: job %s exceeded timeout %v: %w", j.id, r.opts.Timeout, err)
 	}
+	return res, err
 }
 
 // finish records the job's outcome, emits the terminal event and retires
@@ -790,15 +746,14 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	} else {
 		j.state = StateDone
 	}
-	attempt := j.attempts
 	j.mu.Unlock()
 
 	if err != nil {
 		r.met.failed.Add(1)
-		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Err: err})
+		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Duration: dur, Err: err})
 	} else {
 		r.met.completed.Add(1)
-		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Attempt: attempt, Duration: dur, Result: res})
+		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Duration: dur, Result: res})
 	}
 
 	r.mu.Lock()

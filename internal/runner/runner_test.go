@@ -119,7 +119,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 	var executed atomic.Int64
 
 	r1 := New(Options{Workers: 1, CacheDir: dir})
-	r1.execute = func(cfg system.Config) (*system.Results, error) {
+	r1.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		return fakeResults(cfg), nil
 	}
@@ -136,7 +136,7 @@ func TestDiskCachePersistsAcrossRunners(t *testing.T) {
 	// must serve the same config from disk without executing.
 	r2 := New(Options{Workers: 1, CacheDir: dir})
 	defer r2.Close()
-	r2.execute = func(cfg system.Config) (*system.Results, error) {
+	r2.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		t.Error("disk-cached config was re-executed")
 		return fakeResults(cfg), nil
 	}
@@ -173,7 +173,7 @@ func TestCorruptedCacheFileIsMiss(t *testing.T) {
 
 	var executed atomic.Int64
 	r := New(Options{Workers: 1, CacheDir: dir})
-	r.execute = func(c system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) {
 		executed.Add(1)
 		return fakeResults(c), nil
 	}
@@ -190,7 +190,7 @@ func TestCorruptedCacheFileIsMiss(t *testing.T) {
 	// runner now hits disk.
 	r2 := New(Options{Workers: 1, CacheDir: dir})
 	defer r2.Close()
-	r2.execute = func(c system.Config) (*system.Results, error) {
+	r2.execute = func(_ context.Context, c system.Config) (*system.Results, error) {
 		t.Error("repaired cache entry was re-executed")
 		return fakeResults(c), nil
 	}
@@ -210,7 +210,7 @@ func TestCancelledContextStopsSweepEarly(t *testing.T) {
 	var executed atomic.Int64
 	r := New(Options{Workers: 1})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		if executed.Add(1) == 2 {
 			cancel() // cancel mid-sweep, while job 2 is in flight
 		}
@@ -238,7 +238,7 @@ func TestRunAllStopsOnFirstError(t *testing.T) {
 	r := New(Options{Workers: 1})
 	defer r.Close()
 	boom := errors.New("deterministic simulation failure")
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		if cfg.Seed == 1 {
 			return nil, boom
 		}
@@ -263,92 +263,119 @@ func TestRunAllStopsOnFirstError(t *testing.T) {
 	}
 }
 
-func TestTransientFailuresRetryThenSucceed(t *testing.T) {
-	leakcheck.Check(t)
-	var calls atomic.Int64
-	r := New(Options{Workers: 1, Retries: 2})
-	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
-		if calls.Add(1) <= 2 {
-			return nil, Transient(errors.New("flaky backend"))
-		}
-		return fakeResults(cfg), nil
+// TestFailureIsReportedOnce: simulation is deterministic, so a failing
+// config — whether its simulation panics or returns an error — executes
+// once and fails once, and a panic's error names the config.
+func TestFailureIsReportedOnce(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func() error
+	}{
+		{"panic", func() error { panic("simulated protocol bug") }},
+		{"error", func() error { return errors.New("deadlock at cycle 100") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			leakcheck.Check(t)
+			var calls, failures atomic.Int64
+			r := New(Options{Workers: 1, Events: func(e Event) {
+				if e.Kind == EventFailed {
+					failures.Add(1)
+				}
+			}})
+			defer r.Close()
+			r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
+				calls.Add(1)
+				return nil, tc.fail()
+			}
+			cfg := tinyConfig(1)
+			cfg.Coverage = 0.125
+			_, err := r.Run(context.Background(), cfg)
+			if err == nil {
+				t.Fatal("a failing simulation reported success")
+			}
+			if tc.name == "panic" {
+				for _, want := range []string{"panic", cfg.WorkloadName(), cfg.DirKind, "cov=0.125"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("panic error %q does not name %q", err, want)
+					}
+				}
+			}
+			if n := calls.Load(); n != 1 {
+				t.Errorf("failing simulation executed %d times, want 1", n)
+			}
+			if n, m := failures.Load(), r.Metrics().JobsFailed; n != 1 || m != 1 {
+				t.Errorf("failure reported %d times (%d in metrics), want 1", n, m)
+			}
+		})
 	}
-	j, err := r.Submit(context.Background(), tinyConfig(1))
+}
+
+// longConfig is a real simulation that takes seconds to finish, so a test
+// that sees it end within a second has seen it stopped.
+func longConfig(seed int64) system.Config {
+	cfg := system.QuickConfig("canneal")
+	cfg.Cores = 16
+	cfg.Coverage = 0.125
+	cfg.AccessesPerCore = 200_000
+	cfg.Seed = seed
+	return cfg
+}
+
+// runContextFrame is the function a running simulation has on its stack.
+const runContextFrame = "repro/internal/system.RunContext"
+
+// TestTimeoutStopsSimulation: a timed-out job's simulation stops, so the
+// one worker is free for the next job and no simulation outlives its job.
+func TestTimeoutStopsSimulation(t *testing.T) {
+	leakcheck.Check(t)
+	r := New(Options{Workers: 1, Timeout: 20 * time.Millisecond})
+	defer r.Close()
+	for seed := int64(1); seed <= 3; seed++ {
+		start := time.Now()
+		_, err := r.Run(context.Background(), longConfig(seed))
+		if err == nil || !strings.Contains(err.Error(), "timeout") || !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("job %d: error = %v, want a timeout", seed, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("job %d took %v to time out", seed, d)
+		}
+		if n := leakcheck.Running(runContextFrame); n != 0 {
+			t.Fatalf("after job %d timed out, %d simulations are still running", seed, n)
+		}
+	}
+}
+
+// TestCancelStopsRunningSimulation: when the only submitter of a running
+// job leaves, the job's simulation stops and the job fails with the
+// cancellation.
+func TestCancelStopsRunningSimulation(t *testing.T) {
+	leakcheck.Check(t)
+	r := New(Options{Workers: 1})
+	defer r.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	j, err := r.Submit(ctx, longConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatalf("job failed despite retry budget: %v", err)
-	}
-	if got := j.Status().Attempts; got != 3 {
-		t.Fatalf("attempts = %d, want 3", got)
-	}
-	if m := r.Metrics(); m.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", m.Retries)
-	}
-}
-
-func TestPanicIsRecoveredAndRetried(t *testing.T) {
-	leakcheck.Check(t)
-	var calls atomic.Int64
-	r := New(Options{Workers: 1, Retries: 1})
-	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
-		if calls.Add(1) == 1 {
-			panic("simulated protocol bug")
+	for r.Metrics().InFlight != 1 {
+		select {
+		case <-j.Done():
+			t.Fatalf("the job ended before its simulation started: %v", j.Status().Error)
+		case <-time.After(time.Millisecond):
 		}
-		return fakeResults(cfg), nil
 	}
-	if _, err := r.Run(context.Background(), tinyConfig(1)); err != nil {
-		t.Fatalf("panic was not recovered and retried: %v", err)
+	cancel()
+	select {
+	case <-j.Done():
+	case <-time.After(time.Second):
+		t.Fatal("the simulation kept running after its only submitter left")
 	}
-
-	// Without retry budget the panic surfaces as an error, not a crash.
-	r2 := New(Options{Workers: 1})
-	defer r2.Close()
-	r2.execute = func(cfg system.Config) (*system.Results, error) {
-		panic("always broken")
+	if _, err := j.Wait(context.Background()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("job error = %v, want context.Canceled", err)
 	}
-	_, err := r2.Run(context.Background(), tinyConfig(2))
-	if err == nil || !strings.Contains(err.Error(), "panic") {
-		t.Fatalf("error = %v, want a recovered panic", err)
-	}
-	if !IsTransient(err) {
-		t.Fatal("recovered panic should classify as transient")
-	}
-}
-
-func TestDeterministicErrorsAreNotRetried(t *testing.T) {
-	leakcheck.Check(t)
-	var calls atomic.Int64
-	r := New(Options{Workers: 1, Retries: 5})
-	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
-		calls.Add(1)
-		return nil, errors.New("deadlock at cycle 100")
-	}
-	if _, err := r.Run(context.Background(), tinyConfig(1)); err == nil {
-		t.Fatal("expected failure")
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("deterministic failure executed %d times, want 1", calls.Load())
-	}
-}
-
-func TestTimeoutAbandonsRun(t *testing.T) {
-	leakcheck.Check(t)
-	r := New(Options{Workers: 1, Timeout: 10 * time.Millisecond})
-	defer r.Close()
-	release := make(chan struct{})
-	r.execute = func(cfg system.Config) (*system.Results, error) {
-		<-release
-		return fakeResults(cfg), nil
-	}
-	defer close(release)
-	_, err := r.Run(context.Background(), tinyConfig(1))
-	if err == nil || !strings.Contains(err.Error(), "timeout") {
-		t.Fatalf("error = %v, want a timeout", err)
+	if n := leakcheck.Running(runContextFrame); n != 0 {
+		t.Fatalf("%d simulations still running after the job failed", n)
 	}
 }
 
@@ -357,7 +384,7 @@ func TestConcurrentIdenticalSubmissionsCoalesce(t *testing.T) {
 	var executed atomic.Int64
 	r := New(Options{Workers: 4})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		time.Sleep(20 * time.Millisecond)
 		return fakeResults(cfg), nil
@@ -391,7 +418,7 @@ func TestCoalescedJobSurvivesFirstSubmitterCancel(t *testing.T) {
 	release := make(chan struct{})
 	r := New(Options{Workers: 1})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		close(started)
 		<-release
 		return fakeResults(cfg), nil
@@ -436,7 +463,7 @@ func TestAllWaitersGoneCancelsQueuedJob(t *testing.T) {
 	release := make(chan struct{})
 	r := New(Options{Workers: 1})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		<-release
 		return fakeResults(cfg), nil
@@ -490,7 +517,7 @@ func TestSubmitReplacesDeadInflightJob(t *testing.T) {
 	release := make(chan struct{})
 	r := New(Options{Workers: 1})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		<-release
 		return fakeResults(cfg), nil
@@ -558,7 +585,7 @@ func TestCacheHitResultsAreIsolated(t *testing.T) {
 	leakcheck.Check(t)
 	r := New(Options{Workers: 1})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		res := fakeResults(cfg)
 		res.EventsRun = 777
 		res.FlitHopsByClass = map[string]int64{"data": 42}
@@ -596,7 +623,7 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	leakcheck.Check(t)
 	var executed atomic.Int64
 	r := New(Options{Workers: 1})
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		time.Sleep(2 * time.Millisecond)
 		return fakeResults(cfg), nil
@@ -633,7 +660,7 @@ func TestJobLookupAndEvents(t *testing.T) {
 		mu.Unlock()
 	}})
 	defer r.Close()
-	r.execute = func(cfg system.Config) (*system.Results, error) {
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		return fakeResults(cfg), nil
 	}
 	j, err := r.Submit(context.Background(), tinyConfig(1))

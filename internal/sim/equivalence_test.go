@@ -17,7 +17,6 @@ type scheduler interface {
 	RunUntil(Cycle) uint64
 	SetShuffleSeed(uint64)
 	Pending() int
-	Halt()
 }
 
 // driveRandom executes a randomized self-similar schedule on s and returns

@@ -14,7 +14,7 @@ type eventSlot struct {
 	run   Event
 	argFn func(any)
 	arg   any
-	name  string // optional, for tracing
+	name  string // quoted by the scheduling-in-the-past panic
 }
 
 // fire executes whichever form of callback the slot carries.

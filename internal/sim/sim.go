@@ -36,6 +36,8 @@
 // order for every seed.
 package sim
 
+import "sync/atomic"
+
 // Cycle is a point in simulated time, measured in core clock cycles.
 type Cycle uint64
 
@@ -43,17 +45,16 @@ type Cycle uint64
 type Event func()
 
 // Engine owns an event queue and the simulated clock, and adds the run
-// loop, tracing and event accounting on top of the embedded EventQueue
-// (which contributes Now, Pending, At/After and their Arg forms,
-// NextEventTime and SetShuffleSeed).
+// loop and event accounting on top of the embedded EventQueue (which
+// contributes Now, Pending, At/After and their Arg forms, NextEventTime and
+// SetShuffleSeed).
 //
 //stash:tileowned
 type Engine struct {
 	EventQueue
 
-	ran    uint64
-	Trace  func(at Cycle, name string) // optional event trace hook
-	halted bool
+	ran     uint64
+	stopped atomic.Bool
 }
 
 // NewEngine returns an engine at cycle 0 with an empty queue.
@@ -64,9 +65,14 @@ func NewEngine() *Engine {
 // EventsRun returns the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Halt stops Run after the current event completes, leaving any remaining
-// events queued. Used by watchdogs and by tests that inject failures.
-func (e *Engine) Halt() { e.halted = true }
+// Stop makes Run and RunUntil return after the current event, leaving any
+// remaining events queued. It is safe to call from any goroutine, and it
+// is sticky: a stop raised before or during a run ends every later Run and
+// RunUntil call on this engine too.
+func (e *Engine) Stop() { e.stopped.Store(true) }
+
+// Stopped reports whether Stop has been called.
+func (e *Engine) Stopped() bool { return e.stopped.Load() }
 
 // Step pops the earliest pending event, advances the clock to it, and
 // fires it. Precondition: at least one event is pending (Pending() > 0).
@@ -76,29 +82,22 @@ func (e *Engine) Halt() { e.halted = true }
 //stash:hotpath
 func (e *Engine) Step() {
 	ev := e.popNext()
-	if e.Trace != nil {
-		e.Trace(e.now, ev.name)
-	}
 	ev.fire()
 	e.ran++
 }
 
 // Run executes events until the queue drains, limit events have run
-// (limit 0 means no limit), or Halt is called. It returns the number of
+// (limit 0 means no limit), or Stop is called. It returns the number of
 // events executed by this call.
 //
 //stash:hotpath
 func (e *Engine) Run(limit uint64) uint64 {
 	var n uint64
-	e.halted = false
-	for e.Pending() > 0 && !e.halted {
+	for e.Pending() > 0 && !e.stopped.Load() {
 		if limit != 0 && n >= limit {
 			break
 		}
 		ev := e.popNext()
-		if e.Trace != nil {
-			e.Trace(e.now, ev.name)
-		}
 		ev.fire()
 		e.ran++
 		n++
@@ -106,15 +105,15 @@ func (e *Engine) Run(limit uint64) uint64 {
 	return n
 }
 
-// RunUntil executes events with timestamps up to and including cycle end.
-// Events scheduled beyond end remain queued; the clock is left at the
-// timestamp of the last event executed (not advanced to end).
+// RunUntil executes events with timestamps up to and including cycle end,
+// or until Stop is called. Events scheduled beyond end remain queued; the
+// clock is left at the timestamp of the last event executed (not advanced
+// to end).
 //
 //stash:hotpath
 func (e *Engine) RunUntil(end Cycle) uint64 {
 	var n uint64
-	e.halted = false
-	for !e.halted {
+	for !e.stopped.Load() {
 		t, ok := e.nextTime()
 		if !ok || t > end {
 			break
@@ -123,9 +122,6 @@ func (e *Engine) RunUntil(end Cycle) uint64 {
 			panic("sim: time went backwards")
 		}
 		ev := e.popNext()
-		if e.Trace != nil {
-			e.Trace(e.now, ev.name)
-		}
 		ev.fire()
 		e.ran++
 		n++

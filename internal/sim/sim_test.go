@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"unsafe"
+
+	"repro/internal/testutil/leakcheck"
 )
 
 func TestEventsRunInTimeOrder(t *testing.T) {
@@ -102,31 +104,39 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
+// TestStop: Stop ends Run and RunUntil after the current event and leaves
+// the rest queued. The flag is sticky and goroutine-safe, so a stop raised
+// on another goroutine ends a run that would never drain, and a stop that
+// lands before a run starts is not lost.
+func TestStop(t *testing.T) {
+	leakcheck.Check(t)
 	e := NewEngine()
 	n := 0
-	e.At(1, "a", func() { n++; e.Halt() })
+	e.At(1, "a", func() { n++; e.Stop() })
 	e.At(2, "b", func() { n++ })
 	e.Run(0)
-	if n != 1 {
-		t.Fatalf("halt did not stop the run; n = %d", n)
+	if n != 1 || e.Pending() != 1 {
+		t.Fatalf("Stop did not end the run after the current event: n = %d, pending = %d", n, e.Pending())
 	}
-	// A later Run resumes.
-	e.Run(0)
-	if n != 2 {
-		t.Fatalf("resume failed; n = %d", n)
+	if e.Run(0) != 0 || e.RunUntil(10) != 0 || n != 1 {
+		t.Fatalf("a later Run or RunUntil resumed a stopped engine; n = %d", n)
 	}
-}
 
-func TestTraceHook(t *testing.T) {
-	e := NewEngine()
-	var names []string
-	e.Trace = func(at Cycle, name string) { names = append(names, name) }
-	e.At(1, "alpha", func() {})
-	e.At(2, "beta", func() {})
+	e = NewEngine()
+	var tick Event
+	tick = func() { e.After(1, "tick", tick) }
+	e.After(1, "tick", tick)
+	go e.Stop()
 	e.Run(0)
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "beta" {
-		t.Fatalf("trace = %v", names)
+	if !e.Stopped() || e.Pending() != 1 {
+		t.Fatalf("stopped = %v, pending = %d after a stop from another goroutine", e.Stopped(), e.Pending())
+	}
+
+	e = NewEngine()
+	e.At(1, "a", func() { t.Error("an event ran after a stop raised before the run") })
+	e.Stop()
+	if e.RunUntil(10) != 0 || e.Run(0) != 0 {
+		t.Fatal("a stop raised before the run was lost")
 	}
 }
 

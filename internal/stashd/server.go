@@ -334,7 +334,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "stashd_jobs_completed_total %d\n", m.JobsCompleted)
 	fmt.Fprintf(w, "stashd_jobs_failed_total %d\n", m.JobsFailed)
 	fmt.Fprintf(w, "stashd_jobs_coalesced_total %d\n", m.JobsCoalesced)
-	fmt.Fprintf(w, "stashd_retries_total %d\n", m.Retries)
 	fmt.Fprintf(w, "stashd_cache_hits_total %d\n", m.CacheHits())
 	fmt.Fprintf(w, "stashd_cache_hits_memory_total %d\n", m.CacheHitsMemory)
 	fmt.Fprintf(w, "stashd_cache_hits_disk_total %d\n", m.CacheHitsDisk)

@@ -368,8 +368,8 @@ func TestSweepClientDisconnectLeaksNoGoroutines(t *testing.T) {
 	client.CloseIdleConnections()
 
 	// Every waiter goroutine must drain once the server notices the
-	// disconnect; the abandoned simulations themselves finish in
-	// milliseconds at this scale.
+	// disconnect: the jobs it leaves with no waiter fail before they start
+	// or stop mid-run.
 	start := time.Now()
 	for {
 		if runtime.NumGoroutine() <= baseline+2 {
@@ -382,6 +382,50 @@ func TestSweepClientDisconnectLeaksNoGoroutines(t *testing.T) {
 				baseline, runtime.NumGoroutine(), buf[:n])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestRunClientDisconnectStopsSimulation: a client that leaves while its
+// /run simulates stops that simulation, not just the jobs still queued.
+func TestRunClientDisconnectStopsSimulation(t *testing.T) {
+	leakcheck.Check(t)
+	ts, r := newTestServer(t, "")
+	b, err := json.Marshal(RunRequest{
+		Workload: "canneal", DirKind: "stash", Coverage: 0.125,
+		Quick: true, Cores: 16, AccessesPerCore: 200_000, // seconds of simulation
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/run", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	for r.Metrics().InFlight != 1 {
+		select {
+		case err := <-errc:
+			t.Fatalf("/run answered before its simulation started: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	cancel()
+	<-errc
+	deadline := time.Now().Add(time.Second)
+	for leakcheck.Running("repro/internal/system.RunContext") != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the simulation was still running 1s after its only client left")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

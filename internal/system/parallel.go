@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/coherence"
@@ -33,10 +34,10 @@ func BuildParallel(cfg Config) (*coherence.ParallelFabric, []*coherence.Processo
 	return pf, procs, nil
 }
 
-// runParallel is Run's Shards > 0 path: same machine, driven by the
-// parallel engine, with the per-tile statistics folded back into the root
-// fabric before collection.
-func runParallel(cfg Config) (*Results, error) {
+// runParallel is RunContext's Shards > 0 path: same machine, driven by
+// the parallel engine, with the per-tile statistics folded back into the
+// root fabric before collection.
+func runParallel(ctx context.Context, cfg Config) (*Results, error) {
 	pf, procs, err := BuildParallel(cfg)
 	if err != nil {
 		return nil, err
@@ -47,9 +48,13 @@ func runParallel(cfg Config) (*Results, error) {
 		pf.EpochHook = epochSampler(sampler, pf.Root, procs, sim.Cycle(cfg.SamplePeriod))
 	}
 
+	defer context.AfterFunc(ctx, pf.Stop)()
 	driveErr := pf.Drive(procs, 0)
 	if srcErr := finishSources(procs); driveErr == nil && srcErr != nil {
 		driveErr = srcErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if driveErr != nil {
 		return nil, fmt.Errorf("system: %s/%s cov=%.3g shards=%d: %w",

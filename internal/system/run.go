@@ -1,6 +1,7 @@
 package system
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -215,13 +216,19 @@ func finishSources(procs []*coherence.Processor) error {
 	return first
 }
 
-// Run builds the machine for cfg, drives it to completion and returns the
-// collected results. It fails on configuration errors, deadlock, oracle
-// violations or audit failures. Shards > 0 routes through the parallel
-// engine (see runParallel).
-func Run(cfg Config) (*Results, error) {
+// Run is RunContext with a context that is never cancelled.
+func Run(cfg Config) (*Results, error) { return RunContext(context.Background(), cfg) }
+
+// RunContext builds the machine for cfg, drives it to completion and
+// returns the collected results. It fails on configuration errors,
+// deadlock, oracle violations or audit failures. Cancelling ctx stops the
+// engine after its current event (at the next epoch barrier on the
+// parallel engine) and RunContext returns ctx.Err() and no Results, so
+// every Results it does return is a pure function of cfg. Shards > 0
+// routes through the parallel engine (see runParallel).
+func RunContext(ctx context.Context, cfg Config) (*Results, error) {
 	if cfg.Shards > 0 {
-		return runParallel(cfg)
+		return runParallel(ctx, cfg)
 	}
 	fab, procs, err := Build(cfg)
 	if err != nil {
@@ -233,9 +240,13 @@ func Run(cfg Config) (*Results, error) {
 		sampler.arm(fab, procs, sim.Cycle(cfg.SamplePeriod))
 	}
 
+	defer context.AfterFunc(ctx, fab.Engine.Stop)()
 	driveErr := fab.Drive(procs, 0)
 	if srcErr := finishSources(procs); driveErr == nil && srcErr != nil {
 		driveErr = srcErr
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	if driveErr != nil {
 		return nil, fmt.Errorf("system: %s/%s cov=%.3g: %w", cfg.DirKind, cfg.WorkloadName(), cfg.Coverage, driveErr)

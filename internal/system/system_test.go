@@ -1,13 +1,16 @@
 package system
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-
 	"testing"
+	"time"
 
 	"repro/internal/cache"
+	"repro/internal/testutil/leakcheck"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -198,6 +201,48 @@ func TestReproducibility(t *testing.T) {
 	}
 	if c.Cycles == a.Cycles && c.TotalFlitHops == a.TotalFlitHops {
 		t.Fatal("different seeds produced identical runs (suspicious)")
+	}
+}
+
+// TestRunContextStops: a cancelled context, or one whose deadline passes
+// mid-run, stops a multi-second simulation on the serial engine and on the
+// parallel one, and the run returns the context's error and no Results.
+func TestRunContextStops(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		cfg := QuickConfig("canneal")
+		cfg.Cores = 16
+		cfg.Coverage = 0.125
+		cfg.AccessesPerCore = 200_000
+		cfg.Checker = false
+		cfg.Shards = shards
+		for _, tc := range []struct {
+			name string
+			ctx  func() (context.Context, context.CancelFunc)
+			want error
+		}{
+			{"cancelled", func() (context.Context, context.CancelFunc) {
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				return ctx, cancel
+			}, context.Canceled},
+			{"deadline", func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), 30*time.Millisecond)
+			}, context.DeadlineExceeded},
+		} {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, tc.name), func(t *testing.T) {
+				leakcheck.Check(t)
+				ctx, cancel := tc.ctx()
+				defer cancel()
+				start := time.Now()
+				res, err := RunContext(ctx, cfg)
+				if !errors.Is(err, tc.want) || res != nil {
+					t.Fatalf("RunContext = %v, %v; want no Results and %v", res, err, tc.want)
+				}
+				if d := time.Since(start); d > time.Second {
+					t.Fatalf("stopped run took %v to return", d)
+				}
+			})
+		}
 	}
 }
 

@@ -71,6 +71,19 @@ func verify(base map[int64]bool, wait time.Duration) (string, bool) {
 	}
 }
 
+// Running counts the goroutines with a frame in fn, a fully qualified
+// function name such as "repro/internal/system.RunContext". Tests use it to
+// prove that a stopped simulation has actually returned.
+func Running(fn string) int {
+	n := 0
+	for _, s := range stacks() {
+		if strings.Contains(s, "\n"+fn+"(") {
+			n++
+		}
+	}
+	return n
+}
+
 // snapshot records the IDs of every goroutine currently alive.
 func snapshot() map[int64]bool {
 	base := map[int64]bool{}
