@@ -110,14 +110,15 @@ bench: bench-engine bench-protocol
 bench-engine:
 	$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json
 
-# bench-protocol records the coherence hot-path benchmarks into
-# BENCH_protocol.json and fails if any steady-state protocol path
-# allocates: the pooled-message/pooled-TBE design is a zero-allocs/op
-# contract, enforced here in CI. When it fails, start with the static
-# picture: `make lint` — the hotpath analyzer usually names the exact
-# allocation site that broke the contract.
+# bench-protocol records the coherence hot-path benchmarks and the
+# directory organizations' conflict cycle into BENCH_protocol.json and
+# fails if any steady-state protocol or directory path allocates: the
+# pooled-message/pooled-TBE design is a zero-allocs/op contract, enforced
+# here in CI. When it fails, start with the static picture: `make lint` —
+# the hotpath analyzer usually names the exact allocation site that broke
+# the contract.
 bench-protocol:
-	@$(GO) test -run '^$$' -bench BenchmarkProtocol -benchmem ./internal/coherence | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 || \
+	@$(GO) test -run '^$$' -bench 'BenchmarkProtocol|BenchmarkDirectory' -benchmem ./internal/coherence ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 || \
 		{ echo "bench-protocol: allocation contract broken; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
 # bench-psim records the serial-vs-parallel engine sweep (16-core model,

@@ -1,8 +1,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -27,10 +28,9 @@ type Checker struct {
 	violations []string
 	maxRecord  int
 
-	// holders is Audit's scratch map (block -> core -> state), cleared and
-	// reused across audits so repeated end-of-run audits in long test
-	// sweeps do not rebuild it from nothing each time.
-	holders map[mem.Block]map[int]mem.State
+	// held is the residency gather's scratch (see gatherHoldings), reused
+	// so an audit allocates nothing once it has grown.
+	held []holding
 }
 
 // NewChecker returns an enabled checker.
@@ -66,16 +66,6 @@ func (c *Checker) SetEnabled(on bool) { c.enabled = on }
 // Enabled reports whether load verification (and the end-of-run audit) is
 // on.
 func (c *Checker) Enabled() bool { return c.enabled }
-
-// holdersScratch returns the audit's cleared residency scratch map.
-func (c *Checker) holdersScratch() map[mem.Block]map[int]mem.State {
-	if c.holders == nil {
-		c.holders = make(map[mem.Block]map[int]mem.State)
-	} else {
-		clear(c.holders)
-	}
-	return c.holders
-}
 
 // CommitStore returns the value the store to block b must write, and
 // records it as the block's current value. It must be called exactly when
@@ -130,6 +120,71 @@ func (c *Checker) Err() error {
 	return fmt.Errorf("coherence violations (%d recorded): %s", len(c.violations), c.violations[0])
 }
 
+// holding is one private copy of a block: core holds block in state with
+// payload data.
+type holding struct {
+	block mem.Block
+	core  int
+	state mem.State
+	data  uint64
+}
+
+func (h holding) owned() bool { return h.state.Owned() }
+
+// gatherHoldings lists every private copy in the fabric, sorted by block,
+// then core. With an L2 the outer level defines residency (the directory
+// tracks it); the state and payload are the L1's when the L1 holds the
+// block Modified. Before the sort, perCore is called once per L1, in core
+// order, with that core's copies in cache-slot order. The result lives in
+// the checker's scratch and is valid until the next gather.
+func gatherHoldings(f *Fabric, perCore func(l1 *L1, copies []holding)) []holding {
+	held := f.Checker.held[:0]
+	for _, l1 := range f.L1s {
+		start := len(held)
+		if l1.l2 != nil {
+			l1.l2.ForEach(func(ln *cacheLine) {
+				h := holding{ln.Block, l1.id, ln.State, ln.Data}
+				if inner := l1.cache.Probe(ln.Block); inner != nil && inner.State == mem.Modified {
+					h.state, h.data = mem.Modified, inner.Data
+				}
+				held = append(held, h)
+			})
+		} else {
+			l1.cache.ForEach(func(ln *cacheLine) {
+				held = append(held, holding{ln.Block, l1.id, ln.State, ln.Data})
+			})
+		}
+		perCore(l1, held[start:])
+	}
+	slices.SortFunc(held, func(a, b holding) int {
+		if c := cmp.Compare(a.block, b.block); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.core, b.core)
+	})
+	f.Checker.held = held
+	return held
+}
+
+// blockRun returns the end of the run of held[i].block's copies that
+// starts at i in a sorted gather.
+func blockRun(held []holding, i int) int {
+	j := i + 1
+	for j < len(held) && held[j].block == held[i].block {
+		j++
+	}
+	return j
+}
+
+// copiesOf returns block b's copies in a sorted gather.
+func copiesOf(held []holding, b mem.Block) []holding {
+	i, found := slices.BinarySearchFunc(held, b, func(h holding, b mem.Block) int { return cmp.Compare(h.block, b) })
+	if !found {
+		return nil
+	}
+	return held[i:blockRun(held, i)]
+}
+
 // Audit verifies the quiescent-state invariants across the whole fabric.
 // It must run when no transactions are in flight (after the simulation
 // drains):
@@ -152,35 +207,14 @@ func Audit(f *Fabric) []string {
 		}
 	}
 
-	// Gather private-hierarchy residency: block -> core -> state. With an
-	// L2 the outer level defines residency (the directory tracks it); the
-	// effective state is the L1's when the block is also in L1.
-	holders := f.Checker.holdersScratch()
-	for _, l1 := range f.L1s {
-		record := func(b mem.Block, st mem.State) {
-			m, ok := holders[b]
-			if !ok {
-				m = make(map[int]mem.State)
-				holders[b] = m
-			}
-			m[l1.id] = st
-		}
+	held := gatherHoldings(f, func(l1 *L1, _ []holding) {
 		if l1.l2 != nil {
-			l1.l2.ForEach(func(ln *cacheLine) {
-				st := ln.State
-				if inner := l1.cache.Probe(ln.Block); inner != nil && inner.State == mem.Modified {
-					st = mem.Modified
-				}
-				record(ln.Block, st)
-			})
 			// L1 ⊆ L2 (private-hierarchy inclusion).
 			l1.cache.ForEach(func(ln *cacheLine) {
 				if l1.l2.Probe(ln.Block) == nil {
 					report("core %d: L1 block %#x missing from its L2", l1.id, uint64(ln.Block))
 				}
 			})
-		} else {
-			l1.cache.ForEach(func(ln *cacheLine) { record(ln.Block, ln.State) })
 		}
 		l1.tbes.forEach(func(b mem.Block, _ *l1TBE) {
 			report("core %d has an unfinished transaction for block %#x", l1.id, uint64(b))
@@ -191,37 +225,20 @@ func Audit(f *Fabric) []string {
 		l1.evict.forEach(func(b mem.Block, _ evictBuf) {
 			report("core %d has an unacknowledged eviction for block %#x", l1.id, uint64(b))
 		})
-	}
+	})
 	for _, bank := range f.Banks {
 		if n := bank.tbes.len(); n != 0 {
 			report("bank %d has %d unfinished transactions", bank.id, n)
 		}
 	}
 
-	// Violations are reported in block/core order so Audit's output is a
-	// pure function of the machine state, not of map layout.
-	blocks := make([]mem.Block, 0, len(holders))
-	//stash:ignore determinism keys are sorted before use
-	for b := range holders {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		m := holders[b]
-		cores := make([]int, 0, len(m))
-		//stash:ignore determinism keys are sorted before use
-		for c := range m {
-			cores = append(cores, c)
-		}
-		sort.Ints(cores)
-		owned := 0
-		for _, c := range cores {
-			if m[c].Owned() {
-				owned++
-			}
-		}
-		if owned > 0 && len(m) > 1 {
-			report("SWMR violated for block %#x: %d holders with an owned copy present", uint64(b), len(m))
+	// Violations are reported in block, then core order, so Audit's output
+	// is a pure function of the machine state.
+	for i, j := 0, 0; i < len(held); i = j {
+		j = blockRun(held, i)
+		b, copies := held[i].block, held[i:j]
+		if len(copies) > 1 && slices.ContainsFunc(copies, holding.owned) {
+			report("SWMR violated for block %#x: %d holders with an owned copy present", uint64(b), len(copies))
 		}
 
 		bank := f.Banks[f.HomeBank(b)]
@@ -235,8 +252,8 @@ func Audit(f *Fabric) []string {
 			hidden := line.Flags&flagHidden != 0
 			if !hidden {
 				report("tracking lost: block %#x cached in L1, no directory entry, hidden bit clear", uint64(b))
-			} else if len(m) != 1 {
-				report("hidden block %#x has %d copies, want exactly 1", uint64(b), len(m))
+			} else if len(copies) != 1 {
+				report("hidden block %#x has %d copies, want exactly 1", uint64(b), len(copies))
 			}
 			continue
 		}
@@ -246,14 +263,14 @@ func Audit(f *Fabric) []string {
 			// do not apply.
 			continue
 		}
-		for _, core := range cores {
-			if !entry.Sharers.Has(core) {
-				report("directory entry for block %#x omits holder core %d", uint64(b), core)
+		for _, h := range copies {
+			if !entry.Sharers.Has(h.core) {
+				report("directory entry for block %#x omits holder core %d", uint64(b), h.core)
 			}
 		}
 		if !f.Params.SilentCleanEvictions {
 			entry.Sharers.ForEach(func(core int) {
-				if _, ok := m[core]; !ok {
+				if !slices.ContainsFunc(copies, func(h holding) bool { return h.core == core }) {
 					report("directory entry for block %#x lists core %d, which holds nothing", uint64(b), core)
 				}
 			})
@@ -271,8 +288,8 @@ func Audit(f *Fabric) []string {
 			if bank.dir.Probe(ln.Block) != nil {
 				report("block %#x is both tracked and hidden", uint64(ln.Block))
 			}
-			if m := holders[ln.Block]; len(m) > 1 {
-				report("hidden block %#x has %d holders", uint64(ln.Block), len(m))
+			if n := len(copiesOf(held, ln.Block)); n > 1 {
+				report("hidden block %#x has %d holders", uint64(ln.Block), n)
 			}
 		})
 	}

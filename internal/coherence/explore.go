@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"encoding/binary"
@@ -525,57 +526,23 @@ func StepInvariants(f *Fabric, inflight func(mem.Block) bool) []string {
 		}
 	}
 
-	holders := f.Checker.holdersScratch()
-	for _, l1 := range f.L1s {
-		record := func(b mem.Block, st mem.State, data uint64) {
-			m, ok := holders[b]
-			if !ok {
-				m = make(map[int]mem.State)
-				holders[b] = m
-			}
-			m[l1.id] = st
-			if f.Checker.enabled {
-				if want := f.Checker.oracle[b]; data != want {
-					report("core %d holds block %#x in %v with payload %#x, oracle says %#x",
-						l1.id, uint64(b), st, data, want)
-				}
+	held := gatherHoldings(f, func(l1 *L1, copies []holding) {
+		if !f.Checker.enabled {
+			return
+		}
+		for _, h := range copies {
+			if want := f.Checker.oracle[h.block]; h.data != want {
+				report("core %d holds block %#x in %v with payload %#x, oracle says %#x",
+					l1.id, uint64(h.block), h.state, h.data, want)
 			}
 		}
-		if l1.l2 != nil {
-			l1.l2.ForEach(func(ln *cacheLine) {
-				st, data := ln.State, ln.Data
-				if inner := l1.cache.Probe(ln.Block); inner != nil && inner.State == mem.Modified {
-					st, data = mem.Modified, inner.Data
-				}
-				record(ln.Block, st, data)
-			})
-		} else {
-			l1.cache.ForEach(func(ln *cacheLine) { record(ln.Block, ln.State, ln.Data) })
-		}
-	}
+	})
 
-	blocks := make([]mem.Block, 0, len(holders))
-	//stash:ignore determinism keys are sorted before use
-	for b := range holders {
-		blocks = append(blocks, b)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
-		m := holders[b]
-		owned := 0
-		cores := make([]int, 0, len(m))
-		//stash:ignore determinism keys are sorted before use
-		for c := range m {
-			cores = append(cores, c)
-		}
-		sort.Ints(cores)
-		for _, c := range cores {
-			if m[c].Owned() {
-				owned++
-			}
-		}
-		if owned > 0 && len(m) > 1 {
-			report("SWMR violated for block %#x: %d holders with an owned copy present", uint64(b), len(m))
+	for i, j := 0, 0; i < len(held); i = j {
+		j = blockRun(held, i)
+		b, copies := held[i].block, held[i:j]
+		if len(copies) > 1 && slices.ContainsFunc(copies, holding.owned) {
+			report("SWMR violated for block %#x: %d holders with an owned copy present", uint64(b), len(copies))
 		}
 
 		if f.BlockBusy(b) || (inflight != nil && inflight(b)) {
@@ -585,7 +552,7 @@ func StepInvariants(f *Fabric, inflight func(mem.Block) bool) []string {
 		line := bank.llc.Probe(b)
 		if line == nil {
 			report("inclusion violated: quiet block %#x cached in core %d but absent from LLC bank %d",
-				uint64(b), cores[0], bank.id)
+				uint64(b), copies[0].core, bank.id)
 			continue
 		}
 		entry := bank.dir.Probe(b)
@@ -593,15 +560,15 @@ func StepInvariants(f *Fabric, inflight func(mem.Block) bool) []string {
 		switch {
 		case entry == nil && !hidden:
 			report("tracking lost: quiet block %#x cached in core %d, no directory entry, hidden bit clear",
-				uint64(b), cores[0])
-		case entry == nil && len(m) != 1:
-			report("hidden block %#x has %d copies, want exactly 1", uint64(b), len(m))
+				uint64(b), copies[0].core)
+		case entry == nil && len(copies) != 1:
+			report("hidden block %#x has %d copies, want exactly 1", uint64(b), len(copies))
 		case entry != nil && hidden:
 			report("block %#x is both tracked and hidden", uint64(b))
 		case entry != nil && !entry.Overflowed:
-			for _, c := range cores {
-				if !entry.Sharers.Has(c) {
-					report("directory entry for quiet block %#x omits holder core %d", uint64(b), c)
+			for _, h := range copies {
+				if !entry.Sharers.Has(h.core) {
+					report("directory entry for quiet block %#x omits holder core %d", uint64(b), h.core)
 				}
 			}
 		}

@@ -83,15 +83,19 @@ func newAssocStore(cfg AssocConfig) (*assocStore, error) {
 
 func (s *assocStore) capacity() int { return s.cfg.Sets * s.cfg.Ways }
 
+//stash:hotpath
 func (s *assocStore) setIndex(b mem.Block) int {
 	return int((b >> s.cfg.IndexShift) & s.mask)
 }
 
+//stash:hotpath
 func (s *assocStore) entry(set, way int) *Entry {
 	return &s.entries[set*s.cfg.Ways+way]
 }
 
 // find returns the valid entry for b, or nil.
+//
+//stash:hotpath
 func (s *assocStore) find(b mem.Block) *Entry {
 	set := s.setIndex(b)
 	for w := 0; w < s.cfg.Ways; w++ {
@@ -104,11 +108,15 @@ func (s *assocStore) find(b mem.Block) *Entry {
 }
 
 // touch marks e as most recently used.
+//
+//stash:hotpath
 func (s *assocStore) touch(e *Entry) {
 	s.policy.Touch(int(e.set), int(e.way))
 }
 
 // freeSlot returns an invalid entry in b's set, or nil.
+//
+//stash:hotpath
 func (s *assocStore) freeSlot(b mem.Block) *Entry {
 	set := s.setIndex(b)
 	for w := 0; w < s.cfg.Ways; w++ {
@@ -122,6 +130,8 @@ func (s *assocStore) freeSlot(b mem.Block) *Entry {
 
 // install claims slot e for block b and marks it MRU. The slot must belong
 // to b's set and be invalid.
+//
+//stash:hotpath
 func (s *assocStore) install(e *Entry, b mem.Block) {
 	if e.valid {
 		panic("core: installing into a valid directory slot")
@@ -137,6 +147,8 @@ func (s *assocStore) install(e *Entry, b mem.Block) {
 // predicates: busy (hard: blocks with in-flight transactions) and prefer
 // (soft: when preferOnly is true, only entries satisfying prefer are
 // candidates). It returns nil when no candidate survives.
+//
+//stash:hotpath
 func (s *assocStore) victim(b mem.Block, busy func(mem.Block) bool, preferOnly bool, prefer func(*Entry) bool) *Entry {
 	set := s.setIndex(b)
 	s.victimSet, s.victimBusy, s.victimPrefOnly, s.victimPrefer = set, busy, preferOnly, prefer
@@ -149,6 +161,8 @@ func (s *assocStore) victim(b mem.Block, busy func(mem.Block) bool, preferOnly b
 }
 
 // remove invalidates the entry for b, if tracked.
+//
+//stash:hotpath
 func (s *assocStore) remove(b mem.Block) bool {
 	if e := s.find(b); e != nil {
 		e.valid = false

@@ -14,12 +14,15 @@ type CuckooConfig struct {
 	// SlotsPerWay is the size of each sub-table; total capacity is
 	// Ways*SlotsPerWay.
 	SlotsPerWay int
-	// MaxPathLen bounds the relocation-path search before falling back to
-	// a recall eviction. 0 means the default (16).
-	MaxPathLen int
 	// Seed perturbs the hash functions.
 	Seed int64
 }
+
+// searchSlotsPerWay bounds the relocation search: it stops once it has
+// enqueued searchSlotsPerWay×Ways slots and falls back to a recall. The
+// bound is on slots enqueued, not on path length, and slots enqueued but
+// not yet examined when it is reached are never examined, free or not.
+const searchSlotsPerWay = 16
 
 // Validate checks the geometry.
 func (c CuckooConfig) Validate() error {
@@ -41,16 +44,18 @@ func (c CuckooConfig) Validate() error {
 // much of Stash's benefit comes from conflict avoidance versus from
 // relaxed inclusion.
 type Cuckoo struct {
-	cfg     CuckooConfig
-	slots   []Entry // ways * slotsPerWay, way-major
-	maxPath int
-	seeds   []uint64
-	st      DirStats
+	cfg   CuckooConfig
+	slots []Entry // ways * slotsPerWay, way-major
+	seeds []uint64
+	used  int // valid slots
+	st    DirStats
 
-	// Relocation-search scratch, reused across Allocate calls so conflict
-	// handling does not rebuild its frontier and visited set from nothing.
+	// Relocation-search scratch, reused across Allocate calls. A slot i is
+	// in the current search's visited set when seen[i] == gen, so starting
+	// a search only bumps gen.
 	frontier []cuckooNode
-	visited  map[*Entry]bool
+	seen     []uint32
+	gen      uint32
 }
 
 var _ Directory = (*Cuckoo)(nil)
@@ -60,15 +65,15 @@ func NewCuckoo(cfg CuckooConfig) (*Cuckoo, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	maxPath := cfg.MaxPathLen
-	if maxPath == 0 {
-		maxPath = 16
-	}
+	n := cfg.Ways * cfg.SlotsPerWay
 	d := &Cuckoo{
-		cfg:     cfg,
-		slots:   make([]Entry, cfg.Ways*cfg.SlotsPerWay),
-		maxPath: maxPath,
-		seeds:   make([]uint64, cfg.Ways),
+		cfg:   cfg,
+		slots: make([]Entry, n),
+		seeds: make([]uint64, cfg.Ways),
+		// Expanding the last node the bound admits enqueues at most
+		// Ways-1 more slots.
+		frontier: make([]cuckooNode, 0, (searchSlotsPerWay+1)*cfg.Ways),
+		seen:     make([]uint32, n),
 	}
 	for i := range d.slots {
 		d.slots[i].set = int32(i / cfg.SlotsPerWay) // sub-table index
@@ -89,11 +94,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// slotFor returns the slot block b maps to in sub-table way.
-func (d *Cuckoo) slotFor(way int, b mem.Block) *Entry {
+// slotFor returns the index in slots of the slot block b maps to in
+// sub-table way.
+//
+//stash:hotpath
+func (d *Cuckoo) slotFor(way int, b mem.Block) int {
 	h := splitmix64(uint64(b) ^ d.seeds[way])
-	idx := int(h % uint64(d.cfg.SlotsPerWay))
-	return &d.slots[way*d.cfg.SlotsPerWay+idx]
+	return way*d.cfg.SlotsPerWay + int(h%uint64(d.cfg.SlotsPerWay))
 }
 
 // Name implements Directory.
@@ -103,23 +110,24 @@ func (d *Cuckoo) Name() string { return "cuckoo" }
 func (d *Cuckoo) Capacity() int { return len(d.slots) }
 
 // Lookup implements Directory.
+//
+//stash:hotpath
 func (d *Cuckoo) Lookup(b mem.Block) *Entry {
 	d.st.Lookups.Inc()
-	for w := 0; w < d.cfg.Ways; w++ {
-		e := d.slotFor(w, b)
-		if e.valid && e.Block == b {
-			d.st.Hits.Inc()
-			return e
-		}
+	if e := d.Probe(b); e != nil {
+		d.st.Hits.Inc()
+		return e
 	}
 	d.st.Misses.Inc()
 	return nil
 }
 
 // Probe implements Directory.
+//
+//stash:hotpath
 func (d *Cuckoo) Probe(b mem.Block) *Entry {
 	for w := 0; w < d.cfg.Ways; w++ {
-		e := d.slotFor(w, b)
+		e := &d.slots[d.slotFor(w, b)]
 		if e.valid && e.Block == b {
 			return e
 		}
@@ -134,72 +142,37 @@ func (d *Cuckoo) Probe(b mem.Block) *Entry {
 //
 // Entry pointers are stable only until the next Allocate, because
 // relocation moves entry contents between slots.
+//
+//stash:hotpath
 func (d *Cuckoo) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	if d.Probe(b) != nil {
 		panic("core: cuckoo Allocate for already-tracked block")
 	}
 	// Free candidate slot.
 	for w := 0; w < d.cfg.Ways; w++ {
-		if e := d.slotFor(w, b); !e.valid {
+		if e := &d.slots[d.slotFor(w, b)]; !e.valid {
 			e.reset(b)
+			d.used++
 			d.st.Allocations.Inc()
 			return AllocResult{Outcome: AllocOK, Entry: e}
 		}
 	}
-
-	// Breadth-first search for a relocation path: nodes are slots, an edge
-	// goes from a slot to the alternative slots of its occupant. Busy
-	// occupants are immovable.
-	frontier := d.frontier[:0]
-	if d.visited == nil {
-		d.visited = make(map[*Entry]bool)
-	} else {
-		clear(d.visited)
-	}
-	visited := d.visited
-	for w := 0; w < d.cfg.Ways; w++ {
-		s := d.slotFor(w, b)
-		if !visited[s] {
-			visited[s] = true
-			frontier = append(frontier, cuckooNode{slot: s, parent: -1})
-		}
-	}
-	for i := 0; i < len(frontier) && len(frontier) < d.maxPath*d.cfg.Ways; i++ {
-		cur := frontier[i]
-		occ := cur.slot
-		if !occ.valid {
-			// Found a free slot: shift occupants along the path toward it.
-			d.shiftPath(frontier, i)
-			// The path root (one of b's candidate slots) is now free.
-			root := i
-			for frontier[root].parent != -1 {
-				root = frontier[root].parent
-			}
-			e := frontier[root].slot
-			d.frontier = frontier
+	// A relocation path ends at a free slot, so on a full slice no search
+	// can succeed. busy is a pure lookup, so skipping the calls the search
+	// would make changes nothing.
+	if d.used < len(d.slots) {
+		if e := d.relocate(b, busy); e != nil {
 			e.reset(b)
+			d.used++
 			d.st.Allocations.Inc()
 			return AllocResult{Outcome: AllocOK, Entry: e}
 		}
-		if busy != nil && busy(occ.Block) {
-			continue // immovable
-		}
-		for w := 0; w < d.cfg.Ways; w++ {
-			alt := d.slotFor(w, occ.Block)
-			if alt == occ || visited[alt] {
-				continue
-			}
-			visited[alt] = true
-			frontier = append(frontier, cuckooNode{slot: alt, parent: i})
-		}
 	}
-
-	d.frontier = frontier
 
 	// No path: recall one of b's candidate occupants (LRU is meaningless
 	// here; pick the first non-busy candidate deterministically).
 	for w := 0; w < d.cfg.Ways; w++ {
-		e := d.slotFor(w, b)
+		e := &d.slots[d.slotFor(w, b)]
 		if busy == nil || !busy(e.Block) {
 			d.st.RecallEvictions.Inc()
 			return AllocResult{Outcome: AllocNeedsRecall, Victim: e}
@@ -209,19 +182,66 @@ func (d *Cuckoo) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	return AllocResult{Outcome: AllocBlocked}
 }
 
-// cuckooNode is one step of a relocation-path search: a slot plus the index
-// of the node it was reached from.
+// cuckooNode is one step of a relocation-path search: a slot index plus the
+// index in the frontier of the node it was reached from (-1 for a root).
 type cuckooNode struct {
-	slot   *Entry
-	parent int
+	slot, parent int32
+}
+
+// relocate searches breadth-first for a relocation path from one of b's
+// candidate slots to a free slot: nodes are slots, and an edge goes from a
+// slot to the alternative slots of its occupant. Busy occupants are
+// immovable. On success it shifts the occupants along the path and returns
+// the path's root, the candidate slot it freed; otherwise it returns nil.
+//
+//stash:hotpath
+func (d *Cuckoo) relocate(b mem.Block, busy func(mem.Block) bool) *Entry {
+	d.gen++
+	if d.gen == 0 {
+		// Wrapped: stamps left by earlier searches would read as visited.
+		clear(d.seen)
+		d.gen = 1
+	}
+	// b's candidate slots lie in distinct sub-tables, so all are roots.
+	d.frontier = d.frontier[:0]
+	for w := 0; w < d.cfg.Ways; w++ {
+		s := d.slotFor(w, b)
+		d.seen[s] = d.gen
+		d.frontier = append(d.frontier, cuckooNode{slot: int32(s), parent: -1})
+	}
+	for i := 0; i < len(d.frontier) && len(d.frontier) < searchSlotsPerWay*d.cfg.Ways; i++ {
+		occ := &d.slots[d.frontier[i].slot]
+		if !occ.valid {
+			return d.shiftPath(i)
+		}
+		if busy != nil && busy(occ.Block) {
+			continue // immovable
+		}
+		// The occupant's own slot is among its alternatives, and is
+		// already marked.
+		for w := 0; w < d.cfg.Ways; w++ {
+			alt := d.slotFor(w, occ.Block)
+			if d.seen[alt] == d.gen {
+				continue
+			}
+			d.seen[alt] = d.gen
+			d.frontier = append(d.frontier, cuckooNode{slot: int32(alt), parent: int32(i)})
+		}
+	}
+	return nil
 }
 
 // shiftPath moves each occupant one step toward the free terminal slot at
-// frontier[end], following parent links from the terminal back to a root.
-func (d *Cuckoo) shiftPath(frontier []cuckooNode, end int) {
-	for cur := end; frontier[cur].parent != -1; cur = frontier[cur].parent {
-		dst := frontier[cur].slot
-		src := frontier[frontier[cur].parent].slot
+// frontier[end], following parent links from the terminal back to a root,
+// and returns that root, now free.
+//
+//stash:hotpath
+func (d *Cuckoo) shiftPath(end int) *Entry {
+	cur := end
+	for d.frontier[cur].parent != -1 {
+		prev := int(d.frontier[cur].parent)
+		dst := &d.slots[d.frontier[cur].slot]
+		src := &d.slots[d.frontier[prev].slot]
 		// Move src's occupant into dst.
 		dst.Block = src.Block
 		dst.Sharers = src.Sharers
@@ -233,34 +253,27 @@ func (d *Cuckoo) shiftPath(frontier []cuckooNode, end int) {
 		src.Owned = false
 		src.Overflowed = false
 		d.st.Relocations.Inc()
+		cur = prev
 	}
+	return &d.slots[d.frontier[cur].slot]
 }
 
 // Remove implements Directory.
+//
+//stash:hotpath
 func (d *Cuckoo) Remove(b mem.Block) {
-	for w := 0; w < d.cfg.Ways; w++ {
-		e := d.slotFor(w, b)
-		if e.valid && e.Block == b {
-			e.valid = false
-			e.Sharers.Clear()
-			e.Owned = false
-			e.Overflowed = false
-			d.st.Removals.Inc()
-			return
-		}
+	if e := d.Probe(b); e != nil {
+		e.valid = false
+		e.Sharers.Clear()
+		e.Owned = false
+		e.Overflowed = false
+		d.used--
+		d.st.Removals.Inc()
 	}
 }
 
 // OccupiedEntries implements Directory.
-func (d *Cuckoo) OccupiedEntries() int {
-	n := 0
-	for i := range d.slots {
-		if d.slots[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (d *Cuckoo) OccupiedEntries() int { return d.used }
 
 // ForEach implements Directory.
 func (d *Cuckoo) ForEach(fn func(*Entry)) {

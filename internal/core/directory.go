@@ -259,7 +259,8 @@ type Directory interface {
 	Probe(b mem.Block) *Entry
 	// Allocate installs (or prepares to install) an entry for b, which
 	// must not already be tracked. busy, if non-nil, excludes victim
-	// candidates with in-flight transactions.
+	// candidates with in-flight transactions. It must be a pure lookup:
+	// an organization may call it any number of times, or not at all.
 	Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult
 	// Remove frees the entry tracking b, if any.
 	Remove(b mem.Block)

@@ -122,8 +122,9 @@ func TestEntryOwnerAndPrivate(t *testing.T) {
 	}
 }
 
-// directoryUnderTest builds each organization with roughly equal capacity.
-func directoriesUnderTest(t *testing.T) map[string]Directory {
+// directoriesUnderTest builds each organization with 64 entries, the
+// per-bank slice of a 16-core machine at 1/8 coverage.
+func directoriesUnderTest(t testing.TB) map[string]Directory {
 	t.Helper()
 	sparse, err := NewSparse(AssocConfig{Sets: 16, Ways: 4})
 	if err != nil {
@@ -373,7 +374,7 @@ func TestCuckooRelocatesInsteadOfRecalling(t *testing.T) {
 }
 
 func TestCuckooRecallWhenSaturated(t *testing.T) {
-	d, _ := NewCuckoo(CuckooConfig{Ways: 2, SlotsPerWay: 2, Seed: 1, MaxPathLen: 4})
+	d, _ := NewCuckoo(CuckooConfig{Ways: 2, SlotsPerWay: 2, Seed: 1})
 	outcomes := map[AllocOutcome]int{}
 	for i := 0; i < 32; i++ {
 		res := d.Allocate(mem.Block(i), nil)
@@ -395,6 +396,125 @@ func TestCuckooRecallWhenSaturated(t *testing.T) {
 	if outcomes[AllocNeedsRecall] == 0 {
 		t.Fatal("saturated 4-entry cuckoo never demanded a recall")
 	}
+}
+
+// TestCuckooMatchesLegacy replays identical random Allocate/Remove
+// sequences, under busy predicates that change from step to step, through
+// Cuckoo and the original map-based search in legacyCuckoo. Every result
+// must name the same outcome and slots, and after every step both tables
+// must hold the same slots and statistics. The tables are the per-bank
+// shape of a 16-core slice at 1/8 coverage (saturated), a 2x2 table
+// (saturated), a 4x64 table held near 3/4 full, where relocation searches
+// run and usually succeed, and a 4x64 table held a few slots short of
+// full, where searches reach searchSlotsPerWay's bound.
+func TestCuckooMatchesLegacy(t *testing.T) {
+	tables := []struct {
+		name   string
+		cfg    CuckooConfig
+		blocks uint32 // block addresses drawn from [0, blocks)
+		fill   int    // allocations before the random steps
+		keep   uint32 // a step on a tracked block removes it unless step%keep == 1
+	}{
+		{"4x16", CuckooConfig{Ways: 4, SlotsPerWay: 16, Seed: 100}, 256, 64, 4},
+		{"2x2", CuckooConfig{Ways: 2, SlotsPerWay: 2, Seed: 1}, 16, 4, 3},
+		{"4x64-3/4", CuckooConfig{Ways: 4, SlotsPerWay: 64, Seed: 3}, 384, 192, 1 << 31},
+		{"4x64-full", CuckooConfig{Ways: 4, SlotsPerWay: 64, Seed: 3}, 1024, 512, 2},
+	}
+	for _, tc := range tables {
+		f := func(ops []uint32) bool {
+			got, err := NewCuckoo(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newLegacyCuckoo(tc.cfg)
+			check := func(step string, a, b AllocResult) bool {
+				if a.Outcome != b.Outcome || !sameSlot(a.Entry, b.Entry) || !sameSlot(a.Victim, b.Victim) {
+					t.Logf("%s: %s: got %v entry %v victim %v, legacy %v entry %v victim %v",
+						tc.name, step, a.Outcome, a.Entry, a.Victim, b.Outcome, b.Entry, b.Victim)
+					return false
+				}
+				return true
+			}
+			// allocate installs b in both tables, recalling the victim
+			// when recall is set, and gives new entries a sharer.
+			allocate := func(b mem.Block, busy func(mem.Block) bool, recall bool) bool {
+				a, r := got.Allocate(b, busy), ref.Allocate(b, busy)
+				if !check("allocate", a, r) {
+					return false
+				}
+				if a.Outcome == AllocNeedsRecall && recall {
+					victim := a.Victim.Block
+					got.Remove(victim)
+					ref.Remove(victim)
+					a, r = got.Allocate(b, busy), ref.Allocate(b, busy)
+					if !check("allocate after recall", a, r) {
+						return false
+					}
+				}
+				if a.Outcome == AllocOK {
+					for _, e := range []*Entry{a.Entry, r.Entry} {
+						e.Sharers.Add(int(b) % 16)
+						e.Owned = b%3 == 0
+					}
+				}
+				return true
+			}
+			same := func() bool {
+				used := 0
+				for i := range ref.slots {
+					if got.slots[i] != ref.slots[i] {
+						t.Logf("%s: slot %d: got %v, legacy %v", tc.name, i, &got.slots[i], &ref.slots[i])
+						return false
+					}
+					if ref.slots[i].valid {
+						used++
+					}
+				}
+				if got.st != ref.st || got.OccupiedEntries() != used {
+					t.Logf("%s: stats %+v occupancy %d, legacy %+v occupancy %d", tc.name, got.st, got.OccupiedEntries(), ref.st, used)
+					return false
+				}
+				return true
+			}
+			for i := 0; i < tc.fill; i++ {
+				if b := mem.Block(uint32(i) * 7919 % tc.blocks); ref.Probe(b) == nil && !allocate(b, nil, true) {
+					return false
+				}
+			}
+			for _, op := range ops {
+				b := mem.Block(op % tc.blocks)
+				step := op / tc.blocks
+				var busy func(mem.Block) bool
+				if step%8 != 0 {
+					busy = func(x mem.Block) bool { return splitmix64(uint64(x)^uint64(step))%4 == 0 }
+				}
+				if ref.Probe(b) != nil {
+					if step%tc.keep != 1 {
+						got.Remove(b)
+						ref.Remove(b)
+					}
+				} else if !allocate(b, busy, step%2 == 0) {
+					return false
+				}
+				if !same() {
+					return false
+				}
+			}
+			return same()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+	}
+}
+
+// sameSlot reports whether a and b are both nil or sit at the same slot
+// coordinates.
+func sameSlot(a, b *Entry) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.set == b.set && a.way == b.way
 }
 
 func TestCuckooValidation(t *testing.T) {
@@ -430,12 +550,18 @@ func TestDoubleAllocatePanics(t *testing.T) {
 }
 
 // TestOccupancyNeverExceedsCapacity exercises random allocate/remove churn
-// against every bounded organization.
+// against every bounded organization. After every operation the reported
+// occupancy must equal the valid entries ForEach visits.
 func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 	sparse, _ := NewSparse(AssocConfig{Sets: 8, Ways: 2, Policy: cache.LRU})
 	stash, _ := NewStash(StashConfig{AssocConfig: AssocConfig{Sets: 8, Ways: 2}})
 	cuckoo, _ := NewCuckoo(CuckooConfig{Ways: 2, SlotsPerWay: 8, Seed: 5})
 	for name, d := range map[string]Directory{"sparse": sparse, "stash": stash, "cuckoo": cuckoo} {
+		counted := func() bool {
+			n := 0
+			d.ForEach(func(*Entry) { n++ })
+			return d.OccupiedEntries() == n && n <= d.Capacity()
+		}
 		f := func(ops []uint16) bool {
 			for _, op := range ops {
 				b := mem.Block(op % 256)
@@ -443,9 +569,15 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 					if op%5 == 0 {
 						d.Remove(b)
 					}
+					if !counted() {
+						return false
+					}
 					continue
 				}
 				res := d.Allocate(b, nil)
+				if !counted() {
+					return false
+				}
 				switch res.Outcome {
 				case AllocOK, AllocStashed:
 					res.Entry.Sharers.Add(int(op) % 4)
@@ -454,9 +586,9 @@ func TestOccupancyNeverExceedsCapacity(t *testing.T) {
 					}
 				case AllocNeedsRecall:
 					d.Remove(res.Victim.Block)
-				}
-				if d.OccupiedEntries() > d.Capacity() {
-					return false
+					if !counted() {
+						return false
+					}
 				}
 			}
 			return true

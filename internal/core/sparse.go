@@ -31,6 +31,8 @@ func (d *Sparse) Name() string { return "sparse" }
 func (d *Sparse) Capacity() int { return d.store.capacity() }
 
 // Lookup implements Directory.
+//
+//stash:hotpath
 func (d *Sparse) Lookup(b mem.Block) *Entry {
 	d.st.Lookups.Inc()
 	if e := d.store.find(b); e != nil {
@@ -43,10 +45,14 @@ func (d *Sparse) Lookup(b mem.Block) *Entry {
 }
 
 // Probe implements Directory.
+//
+//stash:hotpath
 func (d *Sparse) Probe(b mem.Block) *Entry { return d.store.find(b) }
 
 // Allocate implements Directory. On a full set it demands a recall of the
 // replacement victim; inclusion forbids anything cheaper.
+//
+//stash:hotpath
 func (d *Sparse) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	if d.store.find(b) != nil {
 		panic("core: sparse Allocate for already-tracked block")
@@ -66,6 +72,8 @@ func (d *Sparse) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 }
 
 // Remove implements Directory.
+//
+//stash:hotpath
 func (d *Sparse) Remove(b mem.Block) {
 	if d.store.remove(b) {
 		d.st.Removals.Inc()

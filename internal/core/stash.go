@@ -55,6 +55,8 @@ func (d *Stash) Name() string { return "stash" }
 func (d *Stash) Capacity() int { return d.store.capacity() }
 
 // Lookup implements Directory.
+//
+//stash:hotpath
 func (d *Stash) Lookup(b mem.Block) *Entry {
 	d.st.Lookups.Inc()
 	if e := d.store.find(b); e != nil {
@@ -67,12 +69,16 @@ func (d *Stash) Lookup(b mem.Block) *Entry {
 }
 
 // Probe implements Directory.
+//
+//stash:hotpath
 func (d *Stash) Probe(b mem.Block) *Entry { return d.store.find(b) }
 
 // Stashable reports whether entry e may be dropped without invalidation
 // under this configuration: it must track a private block (exactly one
 // sharer), and unless StashSingletonShared is set, that sharer must own the
 // block (E/M).
+//
+//stash:hotpath
 func (d *Stash) Stashable(e *Entry) bool {
 	if !e.Private() {
 		return false
@@ -83,6 +89,8 @@ func (d *Stash) Stashable(e *Entry) bool {
 // Allocate implements Directory. Victim preference: free slot, then the
 // least-recently-used stashable entry (dropped silently), then the
 // least-recently-used entry overall (recall).
+//
+//stash:hotpath
 func (d *Stash) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	if d.store.find(b) != nil {
 		panic("core: stash Allocate for already-tracked block")
@@ -115,6 +123,8 @@ func (d *Stash) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 }
 
 // Remove implements Directory.
+//
+//stash:hotpath
 func (d *Stash) Remove(b mem.Block) {
 	if d.store.remove(b) {
 		d.st.Removals.Inc()
