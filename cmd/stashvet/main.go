@@ -20,24 +20,22 @@
 //
 // Usage:
 //
-//	stashvet [-run=analyzer[,analyzer]] [-json|-sarif] [-budget FILE] [packages]
+//	stashvet [-run=analyzer[,analyzer]] [-budget FILE] [packages]
 //
-// With no arguments it checks ./... from the enclosing module root. -run
-// restricts the pass to a subset of analyzers by name; an unknown name is a
-// usage error (exit 2). -json emits one diagnostic per line as NDJSON
-// ({file, line, col, analyzer, message, suppressed}), including suppressed
-// findings flagged as such; -sarif emits a SARIF 2.1.0 log instead (for
-// code-review integrations); at most one output format may be selected. The
-// exit code is unchanged by the format. -budget additionally enforces the
-// directive budgets committed in FILE (//stash:ignore escapes for the
-// concurrency analyzers, //stash:parallel sanctions, and //stash:fold +
-// //stash:shared sanctions, counted over internal/ and cmd/).
+// With no arguments it checks ./... from the enclosing module root and
+// prints one diagnostic per line. -run restricts the pass to a subset of
+// analyzers by name; an unknown name is a usage error (exit 2). -budget
+// additionally enforces the directive budgets committed in FILE
+// (//stash:ignore escapes for the concurrency analyzers, //stash:parallel
+// sanctions, and //stash:fold + //stash:shared sanctions, counted over
+// internal/ and cmd/).
 //
-// Exit status is 1 if any unsuppressed diagnostic was reported, 2 on a load
-// or usage failure, and 3 when a directive budget is exceeded — distinct so
-// CI can tell "fix the code" from "review the budget raise". Diagnostics
-// are suppressed by an adjacent "//stash:ignore <analyzer> <reason>"
-// comment; see DESIGN.md's "Static analysis" section.
+// Exit status is 1 if any diagnostic was reported, 2 on a load or usage
+// failure, and 3 when a directive budget is exceeded — distinct so CI can
+// tell "fix the code" from "review the budget raise". A diagnostic is
+// suppressed, and neither printed nor counted, by an adjacent
+// "//stash:ignore <analyzer> <reason>" comment; see DESIGN.md's "Static
+// analysis" section.
 package main
 
 import (
@@ -67,8 +65,6 @@ var analyzers = []*analysis.Analyzer{
 
 var (
 	runFlag    = flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	jsonFlag   = flag.Bool("json", false, "emit NDJSON diagnostics (one per line, suppressed findings included)")
-	sarifFlag  = flag.Bool("sarif", false, "emit a SARIF 2.1.0 log (suppressed findings included with an inSource suppression)")
 	budgetFlag = flag.String("budget", "", "enforce the directive budgets committed in this file (exceeded = exit 3)")
 )
 
@@ -80,22 +76,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if *jsonFlag && *sarifFlag {
-		fmt.Fprintln(os.Stderr, "stashvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
-	}
-	cfg := analysis.MainConfig{BudgetFile: *budgetFlag}
-	switch {
-	case *jsonFlag:
-		cfg.Format = "json"
-	case *sarifFlag:
-		cfg.Format = "sarif"
-	}
-	os.Exit(analysis.MainWith(os.Stdout, selected, cfg, flag.Args()))
+	os.Exit(analysis.MainWith(os.Stdout, selected, analysis.MainConfig{BudgetFile: *budgetFlag}, flag.Args()))
 }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, "usage: stashvet [-run=analyzer[,analyzer]] [-json|-sarif] [-budget FILE] [packages]\n\nanalyzers:\n")
+	fmt.Fprintf(os.Stderr, "usage: stashvet [-run=analyzer[,analyzer]] [-budget FILE] [packages]\n\nanalyzers:\n")
 	for _, a := range analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 	}

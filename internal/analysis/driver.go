@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -13,14 +12,11 @@ import (
 )
 
 // Finding is one resolved diagnostic: position plus the analyzer that
-// produced it. Suppressed marks findings covered by a //stash:ignore
-// directive; they are withheld from the default output and the exit code
-// but surface in -json mode so CI can audit what the escapes are hiding.
+// produced it.
 type Finding struct {
-	Position   token.Position
-	Analyzer   string
-	Message    string
-	Suppressed bool
+	Position token.Position
+	Analyzer string
+	Message  string
 }
 
 func (f Finding) String() string {
@@ -41,24 +37,10 @@ func RunPatterns(dir string, patterns []string, analyzers []*Analyzer) ([]Findin
 }
 
 // RunLoaded runs the analyzers over an already-loaded result, returning the
-// surviving (unsuppressed) findings. The analysistest harness uses it to
-// share the suppression and reporting logic with the command-line driver.
-func RunLoaded(res *load.Result, analyzers []*Analyzer) ([]Finding, error) {
-	all, err := RunLoadedDetail(res, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	out := all[:0]
-	for _, f := range all {
-		if !f.Suppressed {
-			out = append(out, f)
-		}
-	}
-	return out, nil
-}
-
-// RunLoadedDetail is RunLoaded including the suppressed findings, each
-// flagged Suppressed — the feed for stashvet -json.
+// surviving findings sorted by position: a finding covered by a
+// //stash:ignore directive is dropped where it is reported. The
+// analysistest harness uses it to share the suppression and reporting logic
+// with the command-line driver.
 //
 // Scheduling: packages are visited in the loader's dependency order
 // (dependencies before dependents). An analyzer without FactTypes runs only
@@ -66,7 +48,7 @@ func RunLoaded(res *load.Result, analyzers []*Analyzer) ([]Finding, error) {
 // runs on every dependency-only module package it applies to, with its
 // diagnostics discarded, so its facts are complete by the time the targets
 // are analyzed.
-func RunLoadedDetail(res *load.Result, analyzers []*Analyzer) ([]Finding, error) {
+func RunLoaded(res *load.Result, analyzers []*Analyzer) ([]Finding, error) {
 	universe := make([]*PackageInfo, 0, len(res.Packages))
 	for _, p := range res.Packages {
 		universe = append(universe, &PackageInfo{Pkg: p.Types, Files: p.Files, Info: p.Info})
@@ -109,12 +91,13 @@ func RunLoadedDetail(res *load.Result, analyzers []*Analyzer) ([]Finding, error)
 						return
 					}
 					pos := res.Fset.Position(d.Pos)
-					findings = append(findings, Finding{
-						Position:   pos,
-						Analyzer:   a.Name,
-						Message:    d.Message,
-						Suppressed: sup.suppresses(a.Name, pos),
-					})
+					// Every finding is offered to the ignores: the call
+					// marks the one that covers it used, and an unused
+					// ignore is itself a finding.
+					if sup.suppresses(a.Name, pos) {
+						return
+					}
+					findings = append(findings, Finding{Position: pos, Analyzer: a.Name, Message: d.Message})
 				},
 			}
 			if err := a.Run(pass); err != nil {
@@ -172,14 +155,9 @@ func Filter(analyzers []*Analyzer, sel string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// MainConfig configures the command-line driver front end shared by Main,
-// MainJSON and MainWith.
+// MainConfig configures the command-line driver front end shared by Main
+// and MainWith.
 type MainConfig struct {
-	// Format selects the output rendering: "" or "text" (one finding per
-	// line, suppressed findings withheld), "json" (NDJSON, suppressed
-	// findings included and flagged), or "sarif" (a SARIF 2.1.0 log,
-	// suppressed findings included with an inSource suppression).
-	Format string
 	// BudgetFile, when nonempty, additionally enforces the repo's
 	// directive budgets (see budget.go) against the counts committed in
 	// that file. Exceeding any budget exits 3, distinct from analyzer
@@ -187,35 +165,18 @@ type MainConfig struct {
 	BudgetFile string
 }
 
-// Main is the plain-text cmd/stashvet entry point: run the analyzers over
-// the patterns (default ./...) and print findings. It returns the process
-// exit code.
+// Main is MainWith without a budget file: run the analyzers over the
+// patterns (default ./...) and print findings. It returns the process exit
+// code.
 func Main(out io.Writer, analyzers []*Analyzer, args []string) int {
 	return MainWith(out, analyzers, MainConfig{}, args)
 }
 
-// MainJSON is Main with NDJSON output: one diagnostic per line, suppressed
-// findings included and flagged, so CI can annotate PRs. The exit code is
-// unchanged from Main — only unsuppressed findings fail the run.
-func MainJSON(out io.Writer, analyzers []*Analyzer, args []string) int {
-	return MainWith(out, analyzers, MainConfig{Format: "json"}, args)
-}
-
-// jsonFinding is the stable -json line schema.
-type jsonFinding struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-// MainWith is the configurable driver entry point. Exit codes: 0 clean, 1
-// unsuppressed findings, 2 load/usage errors, 3 a directive budget was
-// exceeded (budget enforcement runs even when findings were reported, and
-// its exit code wins: a budget breach is a reviewed-change gate, not a
-// code diagnostic).
+// MainWith is the configurable driver entry point. It prints one finding
+// per line. Exit codes: 0 clean, 1 findings, 2 load/usage errors, 3 a
+// directive budget was exceeded (budget enforcement runs even when
+// findings were reported, and its exit code wins: a budget breach is a
+// reviewed-change gate, not a code diagnostic).
 func MainWith(out io.Writer, analyzers []*Analyzer, cfg MainConfig, args []string) int {
 	patterns := args
 	root, err := load.ModuleDir(".")
@@ -228,44 +189,17 @@ func MainWith(out io.Writer, analyzers []*Analyzer, cfg MainConfig, args []strin
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	findings, err := RunLoadedDetail(res, analyzers)
+	findings, err := RunLoaded(res, analyzers)
 	if err != nil {
 		fmt.Fprintln(out, err)
 		return 2
 	}
-	exit := 0
 	for _, f := range findings {
-		if !f.Suppressed {
-			exit = 1
-		}
+		fmt.Fprintln(out, f)
 	}
-	switch cfg.Format {
-	case "", "text":
-		for _, f := range findings {
-			if !f.Suppressed {
-				fmt.Fprintln(out, f)
-			}
-		}
-	case "json":
-		enc := json.NewEncoder(out)
-		for _, f := range findings {
-			enc.Encode(jsonFinding{
-				File:       f.Position.Filename,
-				Line:       f.Position.Line,
-				Col:        f.Position.Column,
-				Analyzer:   f.Analyzer,
-				Message:    f.Message,
-				Suppressed: f.Suppressed,
-			})
-		}
-	case "sarif":
-		if err := writeSARIF(out, analyzers, findings); err != nil {
-			fmt.Fprintln(out, err)
-			return 2
-		}
-	default:
-		fmt.Fprintf(out, "unknown output format %q (want text, json or sarif)\n", cfg.Format)
-		return 2
+	exit := 0
+	if len(findings) > 0 {
+		exit = 1
 	}
 	if cfg.BudgetFile != "" {
 		over, err := enforceBudgets(out, root, cfg.BudgetFile)

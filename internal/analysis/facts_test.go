@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -124,77 +123,5 @@ func TestFactsDependencyOnlyPasses(t *testing.T) {
 	}
 	if len(findings) != 1 || !strings.Contains(findings[0].Message, "token in a") {
 		t.Errorf("findings = %v; want exactly a's own token diagnostic", findings)
-	}
-}
-
-// TestMainJSON pins the -json contract: NDJSON, one object per finding,
-// suppressed findings included and flagged, exit code driven only by the
-// unsuppressed ones.
-func TestMainJSON(t *testing.T) {
-	dir := t.TempDir()
-	writeFile(t, filepath.Join(dir, "go.mod"), "module fix\n\ngo 1.22\n")
-	writeFile(t, filepath.Join(dir, "a.go"), `package fix
-
-var A = 1
-
-var B = 2 //stash:ignore noisy fixture: keeps the suppressed path in view
-`)
-	t.Chdir(dir)
-
-	noisy := &analysis.Analyzer{
-		Name: "noisy",
-		Doc:  "flags every var",
-		Run: func(p *analysis.Pass) error {
-			for _, f := range p.Files {
-				for _, d := range f.Decls {
-					p.Reportf(d.Pos(), "flagged")
-				}
-			}
-			return nil
-		},
-	}
-
-	var out strings.Builder
-	if code := analysis.MainJSON(&out, []*analysis.Analyzer{noisy}, []string{"./..."}); code != 1 {
-		t.Fatalf("exit %d, want 1 (line 3 is unsuppressed)", code)
-	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d JSON lines, want 2:\n%s", len(lines), out.String())
-	}
-	type diag struct {
-		File       string `json:"file"`
-		Line       int    `json:"line"`
-		Col        int    `json:"col"`
-		Analyzer   string `json:"analyzer"`
-		Message    string `json:"message"`
-		Suppressed bool   `json:"suppressed"`
-	}
-	var ds []diag
-	for _, l := range lines {
-		var d diag
-		if err := json.Unmarshal([]byte(l), &d); err != nil {
-			t.Fatalf("bad JSON line %q: %v", l, err)
-		}
-		ds = append(ds, d)
-	}
-	if ds[0].Line != 3 || ds[0].Suppressed || ds[0].Analyzer != "noisy" || ds[0].Message != "flagged" {
-		t.Errorf("first line = %+v; want unsuppressed noisy finding at line 3", ds[0])
-	}
-	if ds[1].Line != 5 || !ds[1].Suppressed {
-		t.Errorf("second line = %+v; want suppressed finding at line 5", ds[1])
-	}
-
-	// All findings suppressed: lines still emitted, exit goes green.
-	writeFile(t, filepath.Join(dir, "a.go"), `package fix
-
-var A = 1 //stash:ignore noisy fixture: fully suppressed tree
-`)
-	out.Reset()
-	if code := analysis.MainJSON(&out, []*analysis.Analyzer{noisy}, []string{"./..."}); code != 0 {
-		t.Errorf("fully suppressed run: exit %d, want 0 (output: %s)", code, out.String())
-	}
-	if !strings.Contains(out.String(), `"suppressed":true`) {
-		t.Errorf("suppressed finding missing from JSON output: %s", out.String())
 	}
 }

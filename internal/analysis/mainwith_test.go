@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,23 +9,23 @@ import (
 	"repro/internal/analysis"
 )
 
-// sarifFixture builds a temp module with one finding-bearing line and one
-// suppressed one, chdirs into it, and returns the analyzer pair.
-func sarifFixture(t *testing.T) []*analysis.Analyzer {
-	t.Helper()
+// TestMainSuppressedFindings pins how //stash:ignore shapes the text
+// output: a suppressed finding is neither printed nor counted in the exit
+// code. One suppressed and one open finding exit 1 and print only the open
+// one; a fully suppressed tree exits 0 and prints nothing.
+func TestMainSuppressedFindings(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module fix\n\ngo 1.22\n")
 	writeFile(t, filepath.Join(dir, "a.go"), `package fix
 
 var A = 1
 
-//stash:ignore noisy reviewed escape
-var B = 2
+var B = 2 //stash:ignore noisy fixture: keeps the suppressed path in view
 `)
 	t.Chdir(dir)
-	noisy := &analysis.Analyzer{
+	noisy := []*analysis.Analyzer{{
 		Name: "noisy",
-		Doc:  "flags every var\n\nLonger explanation that must not leak into the rule summary.",
+		Doc:  "flags every var",
 		Run: func(p *analysis.Pass) error {
 			for _, f := range p.Files {
 				for _, d := range f.Decls {
@@ -35,119 +34,24 @@ var B = 2
 			}
 			return nil
 		},
-	}
-	return []*analysis.Analyzer{noisy}
-}
-
-// TestMainSARIF pins the -sarif contract: a parseable SARIF 2.1.0 log with
-// the analyzer as a rule, one result per finding, suppressed findings
-// carried with an inSource suppression, and the exit code identical to the
-// text mode's.
-func TestMainSARIF(t *testing.T) {
-	analyzers := sarifFixture(t)
+	}}
 
 	var out strings.Builder
-	code := analysis.MainWith(&out, analyzers, analysis.MainConfig{Format: "sarif"}, []string{"./..."})
-	if code != 1 {
-		t.Fatalf("exit %d, want 1 (unsuppressed finding present); output: %s", code, out.String())
+	if code := analysis.Main(&out, noisy, []string{"./..."}); code != 1 {
+		t.Fatalf("exit %d, want 1 (line 3 is unsuppressed); output: %s", code, out.String())
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "a.go:3:1: [noisy] flagged") {
+		t.Errorf("output %q, want only the unsuppressed finding at a.go:3", out.String())
 	}
 
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID               string `json:"id"`
-						ShortDescription struct {
-							Text string `json:"text"`
-						} `json:"shortDescription"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID  string `json:"ruleId"`
-				Level   string `json:"level"`
-				Message struct {
-					Text string `json:"text"`
-				} `json:"message"`
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-				Suppressions []struct {
-					Kind string `json:"kind"`
-				} `json:"suppressions"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(out.String()), &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("version %q schema %q, want SARIF 2.1.0", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("%d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "stashvet" {
-		t.Errorf("driver name %q, want stashvet", run.Tool.Driver.Name)
-	}
-	ruleDoc := ""
-	for _, r := range run.Tool.Driver.Rules {
-		if r.ID == "noisy" {
-			ruleDoc = r.ShortDescription.Text
-		}
-	}
-	if ruleDoc != "flags every var" {
-		t.Errorf("rule noisy short description %q, want first doc line only", ruleDoc)
-	}
-	if len(run.Results) != 2 {
-		t.Fatalf("%d results, want 2 (one open, one suppressed):\n%s", len(run.Results), out.String())
-	}
-	suppressed := 0
-	for _, r := range run.Results {
-		if r.RuleID != "noisy" || r.Level != "warning" || r.Message.Text != "flagged" {
-			t.Errorf("result %+v: want ruleId noisy, level warning, message flagged", r)
-		}
-		if len(r.Locations) != 1 {
-			t.Fatalf("result has %d locations, want 1", len(r.Locations))
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if !strings.HasSuffix(loc.ArtifactLocation.URI, "a.go") || strings.Contains(loc.ArtifactLocation.URI, "\\") {
-			t.Errorf("artifact URI %q: want a slash-separated path to a.go", loc.ArtifactLocation.URI)
-		}
-		if loc.Region.StartLine <= 0 {
-			t.Errorf("result startLine %d, want positive", loc.Region.StartLine)
-		}
-		for _, s := range r.Suppressions {
-			if s.Kind != "inSource" {
-				t.Errorf("suppression kind %q, want inSource", s.Kind)
-			}
-			suppressed++
-		}
-	}
-	if suppressed != 1 {
-		t.Errorf("%d suppressed results, want exactly 1", suppressed)
-	}
-}
+	writeFile(t, filepath.Join(dir, "a.go"), `package fix
 
-// TestMainUnknownFormat: a format typo is a usage error (2), not a silent
-// fallback to text.
-func TestMainUnknownFormat(t *testing.T) {
-	analyzers := sarifFixture(t)
-	var out strings.Builder
-	if code := analysis.MainWith(&out, analyzers, analysis.MainConfig{Format: "xml"}, []string{"./..."}); code != 2 {
-		t.Errorf("unknown format: exit %d, want 2 (output: %s)", code, out.String())
+var A = 1 //stash:ignore noisy fixture: fully suppressed tree
+`)
+	out.Reset()
+	if code := analysis.Main(&out, noisy, []string{"./..."}); code != 0 || out.Len() != 0 {
+		t.Errorf("fully suppressed tree: exit %d with output %q, want 0 and nothing", code, out.String())
 	}
 }
 

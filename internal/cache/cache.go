@@ -1,9 +1,10 @@
 // Package cache implements the generic set-associative storage structure
-// used for every lookup structure in the simulated machine: private L1
-// caches, shared LLC banks, and the directory organizations in
-// internal/core. It provides tag lookup, victim selection through pluggable
-// replacement policies (LRU, tree-PLRU, NRU, random), and per-structure hit
-// and miss accounting.
+// behind the private L1 caches and the shared LLC banks. It provides tag
+// lookup, victim selection through pluggable replacement policies (LRU,
+// tree-PLRU, NRU, random), and per-structure hit and miss accounting. The
+// directory organizations in internal/core keep their own entry arrays and
+// share only the replacement policies (cache.Policy), through core's
+// assocStore.
 package cache
 
 import (

@@ -619,3 +619,24 @@ func TestReadersRaceSingleWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDeliverUnknownTypePanics: MsgType.ToBank routes every type it does
+// not name to the L1, so a type outside the protocol must still panic on
+// both delivery paths, the NoC endpoint and the model checker's direct one.
+func TestDeliverUnknownTypePanics(t *testing.T) {
+	f := testFabric(t, 4, fullMapFactory())
+	bogus := MsgUnblock + 1
+	for name, deliver := range map[string]func(*Msg){
+		"tile.Deliver":  func(m *Msg) { (&tile{l1: f.L1s[0], bank: f.Banks[0]}).Deliver(&noc.Message{Payload: m}) },
+		"DeliverDirect": func(m *Msg) { f.DeliverDirect(0, m) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted message type %v", name, bogus)
+				}
+			}()
+			deliver(f.newMsg(bogus, 0))
+		}()
+	}
+}

@@ -18,10 +18,7 @@ import (
 // scheduling decisions (message transport, bank retry timers) into explicit
 // choice points, direct-delivery and forced-eviction entry points, and a
 // canonical state serializer. Everything here operates on the *real*
-// controllers — nothing is re-modeled — which is the first concrete cut
-// toward the pluggable protocol interface of ROADMAP item 3: a backend is
-// whatever can be driven, delivered to, and serialized through this
-// surface.
+// controllers — nothing is re-modeled.
 
 // SetSendHook installs (or, with nil, removes) a message-capture hook. When
 // the hook returns true it has taken ownership of the message and the mesh
@@ -100,13 +97,10 @@ func (p ParkedRetry) Fire() {
 //
 //stash:transfer
 func (f *Fabric) DeliverDirect(dst noc.NodeID, m *Msg) {
-	switch m.Type {
-	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgInvAck, MsgFetchResp, MsgDiscoverResp, MsgUnblock:
+	if m.Type.ToBank() {
 		f.Banks[dst].deliver(m)
-	case MsgDataS, MsgDataE, MsgDataM, MsgInv, MsgFetch, MsgPutAck, MsgDiscover, MsgFwdGetS, MsgFwdGetM:
+	} else {
 		f.L1s[dst].deliver(m)
-	default:
-		panic(fmt.Sprintf("coherence: undeliverable message %v", m))
 	}
 }
 

@@ -145,8 +145,8 @@ func (f *Fabric) MsgPoolStats() (inUse, highWater int) {
 	return f.pool.inUse, f.pool.high
 }
 
-// tile is the per-node NoC endpoint; it routes bank-bound message types to
-// the bank and L1-bound ones to the L1.
+// tile is the per-node NoC endpoint; it routes bank-bound message types
+// (MsgType.ToBank) to the bank and the rest to the L1.
 type tile struct {
 	l1   *L1
 	bank *Bank
@@ -158,13 +158,10 @@ type tile struct {
 //stash:hotpath
 func (t *tile) Deliver(nm *noc.Message) {
 	m := nm.Payload.(*Msg)
-	switch m.Type {
-	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgInvAck, MsgFetchResp, MsgDiscoverResp, MsgUnblock:
+	if m.Type.ToBank() {
 		t.bank.deliver(m)
-	case MsgDataS, MsgDataE, MsgDataM, MsgInv, MsgFetch, MsgPutAck, MsgDiscover, MsgFwdGetS, MsgFwdGetM:
+	} else {
 		t.l1.deliver(m)
-	default:
-		panic(fmt.Sprintf("coherence: undeliverable message %v", m))
 	}
 }
 

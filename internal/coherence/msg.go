@@ -116,6 +116,18 @@ func (t MsgType) Request() bool {
 	return false
 }
 
+// ToBank reports whether the type is delivered to a tile's directory/LLC
+// bank: the requests plus the L1 responses and the three-hop unblock.
+// Every other type goes to the tile's L1, which panics on a type it does
+// not handle.
+func (t MsgType) ToBank() bool {
+	switch t {
+	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgInvAck, MsgFetchResp, MsgDiscoverResp, MsgUnblock:
+		return true
+	}
+	return false
+}
+
 // InvReason says why an invalidation (or discovery-invalidate) was sent;
 // the experiments separate demand invalidations (a writer wants the block)
 // from conflict-induced ones (directory recall, LLC inclusion victim),

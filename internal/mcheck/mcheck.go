@@ -286,16 +286,6 @@ func newDirectory(kind string) (core.Directory, error) {
 	return nil, fmt.Errorf("mcheck: unknown directory kind %q", kind)
 }
 
-func bankBound(t coherence.MsgType) bool {
-	switch t {
-	case coherence.MsgGetS, coherence.MsgGetM, coherence.MsgPutS, coherence.MsgPutE,
-		coherence.MsgPutM, coherence.MsgInvAck, coherence.MsgFetchResp,
-		coherence.MsgDiscoverResp, coherence.MsgUnblock:
-		return true
-	}
-	return false
-}
-
 // ---------------------------------------------------------------------------
 // Explorer
 // ---------------------------------------------------------------------------
@@ -482,7 +472,7 @@ func (e *Explorer) apply(w *world, a action) error {
 		ch.q = ch.q[1:]
 		var row TableRow
 		if e.rows != nil {
-			if bankBound(m.Type) {
+			if m.Type.ToBank() {
 				row = TableRow{Receiver: "bank", Msg: m.Type.String(), Pre: w.f.BankBlockState(int(a.dst), m.Block)}
 			} else {
 				row = TableRow{Receiver: "L1", Msg: m.Type.String(), Pre: w.f.L1BlockState(int(a.dst), m.Block)}

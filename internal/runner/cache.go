@@ -21,7 +21,7 @@ const (
 // memCache is an LRU of completed results keyed by config key. A
 // non-positive capacity means unlimited (the experiment harness keeps every
 // run of a sweep alive; the server bounds it). It has no lock of its own:
-// the owning Runner's mutex guards it, which keeps cache probes atomic with
+// the owning Runner's mutex guards it, which keeps cache lookups atomic with
 // the inflight-job coalescing decisions made under the same lock.
 type memCache struct {
 	cap   int

@@ -160,28 +160,123 @@ func TestSubmitDiskProbeSingleFlight(t *testing.T) {
 	}
 }
 
-// TestSubmitProbeWaiterHonorsCancellation: a submission parked behind
-// another submitter's disk probe must honor its own context instead of
-// waiting out the probe.
+// waitForProbe blocks until store has been asked for n entries, so a test
+// knows a submission is inside its disk probe.
+func waitForProbe(t *testing.T, store *slowStore, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for store.gets.Load() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("disk probed %d times, want %d", store.gets.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSubmitProbeWaiterHonorsCancellation: a submission that arrives while
+// another submitter's disk probe is in flight joins that job at once
+// instead of waiting out the probe, and cancelling it releases only its
+// own wait: the job still finishes for the first submitter.
 func TestSubmitProbeWaiterHonorsCancellation(t *testing.T) {
 	leakcheck.Check(t)
-	dir := t.TempDir()
-	r := New(Options{Workers: 1, CacheDir: dir})
+	r := New(Options{Workers: 1, CacheDir: t.TempDir()})
 	defer r.Close()
-	r.disk = &slowStore{inner: r.disk, delay: 250 * time.Millisecond}
-	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) { return fakeResults(c), nil }
+	store := &slowStore{inner: r.disk, delay: 250 * time.Millisecond}
+	r.disk = store
+	var executions atomic.Int64
+	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) {
+		executions.Add(1)
+		return fakeResults(c), nil
+	}
 
 	cfg := tinyConfig(4)
-	go r.Submit(context.Background(), cfg) // the prober
-	time.Sleep(20 * time.Millisecond)      // let it claim the probe slot
+	first := make(chan *Job, 1)
+	go func() {
+		j, err := r.Submit(context.Background(), cfg) // the prober
+		if err != nil {
+			t.Error(err)
+		}
+		first <- j
+	}()
+	waitForProbe(t, store, 1)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	start := time.Now()
-	if _, err := r.Submit(ctx, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("parked submit error = %v, want context.Canceled", err)
+	second, err := r.Submit(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if waited := time.Since(start); waited > 200*time.Millisecond {
-		t.Fatalf("cancelled waiter still waited %v for the probe", waited)
+	if waited := time.Since(start); waited > 50*time.Millisecond {
+		t.Fatalf("a submission during the probe waited %v, want it to join the job at once", waited)
+	}
+	cancel()
+	if _, err := second.Wait(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter got %v, want context.Canceled", err)
+	}
+
+	j := <-first
+	if j != second {
+		t.Fatal("a submission during the probe did not join the prober's job")
+	}
+	res, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatalf("the second submitter's cancellation failed the job: %v", err)
+	}
+	if res.Cycles != 4 || executions.Load() != 1 || store.gets.Load() != 1 {
+		t.Fatalf("cycles %d, %d executions, %d disk reads; want 4, 1, 1", res.Cycles, executions.Load(), store.gets.Load())
+	}
+	if m := r.Metrics(); m.JobsCoalesced != 1 {
+		t.Fatalf("JobsCoalesced = %d, want 1", m.JobsCoalesced)
+	}
+}
+
+// TestCloseDuringDiskProbe: Close does not wait on a submission that is
+// still probing the disk cache; when that probe misses, the job fails with
+// ErrClosed instead of reaching a worker, and no goroutine is left behind.
+func TestCloseDuringDiskProbe(t *testing.T) {
+	leakcheck.Check(t)
+	var failed atomic.Int64
+	r := New(Options{Workers: 1, CacheDir: t.TempDir(), Events: func(e Event) {
+		if e.Kind == EventFailed {
+			failed.Add(1)
+		}
+	}})
+	store := &slowStore{inner: r.disk, delay: 250 * time.Millisecond}
+	r.disk = store
+	r.execute = func(_ context.Context, c system.Config) (*system.Results, error) {
+		t.Error("a job submitted before Close ran after it")
+		return fakeResults(c), nil
+	}
+
+	submitted := make(chan *Job, 1)
+	go func() {
+		j, err := r.Submit(context.Background(), tinyConfig(5))
+		if err != nil {
+			t.Error(err)
+		}
+		submitted <- j
+	}()
+	waitForProbe(t, store, 1)
+
+	r.Close()
+	select {
+	case <-submitted:
+		t.Fatal("Close waited for a disk probe to finish")
+	default:
+	}
+	j := <-submitted
+	if j == nil {
+		t.FailNow() // Submit's error is already reported
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, ErrClosed) {
+		t.Fatalf("job error = %v, want ErrClosed", err)
+	}
+	if s := j.Status(); s.State != StateFailed {
+		t.Fatalf("job state = %s, want failed", s.State)
+	}
+	if m := r.Metrics(); m.JobsFailed != 1 || m.JobsStarted != 0 || failed.Load() != 1 {
+		t.Fatalf("metrics %+v and %d failed events; want one failure, nothing started", m, failed.Load())
 	}
 }

@@ -3,10 +3,13 @@
 // with context cancellation and per-job timeouts that stop the
 // simulation, in front of a two-level result cache (in-memory LRU backed
 // by JSON files on disk) keyed by a stable hash of the canonicalized
-// Config. Identical configs submitted concurrently coalesce onto one
-// execution. Every job emits structured lifecycle events and aggregate
-// counters, which cmd/stashd serves over HTTP and the experiment harness
-// adapts into its progress callback.
+// Config. Every submission that does not coalesce becomes a job with one
+// lifecycle: it is queued, then finished from the memory or disk tier or
+// run by a worker. Identical configs submitted while a job is probing the
+// disk or running coalesce onto it, so one job single-flights both the
+// probe and the run. Every job emits structured lifecycle events and
+// aggregate counters, which cmd/stashd serves over HTTP and the experiment
+// harness adapts into its progress callback.
 //
 // All entry points (Run, RunAll, Submit, Metrics, Job) are safe for
 // concurrent use.
@@ -79,8 +82,13 @@ const (
 	StateFailed  State = "failed"
 )
 
-// Job is one submitted simulation. Identical configs submitted while a job
-// is queued or running share that job.
+// Job is one submitted config. Its lifecycle is the same whatever answers
+// it: the submitter emits the queued event, then either finishes the job
+// from the memory or disk tier (its status and finished event name the
+// tier in CacheHit) or queues it for a worker, which emits started and
+// simulates it. Identical configs submitted before the job finishes —
+// while its disk probe is in flight, while it is queued, or while it
+// runs — share that job.
 //
 // A job's execution is deliberately detached from any single submitter's
 // context: each submitter registers as a waiter, and the job's execCtx is
@@ -88,6 +96,7 @@ const (
 // cancelled. One client disconnecting therefore cannot fail a coalesced
 // job another client is still waiting on.
 type Job struct {
+	r   *Runner
 	id  string
 	key string
 	cfg system.Config
@@ -95,7 +104,6 @@ type Job struct {
 	execCtx context.Context
 	cancel  context.CancelFunc
 	done    chan struct{}
-	queued  sync.Once // emits the queued event; see Runner.announce
 
 	mu         sync.Mutex
 	waiters    int             //stash:guardedby mu
@@ -140,25 +148,20 @@ func (w *waiter) drop() {
 }
 
 // register records one submitter's interest in j and returns the handle
-// that releases it. A nil handle means j is dead — its execution context
-// was already cancelled (the last prior waiter left) while the job still
-// sat in the queue — and the caller must not coalesce onto it. A finished
-// job registers trivially (its result is already published) and returns a
-// no-op handle. When ctx can be cancelled, a monitor goroutine drops the
-// registration on cancellation; a context that can never be cancelled
-// pins the job to completion. The liveness check and the waiter increment
-// happen under j.mu, the same lock dropWaiter cancels under, so a
-// registration can never land on a job in the instant its execution is
-// being cancelled.
+// that releases it. The caller holds the runner lock and found j new or in
+// inflight; dropWaiter cancels a job and takes it out of inflight under
+// that same lock, so j's execution is never already cancelled here. A
+// finished job registers trivially (its result is already published) and
+// returns a no-op handle. When ctx can be cancelled, a monitor goroutine
+// drops the registration on cancellation; a context that can never be
+// cancelled pins the job to completion.
+//
+//stash:locked Runner.mu
 func (j *Job) register(ctx context.Context) *waiter {
 	j.mu.Lock()
 	if j.state == StateDone || j.state == StateFailed {
 		j.mu.Unlock()
 		return &waiter{}
-	}
-	if j.execCtx != nil && j.execCtx.Err() != nil {
-		j.mu.Unlock()
-		return nil
 	}
 	j.waiters++
 	j.mu.Unlock()
@@ -176,22 +179,28 @@ func (j *Job) register(ctx context.Context) *waiter {
 	return w
 }
 
-// dropWaiter removes one registration; the last one out cancels the
-// execution. Finished jobs are left untouched — their monitors can race
-// completion (both select branches ready), and decrementing then would
-// break the waiters >= 0 invariant. Cancelling under j.mu makes the
-// decision atomic with register's liveness check.
+// dropWaiter removes one registration. The last one out of an unfinished
+// job cancels its execution and removes it from inflight in the same
+// critical section, so every job in inflight has a live waiter and an
+// identical submission that arrives next starts a fresh job. Finished jobs
+// are left untouched — their monitors can race completion (both select
+// branches ready), and decrementing then would break the waiters >= 0
+// invariant.
 func (j *Job) dropWaiter() {
+	r := j.r
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state == StateDone || j.state == StateFailed {
 		return
 	}
-	if j.waiters > 0 {
-		j.waiters--
-	}
-	if j.waiters == 0 && j.cancel != nil {
+	j.waiters--
+	if j.waiters == 0 {
 		j.cancel()
+		if r.inflight[j.key] == j {
+			delete(r.inflight, j.key)
+		}
 	}
 }
 
@@ -262,9 +271,9 @@ func (j *Job) Status() JobStatus {
 // Close.
 //
 // Lock discipline: Runner.mu orders before Job.mu — submit registers waiters
-// (which lock the job) while holding the runner lock, so the reverse nesting
-// would deadlock. finish and process lock them strictly in sequence, never
-// nested the other way.
+// (which lock the job) while holding the runner lock, and dropWaiter takes
+// both in that order, so the reverse nesting would deadlock. finish and
+// process lock them strictly in sequence, never nested the other way.
 //
 //stash:lockorder Runner.mu < Job.mu
 type Runner struct {
@@ -278,28 +287,17 @@ type Runner struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// pending is the FIFO work queue; inflight maps key to its queued or
-	// running job; jobs maps id to job (bounded retention); finished holds
-	// finished job ids, oldest first; probes maps key to the in-flight
-	// disk-cache probe for it (single-flight: one prober per key).
-	pending  []*Job                //stash:guardedby mu
-	inflight map[string]*Job       //stash:guardedby mu
-	jobs     map[string]*Job       //stash:guardedby mu
-	finished []string              //stash:guardedby mu
-	probes   map[string]*diskProbe //stash:guardedby mu
-	seq      int                   //stash:guardedby mu
-	closed   bool                  //stash:guardedby mu
+	// pending is the FIFO work queue; inflight maps key to its unfinished
+	// job, from creation until it finishes or its last waiter leaves (it
+	// stays empty under DisableCache); jobs maps id to job (bounded
+	// retention); finished holds finished job ids, oldest first.
+	pending  []*Job          //stash:guardedby mu
+	inflight map[string]*Job //stash:guardedby mu
+	jobs     map[string]*Job //stash:guardedby mu
+	finished []string        //stash:guardedby mu
+	seq      int             //stash:guardedby mu
+	closed   bool            //stash:guardedby mu
 	wg       sync.WaitGroup
-}
-
-// diskProbe single-flights the unlocked disk-cache probe for one key: the
-// first submitter of a key becomes the prober, identical submissions that
-// race it park on done instead of probing (and possibly enqueueing) on
-// their own. done is closed after the prober has published its outcome —
-// a cache-completed job or an enqueued inflight job — under the runner
-// lock, so woken waiters always find one of the two.
-type diskProbe struct {
-	done chan struct{}
 }
 
 // New starts a runner and its worker pool.
@@ -321,7 +319,6 @@ func New(opts Options) *Runner {
 		mem:      newMemCache(memEntries),
 		inflight: make(map[string]*Job),
 		jobs:     make(map[string]*Job),
-		probes:   make(map[string]*diskProbe),
 	}
 	if opts.CacheDir != "" {
 		r.disk = newDiskCache(opts.CacheDir)
@@ -401,9 +398,10 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 	return firstErr
 }
 
-// Submit enqueues cfg and returns its job without waiting. Cache hits
-// return an already-finished job; an identical queued or running config
-// returns that existing job.
+// Submit returns cfg's job without waiting for a worker. A cache hit
+// returns a finished job (a disk hit after the read, which Submit does
+// itself); a submission that finds an identical job probing the disk,
+// queued or running returns that job.
 func (r *Runner) Submit(ctx context.Context, cfg system.Config) (*Job, error) {
 	j, _, err := r.submit(ctx, cfg)
 	return j, err
@@ -411,6 +409,14 @@ func (r *Runner) Submit(ctx context.Context, cfg system.Config) (*Job, error) {
 
 // submit is Submit plus the waiter handle for the registration it made,
 // letting RunAll abandon its jobs synchronously on first failure.
+//
+// A submission that does not coalesce onto an unfinished job creates one
+// under the lock and, when caching, publishes it in inflight. Unlocked, it
+// emits the job's queued event — before any worker can see the job — and
+// then finishes the job from the memory or disk tier or queues it for a
+// worker. The disk read is file IO and stays outside the lock, but the job
+// is already in inflight, so identical submissions that race the probe
+// coalesce onto it instead of probing, and perhaps simulating, again.
 func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -422,128 +428,62 @@ func (r *Runner) submit(ctx context.Context, cfg system.Config) (*Job, *waiter, 
 	if err != nil {
 		return nil, nil, err
 	}
+	caching := !r.opts.DisableCache
 
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
-	if !r.opts.DisableCache {
-		if j, ok := r.inflight[key]; ok {
-			if w := j.register(ctx); w != nil {
-				r.met.coalesced.Add(1)
-				r.mu.Unlock()
-				return j, w, nil
-			}
-			// Dead entry: its execution was cancelled after the last
-			// waiter left, but a worker has not retired it yet. Fall
-			// through and build a fresh job; overwriting r.inflight[key]
-			// below is safe because finish only deletes the entry while
-			// it still points at the dead job.
-		}
-		if res, ok := r.mem.get(key); ok {
-			j := r.completeFromCacheLocked(key, cfg, res, HitMemory)
-			r.mu.Unlock()
-			r.emitCached(j)
-			return j, &waiter{}, nil
+	if j, ok := r.inflight[key]; ok {
+		w := j.register(ctx)
+		r.met.coalesced.Add(1)
+		r.mu.Unlock()
+		return j, w, nil
+	}
+	j := r.newJobLocked(key, cfg)
+	w := j.register(ctx)
+	var res *system.Results
+	hit := ""
+	if caching {
+		r.inflight[key] = j
+		if cached, ok := r.mem.get(key); ok {
+			res, hit = cached, HitMemory
+			r.met.hitsMemory.Add(1)
 		}
 	}
+	r.mu.Unlock()
+	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: key, Config: cfg})
 
-	if r.disk == nil || r.opts.DisableCache {
-		// No persistent tier to probe: enqueue under the same lock that
-		// ruled out coalescing, leaving no window for a duplicate.
-		j, w := r.enqueueLocked(ctx, key, cfg)
-		r.mu.Unlock()
-		r.announce(j)
+	if caching && hit == "" && r.disk != nil {
+		if stored, ok := r.disk.get(key); ok {
+			res, hit = stored, HitDisk
+			r.met.hitsDisk.Add(1)
+			r.mu.Lock()
+			r.mem.put(key, stored)
+			r.mu.Unlock()
+		}
+	}
+	if hit != "" {
+		// The job gets a deep copy: the cache keeps sole ownership of its
+		// entry, so a caller mutating what it was handed cannot corrupt
+		// every future hit on the same key.
+		r.finish(j, res.Clone(), hit, nil, 0)
 		return j, w, nil
 	}
 
-	// The disk probe is file IO and happens outside the lock — but it is
-	// single-flighted per key. The first submitter becomes the prober;
-	// identical submissions racing it park on the probe instead of
-	// slipping past the unlocked window and enqueueing a duplicate
-	// multi-second simulation (concurrent identical sweeps do exactly
-	// this).
-	for {
-		p, ok := r.probes[key]
-		if !ok {
-			break // no probe in flight: become the prober
-		}
-		r.mu.Unlock()
-		select {
-		case <-p.done:
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return nil, nil, ErrClosed
-		}
-		// The prober published its outcome before closing done: an
-		// inflight job to coalesce onto, or a cached result now in memory.
-		if j, ok := r.inflight[key]; ok {
-			if w := j.register(ctx); w != nil {
-				r.met.coalesced.Add(1)
-				r.mu.Unlock()
-				return j, w, nil
-			}
-		}
-		if res, ok := r.mem.get(key); ok {
-			j := r.completeFromCacheLocked(key, cfg, res, HitMemory)
-			r.mu.Unlock()
-			r.emitCached(j)
-			return j, &waiter{}, nil
-		}
-		// Neither survived (the job finished and its entry was evicted, or
-		// a fresh probe started): loop, and probe ourselves if the slot is
-		// free.
-	}
-	p := &diskProbe{done: make(chan struct{})}
-	r.probes[key] = p
-	r.mu.Unlock()
-
-	res, hit := r.disk.get(key)
-
 	r.mu.Lock()
-	delete(r.probes, key)
 	if r.closed {
+		// Close came during the probe; it waits only for queued jobs.
 		r.mu.Unlock()
-		close(p.done)
-		return nil, nil, ErrClosed
-	}
-	if hit {
-		r.mem.put(key, res)
-		j := r.completeFromCacheLocked(key, cfg, res, HitDisk)
-		r.mu.Unlock()
-		close(p.done)
-		r.emitCached(j)
-		return j, &waiter{}, nil
-	}
-	j, w := r.enqueueLocked(ctx, key, cfg)
-	r.mu.Unlock()
-	close(p.done)
-	r.announce(j)
-	return j, w, nil
-}
-
-// enqueueLocked constructs, registers and queues a fresh job for key.
-//
-//stash:locked mu
-func (r *Runner) enqueueLocked(ctx context.Context, key string, cfg system.Config) (*Job, *waiter) {
-	j := r.newJobLocked(key, cfg, StateQueued)
-	j.execCtx, j.cancel = context.WithCancel(context.Background())
-	// Register before the job is published: no other goroutine can see j
-	// yet, so the fresh execCtx cannot be cancelled and w is never nil.
-	w := j.register(ctx)
-	if !r.opts.DisableCache {
-		r.inflight[key] = j
+		r.finish(j, nil, "", ErrClosed, 0)
+		return j, w, nil
 	}
 	r.pending = append(r.pending, j)
-	r.met.queued.Add(1)
 	r.met.misses.Add(1)
 	r.cond.Signal()
-	return j, w
+	r.mu.Unlock()
+	return j, w, nil
 }
 
 // Job returns a job by ID while it is queued, running, or among the most
@@ -566,7 +506,9 @@ func (r *Runner) QueueDepth() int {
 // Close stops accepting submissions and blocks until every queued and
 // running job has drained, so no simulation outlives it. Queued jobs whose
 // context is already cancelled finish immediately as failed; running
-// simulations complete or stop at their timeout.
+// simulations complete or stop at their timeout. A job still probing the
+// disk cache does not hold Close up: if the probe misses, the job fails
+// with ErrClosed.
 func (r *Runner) Close() {
 	r.mu.Lock()
 	if !r.closed {
@@ -577,60 +519,26 @@ func (r *Runner) Close() {
 	r.wg.Wait() //stash:blocking Close drains by contract: setting closed wakes every worker, queued jobs finish or fail fast
 }
 
-// newJobLocked constructs a job and publishes it in the job table. The
-// initial state is part of construction: the table makes the job visible to
-// Job/Status lookups, so mutating j.state after insertion would race them
-// (a finding lockcheck surfaced once the fields were annotated).
+// newJobLocked constructs a queued job and publishes it in the job table.
+// Every field a Job/Status lookup reads is set before insertion, since
+// setting one afterwards without j.mu would race them.
 //
 //stash:locked mu
-func (r *Runner) newJobLocked(key string, cfg system.Config, state State) *Job {
+func (r *Runner) newJobLocked(key string, cfg system.Config) *Job {
 	r.seq++
 	j := &Job{
+		r:          r,
 		id:         fmt.Sprintf("job-%06d", r.seq),
 		key:        key,
 		cfg:        cfg,
 		done:       make(chan struct{}),
 		enqueuedAt: time.Now(),
-		state:      state,
+		state:      StateQueued,
 	}
+	j.execCtx, j.cancel = context.WithCancel(context.Background())
 	r.jobs[j.id] = j
-	return j
-}
-
-// completeFromCacheLocked creates a job that is already done. The job gets
-// a deep copy of the cached result: the cache retains sole ownership of
-// its entry, so a caller mutating what it was handed cannot corrupt every
-// future hit on the same key.
-//
-//stash:locked mu
-func (r *Runner) completeFromCacheLocked(key string, cfg system.Config, res *system.Results, hit string) *Job {
-	j := r.newJobLocked(key, cfg, StateDone)
-	j.mu.Lock()
-	j.cacheHit = hit
-	j.result = res.Clone()
-	j.finishedAt = j.enqueuedAt
-	j.mu.Unlock()
-	close(j.done)
 	r.met.queued.Add(1)
-	r.met.completed.Add(1)
-	if hit == HitMemory {
-		r.met.hitsMemory.Add(1)
-	} else {
-		r.met.hitsDisk.Add(1)
-	}
-	r.retainLocked(j)
 	return j
-}
-
-// emitCached announces a cache-completed job. It runs after r.mu is
-// released, so the job is visible to concurrent Status readers; snapshot
-// the guarded fields under j.mu instead of reading them bare.
-func (r *Runner) emitCached(j *Job) {
-	j.mu.Lock()
-	hit, res := j.cacheHit, j.result
-	j.mu.Unlock()
-	r.emit(Event{Kind: EventQueued, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit})
-	r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit, Result: res})
 }
 
 // retainLocked records a finished job and evicts the oldest beyond the
@@ -663,19 +571,10 @@ func (r *Runner) worker() {
 	}
 }
 
-// announce emits j's queued event exactly once. The submitter calls it
-// after releasing the runner lock, and the worker that picks j up calls it
-// before emitting anything else, so the queued event comes first even when
-// the worker wins the race.
-func (r *Runner) announce(j *Job) {
-	j.queued.Do(func() { r.emit(Event{Kind: EventQueued, JobID: j.id, Key: j.key, Config: j.cfg}) })
-}
-
 // process runs one queued job to completion (or failure).
 func (r *Runner) process(j *Job) {
-	r.announce(j)
 	if err := j.execCtx.Err(); err != nil {
-		r.finish(j, nil, fmt.Errorf("runner: job %s cancelled before start: %w", j.id, err), 0)
+		r.finish(j, nil, "", fmt.Errorf("runner: job %s cancelled before start: %w", j.id, err), 0)
 		return
 	}
 	start := time.Now()
@@ -704,7 +603,7 @@ func (r *Runner) process(j *Job) {
 			r.mu.Unlock()
 		}
 	}
-	r.finish(j, res, err, dur)
+	r.finish(j, res, "", err, dur)
 }
 
 // simulate runs j's simulation on the calling worker under the job's exec
@@ -731,14 +630,16 @@ func (r *Runner) simulate(j *Job) (res *system.Results, err error) {
 	return res, err
 }
 
-// finish records the job's outcome, emits the terminal event and retires
-// the job from the inflight table before it publishes the outcome to
-// waiters. A waiter that returns has therefore seen every event of its job,
-// and a repeat submission it makes next finds the cached result instead of
+// finish records the job's outcome — hit names the cache tier that
+// answered, empty for a run — emits the terminal event and retires the job
+// from the inflight table before it publishes the outcome to waiters. A
+// waiter that returns has therefore seen every event of its job, and a
+// repeat submission it makes next finds the cached result instead of
 // coalescing onto the finished job.
-func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duration) {
+func (r *Runner) finish(j *Job, res *system.Results, hit string, err error, dur time.Duration) {
 	j.mu.Lock()
 	j.finishedAt = time.Now()
+	j.cacheHit = hit
 	j.result = res
 	j.err = err
 	if err != nil {
@@ -753,7 +654,7 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 		r.emit(Event{Kind: EventFailed, JobID: j.id, Key: j.key, Config: j.cfg, Duration: dur, Err: err})
 	} else {
 		r.met.completed.Add(1)
-		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, Duration: dur, Result: res})
+		r.emit(Event{Kind: EventFinished, JobID: j.id, Key: j.key, Config: j.cfg, CacheHit: hit, Duration: dur, Result: res})
 	}
 
 	r.mu.Lock()
@@ -764,7 +665,5 @@ func (r *Runner) finish(j *Job, res *system.Results, err error, dur time.Duratio
 	r.mu.Unlock()
 
 	close(j.done)
-	if j.cancel != nil {
-		j.cancel() // release the exec context and its waiter monitors
-	}
+	j.cancel() // release the exec context
 }

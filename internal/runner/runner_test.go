@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -507,16 +508,19 @@ func TestAllWaitersGoneCancelsQueuedJob(t *testing.T) {
 
 // TestSubmitReplacesDeadInflightJob is the regression test for the dead
 // coalesce-target bug: a queued job whose execution context was already
-// cancelled (its last waiter left) lingers in the inflight table until a
-// worker retires it, and a new submitter coalescing onto it would fail
-// with "cancelled before start" even though its own context was live.
-// Submit must detect the dead entry and replace it with a fresh job.
+// cancelled (its last waiter left) used to linger in the inflight table
+// until a worker retired it, and a new submitter coalescing onto it would
+// fail with "cancelled before start" even though its own context was live.
+// The last waiter's departure must take the job out of inflight at once,
+// so the next submitter gets a fresh job.
 func TestSubmitReplacesDeadInflightJob(t *testing.T) {
 	leakcheck.Check(t)
 	var executed atomic.Int64
 	release := make(chan struct{})
 	r := New(Options{Workers: 1})
 	defer r.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, so a failed check cannot hang it
 	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
 		executed.Add(1)
 		<-release
@@ -536,8 +540,15 @@ func TestSubmitReplacesDeadInflightJob(t *testing.T) {
 	cancelA() // last waiter gone: the queued job's execCtx gets cancelled
 	waitForExecCancelled(t, dead)
 
-	// The dead job is still queued and still the inflight entry for its
-	// key. A live submitter must get a fresh execution, not the corpse.
+	// The dead job is still queued behind the blocker, but it is no longer
+	// the inflight entry for its key. A live submitter must get a fresh
+	// execution, not the corpse.
+	r.mu.Lock()
+	_, listed := r.inflight[dead.Key()]
+	r.mu.Unlock()
+	if listed {
+		t.Fatal("a cancelled job stayed in the inflight table")
+	}
 	fresh, err := r.Submit(context.Background(), tinyConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -545,7 +556,7 @@ func TestSubmitReplacesDeadInflightJob(t *testing.T) {
 	if fresh == dead {
 		t.Fatal("Submit coalesced onto a job whose execution was already cancelled")
 	}
-	close(release)
+	unblock()
 	res, err := fresh.Wait(context.Background())
 	if err != nil {
 		t.Fatalf("fresh submission failed: %v", err)
@@ -688,5 +699,72 @@ func TestJobLookupAndEvents(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("events = %v, want %v", kinds, want)
 		}
+	}
+}
+
+// TestEveryOutcomeSharesOneLifecycle pins the events and status of each way
+// a job can finish: a run emits queued, started and finished; a memory or
+// disk hit emits queued and finished, with the tier named on both the
+// finished event and the status. Only the run counts as started.
+func TestEveryOutcomeSharesOneLifecycle(t *testing.T) {
+	leakcheck.Check(t)
+	dir := t.TempDir()
+	type outcome struct {
+		kinds []EventKind
+		hit   string // the finished event's CacheHit
+	}
+	newRunner := func(got *outcome) *Runner {
+		r := New(Options{Workers: 1, CacheDir: dir, Events: func(e Event) {
+			got.kinds = append(got.kinds, e.Kind)
+			if e.Kind == EventFinished {
+				got.hit = e.CacheHit
+			}
+		}})
+		r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
+			return fakeResults(cfg), nil
+		}
+		return r
+	}
+	submit := func(r *Runner, got *outcome) *Job {
+		t.Helper()
+		*got = outcome{}
+		j, err := r.Submit(context.Background(), tinyConfig(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	check := func(name string, j *Job, got outcome, hit string, kinds ...EventKind) {
+		t.Helper()
+		if fmt.Sprint(got.kinds) != fmt.Sprint(kinds) || got.hit != hit {
+			t.Errorf("%s: events %v with CacheHit %q, want %v with %q", name, got.kinds, got.hit, kinds, hit)
+		}
+		if s := j.Status(); s.State != StateDone || s.CacheHit != hit || s.Cycles != 6 {
+			t.Errorf("%s: status %+v, want done with CacheHit %q", name, s, hit)
+		}
+	}
+
+	// Events are read only after Wait: every event of a job is emitted
+	// before its waiters are released.
+	var got outcome
+	r1 := newRunner(&got)
+	check("run", submit(r1, &got), got, "", EventQueued, EventStarted, EventFinished)
+	check("memory hit", submit(r1, &got), got, HitMemory, EventQueued, EventFinished)
+	m1 := r1.Metrics()
+	r1.Close()
+
+	r2 := newRunner(&got) // a restart: empty memory, same CacheDir
+	defer r2.Close()
+	check("disk hit", submit(r2, &got), got, HitDisk, EventQueued, EventFinished)
+	m2 := r2.Metrics()
+
+	if m1.JobsQueued != 2 || m1.JobsStarted != 1 || m1.JobsCompleted != 2 || m1.CacheHitsMemory != 1 || m1.CacheMisses != 1 {
+		t.Errorf("first runner: %+v, want 2 queued, 1 started, 2 completed, 1 memory hit, 1 miss", m1)
+	}
+	if m2.JobsQueued != 1 || m2.JobsStarted != 0 || m2.JobsCompleted != 1 || m2.CacheHitsDisk != 1 || m2.CacheMisses != 0 {
+		t.Errorf("restarted runner: %+v, want 1 queued, 0 started, 1 completed, 1 disk hit, 0 misses", m2)
 	}
 }

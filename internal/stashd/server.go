@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,10 +44,8 @@ type Server struct {
 	start  time.Time
 	opts   Options
 
-	shedQueue atomic.Int64 // 503s issued
-
-	mu           sync.Mutex
-	activeSweeps int //stash:guardedby mu
+	shedQueue    atomic.Int64 // 503s issued
+	activeSweeps atomic.Int64 // /sweep streams in flight (and streams stuck)
 }
 
 // NewServer wraps a runner in the HTTP API with no admission control. The
@@ -185,8 +182,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	s.beginSweep()
-	defer s.endSweep()
+	s.activeSweeps.Add(1)
+	defer s.activeSweeps.Add(-1)
 
 	// Submit everything up front (the runner queues and deduplicates),
 	// then stream one line per job in completion order. A client
@@ -294,26 +291,6 @@ func (s *Server) handleInternalRun(w http.ResponseWriter, req *http.Request) {
 	s.runOne(w, req, ir.Config)
 }
 
-// beginSweep and endSweep maintain the active-sweep gauge reported by
-// /metrics, so an operator can see streams in flight (and streams stuck).
-func (s *Server) beginSweep() {
-	s.mu.Lock()
-	s.activeSweeps++
-	s.mu.Unlock()
-}
-
-func (s *Server) endSweep() {
-	s.mu.Lock()
-	s.activeSweeps--
-	s.mu.Unlock()
-}
-
-func (s *Server) activeSweepCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.activeSweeps
-}
-
 func (s *Server) handleJob(w http.ResponseWriter, req *http.Request) {
 	id := req.PathValue("id")
 	job, ok := s.runner.Job(id)
@@ -342,7 +319,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "stashd_inflight_workers %d\n", m.InFlight)
 	fmt.Fprintf(w, "stashd_queue_depth %d\n", m.QueueDepth)
 	fmt.Fprintf(w, "stashd_shed_queue_total %d\n", s.shedQueue.Load())
-	fmt.Fprintf(w, "stashd_active_sweeps %d\n", s.activeSweepCount())
+	fmt.Fprintf(w, "stashd_active_sweeps %d\n", s.activeSweeps.Load())
 	fmt.Fprintf(w, "stashd_run_latency_p50_ms %.3f\n", ms(m.RunLatencyP50))
 	fmt.Fprintf(w, "stashd_run_latency_p95_ms %.3f\n", ms(m.RunLatencyP95))
 	fmt.Fprintf(w, "stashd_uptime_seconds %.0f\n", time.Since(s.start).Seconds())
