@@ -130,13 +130,14 @@ bench-psim:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchmem ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_psim.json
 
 # bench-trace records the trace-pipeline benchmarks into BENCH_trace.json:
-# the text-vs-binary replay comparison (internal/trace, 1M-access streams)
-# and the 16-to-256-core binary-replay scaling sweep (internal/system).
-# The zero-alloc gate applies only to the ReplayBinary entries — the
-# binary hot path's contract — since the text baseline and the
-# full-system scaling runs allocate by design.
+# the text-vs-binary replay comparison (internal/trace, 1M-access streams),
+# the 16-to-256-core binary-replay scaling sweep and the cost of building
+# the private-16 and scale-256 machines (internal/system). The zero-alloc
+# gate applies only to the ReplayBinary entries — the binary hot path's
+# contract — since the text baseline, the full-system scaling runs and
+# the machine builds allocate by design.
 bench-trace:
-	@$(GO) test -run '^$$' -bench BenchmarkTrace -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary' || \
+	@$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkBuild' -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary' || \
 		{ echo "bench-trace: binary replay hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
 # bench-smoke executes every engine benchmark exactly once so ci catches
@@ -148,5 +149,5 @@ bench-psim-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchtime=1x -benchmem ./internal/system
 
 bench-trace-smoke:
-	@$(GO) test -run '^$$' -bench BenchmarkTrace -benchtime=1x -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'ReplayBinary' > /dev/null || \
+	@$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkBuild' -benchtime=1x -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'ReplayBinary' > /dev/null || \
 		{ echo "bench-trace-smoke: binary replay hot path allocates; run 'make lint'" >&2; exit 1; }

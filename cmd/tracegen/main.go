@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -147,9 +148,12 @@ func main() {
 // input becomes text, text input becomes binary (or binary stays binary
 // when -binary is forced — a normalizing re-encode).
 func convertTrace(in, out string, forceBinary bool) (err error) {
-	isBin, err := trace.IsBinaryTrace(in)
-	if err != nil {
+	bs, err := trace.OpenBinary(in)
+	if err != nil && !errors.Is(err, trace.ErrNotBinary) {
 		return err
+	}
+	if bs != nil {
+		defer bs.Close()
 	}
 
 	w := io.Writer(os.Stdout)
@@ -166,12 +170,7 @@ func convertTrace(in, out string, forceBinary bool) (err error) {
 		w = f
 	}
 
-	if isBin {
-		bs, err := trace.OpenBinary(in)
-		if err != nil {
-			return err
-		}
-		defer bs.Close()
+	if bs != nil {
 		var werr error
 		if forceBinary {
 			werr = trace.WriteBinarySource(w, bs)

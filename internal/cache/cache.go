@@ -16,16 +16,17 @@ import (
 
 // Line is one cache way: a tag plus the simulator-visible metadata.
 // The coherence controllers interpret State and Flags; Data carries the
-// 64-bit payload used by the data-value correctness oracle.
+// 64-bit payload used by the data-value correctness oracle. A line does not
+// record its own (set, way): the cache finds a line's way by scanning its
+// set, which keeps a line at 24 bytes and lets New leave the array as the
+// allocator zeroed it.
 //
 //stash:tileowned
 type Line struct {
 	Block mem.Block
-	State mem.State
 	Data  uint64
 	Flags uint32
-
-	set, way int32 // fixed at construction; lets the cache map *Line back to (set, way) in O(1)
+	State mem.State
 }
 
 // Valid reports whether the line currently holds a block.
@@ -94,10 +95,6 @@ func New(cfg Config) (*Cache, error) {
 		lines:  make([]Line, cfg.Sets*cfg.Ways),
 		policy: pol,
 		mask:   mem.Block(cfg.Sets - 1),
-	}
-	for i := range c.lines {
-		c.lines[i].set = int32(i / cfg.Ways)
-		c.lines[i].way = int32(i % cfg.Ways)
 	}
 	c.victimFn = func(way int) bool {
 		return c.victimSkip != nil && c.victimSkip(c.line(c.victimSet, way))
@@ -208,17 +205,15 @@ func (c *Cache) Victim(b mem.Block, skip func(*Line) bool) *Line {
 }
 
 // Install writes block b into the given line of b's set (obtained from
-// Victim or Probe), marking it most-recently-used. The line must belong to
-// b's set. If the line was valid, the previous occupant is counted as an
-// eviction; the caller is responsible for having handled its coherence
-// obligations first.
+// Victim or Probe), marking it most-recently-used. The line must be a way
+// of b's set in this cache; anything else panics. If the line was valid,
+// the previous occupant is counted as an eviction; the caller is
+// responsible for having handled its coherence obligations first.
 //
 //stash:hotpath
 func (c *Cache) Install(ln *Line, b mem.Block, state mem.State, data uint64) {
-	set, way := c.locate(ln)
-	if set != c.SetIndex(b) {
-		panic(fmt.Sprintf("cache %s: installing block %#x into wrong set %d", c.cfg.Name, uint64(b), set))
-	}
+	set := c.SetIndex(b)
+	way := c.wayOf(set, ln)
 	if ln.Valid() {
 		c.stats.Evictions.Inc()
 	}
@@ -240,31 +235,44 @@ func (c *Cache) Evict(ln *Line) {
 	ln.Invalidate()
 }
 
-// Touch marks ln most-recently-used without counting a hit.
+// Touch marks ln most-recently-used without counting a hit. The line must
+// be valid and owned by this cache: its way is found in the set its Block
+// maps to, and an invalid line's Block is stale.
 //
 //stash:hotpath
 func (c *Cache) Touch(ln *Line) {
-	set, way := c.locate(ln)
-	c.policy.Touch(set, way)
+	set := c.SetIndex(ln.Block)
+	c.policy.Touch(set, c.wayOf(set, ln))
 }
 
-// locate maps a *Line back to its (set, way) coordinates.
+// wayOf returns ln's way within set, panicking when ln is not one of that
+// set's ways: a line of another set or of another cache is a caller bug.
 //
 //stash:hotpath
-func (c *Cache) locate(ln *Line) (set, way int) {
-	set, way = int(ln.set), int(ln.way)
-	idx := set*c.cfg.Ways + way
-	if idx < 0 || idx >= len(c.lines) || &c.lines[idx] != ln {
-		panic(fmt.Sprintf("cache %s: line not owned by this cache", c.cfg.Name))
+func (c *Cache) wayOf(set int, ln *Line) int {
+	ways := c.lines[set*c.cfg.Ways : (set+1)*c.cfg.Ways]
+	for w := range ways {
+		if &ways[w] == ln {
+			return w
+		}
 	}
-	return set, way
+	panic(fmt.Sprintf("cache %s: line is not a way of set %d", c.cfg.Name, set))
 }
 
-// Locate maps a *Line owned by this cache back to its (set, way)
-// coordinates. The model checker uses it to serialize controller state
-// canonically: TBEs hold raw line pointers, and (set, way) is the stable
-// name a pointer corresponds to.
-func (c *Cache) Locate(ln *Line) (set, way int) { return c.locate(ln) }
+// Locate maps a *Line owned by this cache, valid or not, back to its
+// (set, way) coordinates, and panics on any other line. The model checker
+// uses it to serialize controller state canonically: TBEs hold raw line
+// pointers, and (set, way) is the stable name a pointer corresponds to. It
+// scans the whole array, which suits the checker's one-set caches; the
+// simulation's paths never call it.
+func (c *Cache) Locate(ln *Line) (set, way int) {
+	for i := range c.lines {
+		if &c.lines[i] == ln {
+			return i / c.cfg.Ways, i % c.cfg.Ways
+		}
+	}
+	panic(fmt.Sprintf("cache %s: line not owned by this cache", c.cfg.Name))
+}
 
 // ForEachSlot calls fn for every line — valid or not — in set-major slot
 // order, passing the flat slot index (set*Ways + way). Unlike ForEach it

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -206,5 +207,57 @@ func TestCapacityNeverExceeded(t *testing.T) {
 		if c.OccupiedLines() > c.Capacity() {
 			t.Fatalf("%v: occupancy %d > capacity %d", pol, c.OccupiedLines(), c.Capacity())
 		}
+	}
+}
+
+// TestLineSize pins the tag line at 24 bytes: the LLC of a 256-core
+// machine holds over half a million of them, so every byte added here is
+// half a megabyte per build.
+func TestLineSize(t *testing.T) {
+	if got := reflect.TypeOf(Line{}).Size(); got != 24 {
+		t.Fatalf("Line is %d bytes, want 24", got)
+	}
+}
+
+// TestForeignLinePanics: a line of another cache, even one of the same
+// shape whose slot of the same index is valid, is never taken for one of
+// this cache's ways.
+func TestForeignLinePanics(t *testing.T) {
+	cfg := Config{Name: "t", Sets: 4, Ways: 2}
+	c, other := mustCache(t, cfg), mustCache(t, cfg)
+	c.Install(c.Victim(5, nil), 5, mem.Shared, 0)
+	other.Install(other.Victim(5, nil), 5, mem.Shared, 0)
+	foreign := other.Probe(5)
+	for name, use := range map[string]func(){
+		"Install": func() { c.Install(foreign, 5, mem.Exclusive, 0) },
+		"Touch":   func() { c.Touch(foreign) },
+		"Locate":  func() { c.Locate(foreign) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with another cache's line did not panic", name)
+				}
+			}()
+			use()
+		}()
+	}
+}
+
+// TestLocate: Locate names a line's (set, way) whether the line holds a
+// block or is an invalid way reserved for an in-flight fill.
+func TestLocate(t *testing.T) {
+	c := mustCache(t, Config{Name: "t", Sets: 4, Ways: 2})
+	c.Install(c.Victim(6, nil), 6, mem.Shared, 0) // set 2, way 0
+	c.Install(c.Victim(2, nil), 2, mem.Shared, 0) // set 2, way 1
+	if set, way := c.Locate(c.Probe(2)); set != 2 || way != 1 {
+		t.Fatalf("Locate(valid line of block 2) = (%d, %d), want (2, 1)", set, way)
+	}
+	reserved := c.Victim(3, nil) // set 3, way 0, still invalid
+	if reserved == nil || reserved.Valid() {
+		t.Fatalf("Victim(3) = %+v, want an invalid way", reserved)
+	}
+	if set, way := c.Locate(reserved); set != 3 || way != 0 {
+		t.Fatalf("Locate(invalid reserved way) = (%d, %d), want (3, 0)", set, way)
 	}
 }

@@ -135,7 +135,8 @@ type BankStats struct {
 	QueueDepth             stats.Histogram // queue length behind a busy block, per queued request
 }
 
-// NewBank builds bank id with its directory slice and LLC bank.
+// NewBank builds bank id with its directory slice and LLC bank. Its
+// transaction table starts at an L1's size and grows with the bank's load.
 func NewBank(id int, fab *Fabric, dir core.Directory, llcCfg cache.Config) (*Bank, error) {
 	llc, err := cache.New(llcCfg)
 	if err != nil {
@@ -150,10 +151,10 @@ func NewBank(id int, fab *Fabric, dir core.Directory, llcCfg cache.Config) (*Ban
 		fab: fab,
 		dir: dir,
 		llc: llc,
-		// Sized so the worst steady-state transaction population (every
-		// core's outstanding misses plus their sub-transactions landing on
-		// one bank) stays below the grow threshold.
-		tbes: newBlockTable[*dirTBE](2 * fab.Params.Cores * (mshrs + 1)),
+		// Sizing for the worst case (every core's misses landing on one
+		// bank) would give each bank of a 256-core machine 2,048 slots it
+		// never fills.
+		tbes: newBlockTable[*dirTBE](2 * (mshrs + 1)),
 	}
 	b.busyFn = b.busy
 	b.llcSkipFn = func(ln *cacheLine) bool { return ln.Valid() && b.busy(ln.Block) }

@@ -2,6 +2,7 @@ package system
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -135,27 +136,23 @@ func Build(cfg Config) (*coherence.Fabric, []*coherence.Processor, error) {
 }
 
 // buildSources resolves the per-core access streams: synthetic generator
-// streams, or replayed trace files. Trace files are sniffed by magic:
-// binary traces replay zero-copy through an mmap-backed trace.BinarySource
-// (closed by finishSources after the run); text traces are parsed up front
-// into slices, so their format errors still surface at build time.
+// streams, or replayed trace files. Every trace file is first opened as a
+// binary trace: one that is replays zero-copy through an mmap-backed
+// trace.BinarySource (closed by finishSources after the run); one without
+// the magic (trace.ErrNotBinary) is text, parsed up front into a slice, so
+// its format errors still surface at build time.
 func buildSources(cfg *Config) ([]coherence.AccessSource, error) {
 	sources := make([]coherence.AccessSource, cfg.Cores)
 	if len(cfg.TraceFiles) != 0 {
 		for i, path := range cfg.TraceFiles {
-			isBin, err := trace.IsBinaryTrace(path)
-			if err != nil {
-				closeSources(sources)
-				return nil, fmt.Errorf("system: trace file: %w", err)
-			}
-			if isBin {
-				src, err := trace.OpenBinary(path)
-				if err != nil {
-					closeSources(sources)
-					return nil, fmt.Errorf("system: %s: %w", path, err)
-				}
+			src, err := trace.OpenBinary(path)
+			if err == nil {
 				sources[i] = src
 				continue
+			}
+			if !errors.Is(err, trace.ErrNotBinary) {
+				closeSources(sources)
+				return nil, fmt.Errorf("system: trace file: %w", err)
 			}
 			f, err := os.Open(path)
 			if err != nil {

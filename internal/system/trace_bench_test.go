@@ -13,7 +13,7 @@ import (
 // benchScalingFiles writes one binary trace per core for an N-core
 // machine. The generation cost is paid outside the timed region; every
 // benchmark iteration replays the same files through the mmap path.
-func benchScalingFiles(b *testing.B, cores, accesses int) []string {
+func benchScalingFiles(b testing.TB, cores, accesses int) []string {
 	b.Helper()
 	dir := b.TempDir()
 	mix, err := workloads.Get("canneal")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -89,22 +90,50 @@ func TestTraceReplayTextBinaryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/binary: %v", kind, err)
 		}
+		// Mixed: each file's format is detected on its own.
+		cfg.TraceFiles = []string{textFiles[0], binFiles[1], textFiles[2], binFiles[3]}
+		mixedRes, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s/mixed: %v", kind, err)
+		}
 
 		// The recorded config necessarily embeds the input paths; blank
 		// them so the comparison covers only simulation outcomes.
 		textRes.Config.TraceFiles = nil
 		binRes.Config.TraceFiles = nil
+		mixedRes.Config.TraceFiles = nil
 
 		tj, err := json.Marshal(textRes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bj, err := json.Marshal(binRes)
-		if err != nil {
-			t.Fatal(err)
+		for name, res := range map[string]*Results{"binary": binRes, "mixed": mixedRes} {
+			j, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(tj) != string(j) {
+				t.Errorf("%s: text and %s replay results differ\ntext:   %s\n%s: %s", kind, name, tj, name, j)
+			}
 		}
-		if string(tj) != string(bj) {
-			t.Errorf("%s: text and binary replay results differ\ntext:   %s\nbinary: %s", kind, tj, bj)
+	}
+}
+
+// TestTraceReplayMissingFileFailsBuild: a trace file that does not exist
+// fails Build with its path in the error, whichever format the other
+// cores replay.
+func TestTraceReplayMissingFileFailsBuild(t *testing.T) {
+	const cores = 4
+	textFiles, binFiles := writeReplayFiles(t, cores, 100)
+	missing := filepath.Join(t.TempDir(), nameFor(3, ".btrace"))
+	for _, files := range [][]string{textFiles, binFiles} {
+		cfg := QuickConfig("")
+		cfg.Cores = cores
+		cfg.Workload = ""
+		cfg.TraceFiles = append(files[:cores-1:cores-1], missing)
+		_, _, err := Build(cfg)
+		if err == nil || !strings.Contains(err.Error(), missing) {
+			t.Fatalf("Build with a missing trace file: err %v, want one naming %s", err, missing)
 		}
 	}
 }

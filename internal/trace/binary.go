@@ -3,6 +3,7 @@ package trace
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -39,6 +40,11 @@ import (
 
 // binaryMagic identifies a binary trace file.
 var binaryMagic = [4]byte{'S', 'T', 'R', 'B'}
+
+// ErrNotBinary reports input that does not start with the binary trace
+// magic, including input shorter than the magic. Callers that accept either
+// format fall back to the text parser on it.
+var ErrNotBinary = errors.New("trace: not a binary trace (no STRB magic)")
 
 const (
 	// binaryVersion is the current format version.
@@ -147,34 +153,21 @@ func WriteBinarySource(w io.Writer, src Source) error {
 	return bw.Flush()
 }
 
-// checkBinaryHeader validates the magic and version of a header block.
+// checkBinaryHeader validates the magic and version at the start of a
+// trace; h may be shorter than the header when the input is. Input without
+// the magic is ErrNotBinary; input with it but cut inside the header is
+// truncated.
 func checkBinaryHeader(h []byte) error {
+	if len(h) < len(binaryMagic) || [4]byte(h[:4]) != binaryMagic {
+		return ErrNotBinary
+	}
 	if len(h) < binaryHeaderLen {
 		return fmt.Errorf("trace: truncated binary trace: %d-byte file, want at least the %d-byte header", len(h), binaryHeaderLen)
-	}
-	if [4]byte(h[:4]) != binaryMagic {
-		return fmt.Errorf("trace: bad magic %q, want %q", h[:4], binaryMagic[:])
 	}
 	if h[4] != binaryVersion {
 		return fmt.Errorf("trace: unsupported binary trace version %d (want %d)", h[4], binaryVersion)
 	}
 	return nil
-}
-
-// IsBinaryTrace sniffs whether the file at path starts with the binary
-// trace magic. Files too short to carry the magic are not binary (they are
-// handed to the text parser, which reports its own error).
-func IsBinaryTrace(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var m [4]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false, nil // shorter than the magic: not binary
-	}
-	return m == binaryMagic, nil
 }
 
 // BinarySource replays a binary trace as an access source, decoding records
@@ -222,13 +215,11 @@ func NewBinaryBytes(b []byte) (*BinarySource, error) {
 func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
 	const windowSize = 1 << 20
 	var h [binaryHeaderLen]byte
-	if size < binaryHeaderLen {
-		return nil, fmt.Errorf("trace: truncated binary trace: %d-byte file, want at least the %d-byte header", size, binaryHeaderLen)
-	}
-	if _, err := r.ReadAt(h[:], 0); err != nil {
+	n := int(min(max(size, 0), binaryHeaderLen))
+	if m, err := r.ReadAt(h[:n], 0); m < n {
 		return nil, fmt.Errorf("trace: reading binary trace header: %w", err)
 	}
-	if err := checkBinaryHeader(h[:]); err != nil {
+	if err := checkBinaryHeader(h[:n]); err != nil {
 		return nil, err
 	}
 	return &BinarySource{
@@ -241,9 +232,11 @@ func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
 
 // OpenBinary opens the binary trace at path for zero-copy replay: the file
 // is mapped read-only (syscall.Mmap) and decoded in place; when mapping
-// fails (exotic filesystems, empty payloads) it degrades to the ReaderAt
-// window path over the same descriptor. Close releases the mapping and the
-// file.
+// fails (exotic filesystems) or the file is shorter than the header, it
+// degrades to the ReaderAt window path over the same descriptor. Close
+// releases the mapping and the file. A file without the magic fails with
+// an error that wraps ErrNotBinary, so a caller accepting either format
+// opens a binary trace once and tries the text parser only on that error.
 func OpenBinary(path string) (*BinarySource, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -126,16 +127,30 @@ func TestBinaryEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestBinaryCorruptHeader: input without the whole magic is ErrNotBinary,
+// so replay callers hand it to the text parser; input with the magic but a
+// bad header is a binary trace in error, never ErrNotBinary. Both
+// constructors agree.
 func TestBinaryCorruptHeader(t *testing.T) {
-	cases := map[string][]byte{
-		"zero-byte file":   {},
-		"truncated header": binaryMagic[:3],
-		"bad magic":        []byte("NOPE\x01\x00\x00\x00"),
-		"bad version":      {'S', 'T', 'R', 'B', 99, 0, 0, 0},
+	cases := map[string]struct {
+		b         []byte
+		notBinary bool
+	}{
+		"zero-byte file":         {nil, true},
+		"shorter than the magic": {binaryMagic[:3], true},
+		"bad magic":              {[]byte("NOPE\x01\x00\x00\x00"), true},
+		"truncated header":       {[]byte{'S', 'T', 'R', 'B', 1}, false},
+		"bad version":            {[]byte{'S', 'T', 'R', 'B', 99, 0, 0, 0}, false},
 	}
-	for name, b := range cases {
-		if _, err := NewBinaryBytes(b); err == nil {
-			t.Errorf("%s: want a header error", name)
+	for name, c := range cases {
+		_, err := NewBinaryBytes(c.b)
+		_, raErr := NewBinaryReaderAt(bytes.NewReader(c.b), int64(len(c.b)))
+		for _, e := range []error{err, raErr} {
+			if e == nil {
+				t.Errorf("%s: want a header error", name)
+			} else if errors.Is(e, ErrNotBinary) != c.notBinary {
+				t.Errorf("%s: error %q; want errors.Is(err, ErrNotBinary) = %v", name, e, c.notBinary)
+			}
 		}
 	}
 }
@@ -245,11 +260,27 @@ func TestOpenBinaryMmapAndDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if ok, err := IsBinaryTrace(binPath); err != nil || !ok {
-		t.Fatalf("IsBinaryTrace(bin) = %v, %v; want true, nil", ok, err)
+	// Detection is OpenBinary's own error: a file without the magic, however
+	// short, is ErrNotBinary; one with the magic but cut inside the header
+	// is a truncated binary trace; a missing file is neither.
+	shortPath := filepath.Join(dir, "short.trace")
+	if err := os.WriteFile(shortPath, []byte("L 1"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if ok, err := IsBinaryTrace(textPath); err != nil || ok {
-		t.Fatalf("IsBinaryTrace(text) = %v, %v; want false, nil", ok, err)
+	cutPath := filepath.Join(dir, "cut.btrace")
+	if err := os.WriteFile(cutPath, []byte{'S', 'T', 'R', 'B', 1}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{textPath, shortPath} {
+		if s, err := OpenBinary(p); !errors.Is(err, ErrNotBinary) {
+			t.Fatalf("OpenBinary(%s) = %v, %v; want ErrNotBinary", filepath.Base(p), s, err)
+		}
+	}
+	if _, err := OpenBinary(cutPath); err == nil || errors.Is(err, ErrNotBinary) || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("OpenBinary(5-byte file with the magic) = %v; want a truncation error", err)
+	}
+	if _, err := OpenBinary(filepath.Join(dir, "missing.btrace")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("OpenBinary(missing file) = %v; want os.ErrNotExist", err)
 	}
 
 	s, err := OpenBinary(binPath)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/mem"
@@ -9,13 +10,14 @@ import (
 
 // FuzzBinarySource hammers the .btrace decoder with arbitrary bytes. The
 // corpus seeds are the corruption cases the unit tests pin (bad magic,
-// bad version, truncated header, mid-record cut, varint overflow) plus
-// well-formed traces, so mutation starts from both sides of the validity
-// boundary. Properties:
+// input shorter than the magic, bad version, mid-record cut, varint
+// overflow) plus well-formed traces, so mutation starts from both sides of
+// the validity boundary. Properties:
 //
 //   - decoding never panics, whatever the input;
 //   - the in-memory decoder and the windowed ReaderAt decoder agree on
-//     both the decoded accesses and whether the input is in error;
+//     the decoded accesses, on whether the input is in error, and on
+//     whether it is ErrNotBinary;
 //   - anything the decoder accepts survives a re-encode/re-decode round
 //     trip unchanged (decode is a left inverse of encode on its image).
 func FuzzBinarySource(f *testing.F) {
@@ -45,9 +47,14 @@ func FuzzBinarySource(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := NewBinaryBytes(data)
 		if err != nil {
-			// Header rejection must be mirrored by the windowed path.
-			if _, raErr := NewBinaryReaderAt(bytes.NewReader(data), int64(len(data))); raErr == nil {
+			// Header rejection, and whether it calls the input text, must be
+			// mirrored by the windowed path.
+			_, raErr := NewBinaryReaderAt(bytes.NewReader(data), int64(len(data)))
+			if raErr == nil {
 				t.Fatalf("NewBinaryBytes rejected the header (%v) but NewBinaryReaderAt accepted it", err)
+			}
+			if errors.Is(err, ErrNotBinary) != errors.Is(raErr, ErrNotBinary) {
+				t.Fatalf("decoders disagree on ErrNotBinary: bytes err %v, readerAt err %v", err, raErr)
 			}
 			return
 		}
