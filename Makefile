@@ -107,8 +107,14 @@ race-psim:
 bench: bench-engine bench-protocol
 	$(GO) test -bench=. -benchmem
 
+# bench-engine records the scheduler benchmarks into BENCH_engine.json and
+# fails if the After1, After0Burst, Mixed or FarFuture benchmark allocates:
+# the wheel and heap paths recycle arena slots, so a steady-state event
+# never allocates. The Legacy baselines and the full-system Throughput run
+# allocate by design.
 bench-engine:
-	$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json
+	@$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json -max-allocs 0 -max-allocs-filter 'BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)' || \
+		{ echo "bench-engine: scheduler hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
 # bench-protocol records the coherence hot-path benchmarks and the
 # directory organizations' conflict cycle into BENCH_protocol.json and
@@ -140,10 +146,15 @@ bench-trace:
 	@$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkBuild' -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary' || \
 		{ echo "bench-trace: binary replay hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
-# bench-smoke executes every engine benchmark exactly once so ci catches
-# benchmark bit-rot without paying full measurement time.
+# bench-smoke runs the scheduler micro-benchmarks for 10000 events each,
+# enough that a warm-up allocation rounds to 0 allocs/op while a per-event
+# one still shows, and gates them like bench-engine; the full-system
+# Throughput run executes once, so ci catches benchmark bit-rot without
+# paying full measurement time.
 bench-smoke:
-	$(GO) test -run '^$$' -bench BenchmarkEngine -benchtime=1x -benchmem ./internal/sim
+	@$(GO) test -run '^$$' -bench 'BenchmarkEngine(Legacy)?(After1|After0Burst|Mixed|FarFuture)$$' -benchtime=10000x -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)' > /dev/null || \
+		{ echo "bench-smoke: scheduler hot path allocates; run 'make lint'" >&2; exit 1; }
+	$(GO) test -run '^$$' -bench BenchmarkEngineThroughput -benchtime=1x -benchmem ./internal/sim
 
 bench-psim-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchtime=1x -benchmem ./internal/system

@@ -1,6 +1,7 @@
 package mcheck
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -80,22 +81,31 @@ func TestReplayCounts(t *testing.T) {
 	}
 }
 
-// TestConflictSliceAllocs caps the allocations of the sparse+stash 2x2
-// depth-2 pair, the benchmark's model-checker job. Each replay builds a
-// whole fabric, so both what a build allocates and how many builds a
-// transition costs show here.
+// TestConflictSliceAllocs caps the allocations and the bytes of the
+// sparse+stash 2x2 depth-2 pair, the benchmark's model-checker job. Each
+// replay builds a whole fabric, event engine included, so both what a
+// build allocates and how many builds a transition costs show here.
 func TestConflictSliceAllocs(t *testing.T) {
-	const limit = 250_000
-	allocs := testing.AllocsPerRun(1, func() {
+	const limit, maxMB = 250_000, 16.0
+	pair := func() {
 		for _, kind := range []string{"sparse", "stash"} {
 			if _, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2}); err != nil {
 				t.Fatal(err)
 			}
 		}
-	})
-	t.Logf("%.0f allocations per sparse+stash pair (limit %d)", allocs, limit)
+	}
+	allocs := testing.AllocsPerRun(1, pair)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pair()
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("%.0f allocations, %.1f MB per sparse+stash pair (limits %d, %.0f MB)", allocs, mb, limit, maxMB)
 	if allocs > limit {
 		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.0f times, want <= %d", allocs, limit)
+	}
+	if mb > maxMB {
+		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.1f MB, want <= %.0f MB", mb, maxMB)
 	}
 }
 

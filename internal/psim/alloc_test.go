@@ -115,7 +115,7 @@ func TestEpochLoopAllocsConstant(t *testing.T) {
 		t.Fatalf("scaling assumption broken: %d vs %d events", nSmall, nBig)
 	}
 	// The marginal allocation rate must be warm-up noise only: the small
-	// run has already populated most wheel buckets and pool rings, so the
+	// run has already grown the engine arenas and the pool rings, so the
 	// extra ~9x events may add at most a residual trickle of one-time
 	// ring growth. A single allocation per event would read as 1.0 here.
 	rate := (big - small) / float64(nBig-nSmall)

@@ -55,7 +55,7 @@ func (m *Mailbox[T]) grow() {
 }
 
 // pop removes the oldest entry; precondition n > 0. The slot is left
-// stale, exactly like sim's event rings: it is overwritten on reuse.
+// stale, exactly like sim's event arena slots: it is overwritten on reuse.
 //
 //stash:hotpath
 func (m *Mailbox[T]) pop() entry[T] {

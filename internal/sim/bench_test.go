@@ -12,9 +12,12 @@ import "testing"
 // latencies (bank, memory) the way protocol traffic does.
 var benchDelays = [16]Cycle{0, 1, 1, 2, 1, 0, 3, 1, 8, 1, 0, 21, 2, 1, 5, 97}
 
-// farDelays avoids the 0/1 fast path entirely, forcing every event
+// farDelays are all at least wheelSize cycles, forcing every event
 // through the heap.
-var farDelays = [8]Cycle{13, 97, 29, 211, 53, 7, 151, 23}
+var farDelays = [8]Cycle{
+	wheelSize + 13, wheelSize + 97, wheelSize + 29, wheelSize + 211,
+	wheelSize + 53, wheelSize + 7, wheelSize + 151, wheelSize + 23,
+}
 
 func BenchmarkEngineAfter1(b *testing.B) {
 	e := NewEngine()

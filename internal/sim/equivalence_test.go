@@ -23,8 +23,10 @@ type scheduler interface {
 // the execution order as "(cycle,id)" strings. The schedule is derived
 // only from the rng seed and from the engine's execution order, so two
 // engines with identical ordering semantics produce identical logs. Delays
-// are biased toward 0/1/2 to stress the ring fast path and its merge with
-// the heap.
+// are biased toward 0/1/2 to stress the wheel's same-cycle FIFO lists; the
+// class at or above wheelSize sends events through the heap even under
+// FIFO ties, so heap and wheel events come due at the same cycle and the
+// order popNext merges them in is checked.
 func driveRandom(s scheduler, seed int64, shuffle uint64, stepped bool) []string {
 	rng := rand.New(rand.NewSource(seed))
 	s.SetShuffleSeed(shuffle)
@@ -42,7 +44,7 @@ func driveRandom(s scheduler, seed int64, shuffle uint64, stepped bool) []string
 			kids := rng.Intn(4)
 			for i := 0; i < kids; i++ {
 				var d Cycle
-				switch rng.Intn(8) {
+				switch rng.Intn(9) {
 				case 0, 1, 2:
 					d = 0
 				case 3, 4:
@@ -51,8 +53,10 @@ func driveRandom(s scheduler, seed int64, shuffle uint64, stepped bool) []string
 					d = 2
 				case 6:
 					d = Cycle(rng.Intn(10))
-				default:
+				case 7:
 					d = Cycle(rng.Intn(200))
+				default:
+					d = wheelSize + Cycle(rng.Intn(300))
 				}
 				s.After(d, "kid", spawn(depth-1))
 			}
@@ -110,7 +114,7 @@ func TestRunUntilTimeBackwardsGuard(t *testing.T) {
 	e.RunUntil(20)
 	// Corrupt the clock the only way external code could observe it: an
 	// already-queued heap entry behind the clock.
-	e.arena = append(e.arena, eventSlot{run: func() {}})
+	e.arena = append(e.arena, eventSlot{fn: runEvent, arg: Event(func() {})})
 	e.heap = append(e.heap, heapEntry{at: 3, tie: 1, slot: int32(len(e.arena) - 1)})
 	defer func() {
 		if recover() == nil {
@@ -120,17 +124,18 @@ func TestRunUntilTimeBackwardsGuard(t *testing.T) {
 	e.RunUntil(100)
 }
 
-// TestArenaRecycling proves the steady-state path reuses storage: after
-// warm-up, a long self-rescheduling workload keeps the arena and free
-// list bounded.
+// TestArenaRecycling proves the heap path reuses storage: a long
+// self-rescheduling workload whose every event goes through the heap
+// keeps reusing the one arena slot it needs.
 func TestArenaRecycling(t *testing.T) {
 	e := NewEngine()
 	var fn Event
-	n := 0
+	n, heaped := 0, 0
 	fn = func() {
 		n++
 		if n < 10000 {
 			e.After(farDelays[n&7], "t", fn)
+			heaped += len(e.heap) // 1 if that event went to the heap
 		}
 	}
 	e.After(5, "t", fn)
@@ -138,7 +143,10 @@ func TestArenaRecycling(t *testing.T) {
 	if n != 10000 {
 		t.Fatalf("ran %d events, want 10000", n)
 	}
-	if len(e.arena) > 64 {
+	if heaped != n-1 {
+		t.Fatalf("%d of %d far-future events took the heap path", heaped, n-1)
+	}
+	if len(e.arena) > 1 {
 		t.Fatalf("arena grew to %d slots for a 1-deep workload; free list not recycling", len(e.arena))
 	}
 }

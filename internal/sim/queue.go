@@ -5,28 +5,18 @@ import (
 	"math/bits"
 )
 
-// eventSlot is an event's payload, stored out-of-line from the heap keys
-// (and inline in the rings, which are never sifted). An event is either a
-// plain closure (run) or an arg-passing pair (argFn, arg) scheduled through
-// AtArg/AfterArg; the latter lets callers reuse one long-lived func value
-// and avoid allocating a fresh closure per event.
+// eventSlot is one scheduled event in the arena the wheel and the heap
+// share: fn(arg) runs when the event fires. AtArg/AfterArg store their
+// pair as given, which lets callers reuse one long-lived func value and
+// avoid allocating a fresh closure per event; a plain Event is stored as
+// (runEvent, ev), and since a func value is pointer-shaped, boxing it into
+// arg allocates nothing.
 type eventSlot struct {
-	run   Event
-	argFn func(any)
-	arg   any
-	name  string // quoted by the scheduling-in-the-past panic
+	fn  func(any)
+	arg any
 }
 
-// fire executes whichever form of callback the slot carries.
-//
-//stash:hotpath
-func (s *eventSlot) fire() {
-	if s.argFn != nil {
-		s.argFn(s.arg)
-		return
-	}
-	s.run()
-}
+func runEvent(a any) { a.(Event)() }
 
 // heapEntry is one 4-ary-heap key: the ordering fields plus the index of
 // the payload in the arena.
@@ -38,51 +28,6 @@ type heapEntry struct {
 
 func (a heapEntry) less(b heapEntry) bool {
 	return a.at < b.at || (a.at == b.at && a.tie < b.tie)
-}
-
-// ring is a growable power-of-two circular FIFO of events all due at one
-// cycle. Storage is reused across cycles, so steady-state pushes do not
-// allocate.
-//
-//stash:tileowned
-type ring struct {
-	buf  []eventSlot
-	head int
-	n    int
-}
-
-//stash:hotpath
-func (r *ring) push(s eventSlot) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = s
-	r.n++
-}
-
-//stash:hotpath
-func (r *ring) pop() eventSlot {
-	// The popped slot is left stale rather than cleared: clearing a
-	// pointer-bearing struct costs a write barrier per event, and the slot
-	// is overwritten on reuse anyway, so at most one buffer's worth of dead
-	// callbacks is retained.
-	s := r.buf[r.head]
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return s
-}
-
-func (r *ring) grow() {
-	newCap := 2 * len(r.buf)
-	if newCap == 0 {
-		newCap = 16
-	}
-	buf := make([]eventSlot, newCap)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
 }
 
 // Timing-wheel geometry: one FIFO bucket per cycle for the next wheelSize
@@ -101,6 +46,12 @@ const (
 // own timing wheel while Engine remains the serial façade; Engine embeds
 // one, so all queue methods appear on Engine unchanged.
 //
+// Every pending event occupies one slot of a single arena. A wheel bucket
+// is a FIFO list of slots chained through next; the heap orders keys that
+// index slots. Both return vacated slots to one LIFO free list, so the
+// slot an event vacates is the next one filled, while it is still in
+// cache.
+//
 // Ordering contract: events fire in (cycle, sequence) order, where the
 // sequence is this queue's own insertion counter — a local property that
 // does not depend on any other queue's history. That locality is what lets
@@ -114,46 +65,24 @@ type EventQueue struct {
 	seq     uint64
 	shuffle uint64
 
-	// 4-ary min-heap of far-future events; payloads live in arena, with
-	// recycled slots threaded through free.
-	heap  []heapEntry
+	// 4-ary min-heap of far-future events, keyed into the arena.
+	heap []heapEntry
+
+	// arena holds every pending event's payload; next[i] links slot i to
+	// the following slot of its wheel bucket, and free stacks the slots
+	// not in use.
 	arena []eventSlot
+	next  []int32
 	free  []int32
 
 	// Timing wheel of near-future events (FIFO ties only): bucket
-	// wheel[t & wheelMask] holds the events due at cycle t for
-	// t - now < wheelSize. wheelOcc is the per-bucket occupancy bitmap.
-	wheel      [wheelSize]ring
+	// t & wheelMask lists the events due at cycle t for t - now <
+	// wheelSize, from wheelHead to wheelTail. wheelOcc is the per-bucket
+	// occupancy bitmap; an empty bucket's head and tail are stale.
+	wheelHead  [wheelSize]int32
+	wheelTail  [wheelSize]int32
 	wheelOcc   [wheelWords]uint64
 	wheelCount int
-
-	// slab seeds ring buffers: a bucket's first use carves its initial
-	// buffer from the current slab chunk, and each new chunk covers as
-	// many buckets as are seeded already (seedChunk at first). A
-	// model-checker world that touches a handful of buckets pays for one
-	// small chunk; a run that touches every bucket (the parallel engine
-	// builds one EventQueue per tile per run) brings the wheel up in
-	// log2(wheelSize/seedChunk)+1 allocations with no seed left unused.
-	slab   []eventSlot
-	seeded int // buckets given a ring buffer so far
-}
-
-// ringSeed is the initial per-bucket ring capacity carved from the slab.
-// Must be a power of two (ring indexing masks by capacity).
-const ringSeed = 8
-
-// seedChunk is how many buckets' seeds the first slab chunk covers.
-const seedChunk = 8
-
-// seedRing hands out one initial ring buffer from the queue's slab.
-func (q *EventQueue) seedRing() []eventSlot {
-	if len(q.slab) < ringSeed {
-		q.slab = make([]eventSlot, max(q.seeded, seedChunk)*ringSeed)
-	}
-	q.seeded++
-	buf := q.slab[:ringSeed:ringSeed]
-	q.slab = q.slab[ringSeed:]
-	return buf
 }
 
 // SetShuffleSeed switches same-cycle tie-breaking from FIFO to a
@@ -187,7 +116,7 @@ func (q *EventQueue) Pending() int { return len(q.heap) + q.wheelCount }
 //
 //stash:hotpath
 func (q *EventQueue) At(at Cycle, name string, fn Event) {
-	q.schedule(at, eventSlot{run: fn, name: name})
+	q.schedule(at, name, runEvent, fn)
 }
 
 // AtArg schedules fn(arg) at the absolute cycle at. It shares At's sequence
@@ -199,14 +128,14 @@ func (q *EventQueue) At(at Cycle, name string, fn Event) {
 //stash:transfer
 //stash:hotpath
 func (q *EventQueue) AtArg(at Cycle, name string, fn func(any), arg any) {
-	q.schedule(at, eventSlot{argFn: fn, arg: arg, name: name})
+	q.schedule(at, name, fn, arg)
 }
 
 // After schedules fn to run delay cycles from now.
 //
 //stash:hotpath
 func (q *EventQueue) After(delay Cycle, name string, fn Event) {
-	q.schedule(q.now+delay, eventSlot{run: fn, name: name})
+	q.schedule(q.now+delay, name, runEvent, fn)
 }
 
 // AfterArg schedules fn(arg) delay cycles from now (see AtArg). Ownership
@@ -215,46 +144,69 @@ func (q *EventQueue) After(delay Cycle, name string, fn Event) {
 //stash:transfer
 //stash:hotpath
 func (q *EventQueue) AfterArg(delay Cycle, name string, fn func(any), arg any) {
-	q.schedule(q.now+delay, eventSlot{argFn: fn, arg: arg, name: name})
+	q.schedule(q.now+delay, name, fn, arg)
 }
 
+// schedule queues fn(arg) at cycle at. The name is only quoted by the
+// scheduling-in-the-past panic, so it is not stored.
+//
 //stash:hotpath
-func (q *EventQueue) schedule(at Cycle, s eventSlot) {
+func (q *EventQueue) schedule(at Cycle, name string, fn func(any), arg any) {
 	if at < q.now {
-		panic(fmt.Sprintf("sim: scheduling event %q at cycle %d, before now (%d)", s.name, at, q.now))
+		panic(fmt.Sprintf("sim: scheduling event %q at cycle %d, before now (%d)", name, at, q.now))
 	}
 	q.seq++
+	idx := q.alloc(fn, arg)
 	if q.shuffle != 0 {
 		// Shuffled ties permute whole cycles, so the FIFO wheel cannot be
 		// used; every event takes the heap path with a hashed tie key.
-		q.heapPush(at, mix64(q.seq^q.shuffle), s)
+		q.heapPush(at, mix64(q.seq^q.shuffle), idx)
 		return
 	}
 	if at-q.now < wheelSize {
 		b := int(at) & wheelMask
-		r := &q.wheel[b]
-		if r.buf == nil {
-			r.buf = q.seedRing()
+		w, bit := b>>6, uint64(1)<<(b&63)
+		if q.wheelOcc[w]&bit == 0 {
+			q.wheelOcc[w] |= bit
+			q.wheelHead[b] = idx
+		} else {
+			q.next[q.wheelTail[b]] = idx
 		}
-		r.push(s)
-		q.wheelOcc[b>>6] |= 1 << (b & 63)
+		q.wheelTail[b] = idx
 		q.wheelCount++
 		return
 	}
-	q.heapPush(at, q.seq, s)
+	q.heapPush(at, q.seq, idx)
+}
+
+// alloc stores fn(arg) in a free arena slot and returns its index.
+//
+//stash:hotpath
+func (q *EventQueue) alloc(fn func(any), arg any) int32 {
+	if n := len(q.free); n > 0 {
+		idx := q.free[n-1]
+		q.free = q.free[:n-1]
+		q.arena[idx] = eventSlot{fn: fn, arg: arg}
+		return idx
+	}
+	q.arena = append(q.arena, eventSlot{fn: fn, arg: arg})
+	q.next = append(q.next, 0)
+	return int32(len(q.arena) - 1)
+}
+
+// take returns slot idx's payload and frees the slot. The payload is left
+// in place rather than cleared: clearing a pointer-bearing slot costs a
+// write barrier per event, and the slot is overwritten on reuse, so the
+// arena retains at most its high-water mark of dead callbacks.
+//
+//stash:hotpath
+func (q *EventQueue) take(idx int32) eventSlot {
+	q.free = append(q.free, idx)
+	return q.arena[idx]
 }
 
 //stash:hotpath
-func (q *EventQueue) heapPush(at Cycle, tie uint64, s eventSlot) {
-	var idx int32
-	if n := len(q.free); n > 0 {
-		idx = q.free[n-1]
-		q.free = q.free[:n-1]
-		q.arena[idx] = s
-	} else {
-		idx = int32(len(q.arena))
-		q.arena = append(q.arena, s)
-	}
+func (q *EventQueue) heapPush(at Cycle, tie uint64, idx int32) {
 	// Sift up.
 	i := len(q.heap)
 	q.heap = append(q.heap, heapEntry{})
@@ -270,11 +222,10 @@ func (q *EventQueue) heapPush(at Cycle, tie uint64, s eventSlot) {
 	q.heap[i] = ent
 }
 
-// heapPop removes the heap minimum and returns its payload, recycling the
-// arena slot.
+// heapPop removes the heap minimum and returns its arena slot.
 //
 //stash:hotpath
-func (q *EventQueue) heapPop() eventSlot {
+func (q *EventQueue) heapPop() int32 {
 	top := q.heap[0]
 	n := len(q.heap) - 1
 	last := q.heap[n]
@@ -305,10 +256,7 @@ func (q *EventQueue) heapPop() eventSlot {
 		}
 		q.heap[i] = last
 	}
-	s := q.arena[top.slot]
-	q.arena[top.slot] = eventSlot{} // release the closure for GC
-	q.free = append(q.free, top.slot)
-	return s
+	return top.slot
 }
 
 // nextWheel returns the cycle of the earliest wheel event; it must only be
@@ -370,16 +318,19 @@ func (q *EventQueue) NextEventTime() (Cycle, bool) {
 func (q *EventQueue) popNext() eventSlot {
 	for {
 		if len(q.heap) > 0 && q.heap[0].at == q.now {
-			return q.heapPop()
+			return q.take(q.heapPop())
 		}
 		b := int(q.now) & wheelMask
-		if r := &q.wheel[b]; r.n > 0 {
-			s := r.pop()
-			q.wheelCount--
-			if r.n == 0 {
-				q.wheelOcc[b>>6] &^= 1 << (b & 63)
+		w, bit := b>>6, uint64(1)<<(b&63)
+		if q.wheelOcc[w]&bit != 0 {
+			idx := q.wheelHead[b]
+			if idx == q.wheelTail[b] {
+				q.wheelOcc[w] &^= bit
+			} else {
+				q.wheelHead[b] = q.next[idx]
 			}
-			return s
+			q.wheelCount--
+			return q.take(idx)
 		}
 		// Nothing left at the current cycle: advance the clock.
 		t, _ := q.nextTime()

@@ -12,18 +12,18 @@
 // The scheduler is hand-specialized for the protocol's traffic shape and is
 // allocation-free on the steady-state path:
 //
+//   - Every pending event is one 24-byte (fn, arg) slot in a single
+//     free-listed arena; a slot is reused as soon as its event fires.
 //   - Events due within the next wheelSize (256) cycles — every protocol
-//     latency and virtually every NoC arrival — go to a timing wheel of
-//     per-cycle FIFO ring buffers and never touch the heap. A 4-word
-//     occupancy bitmap finds the next non-empty bucket with a couple of
-//     trailing-zero counts.
+//     latency and virtually every NoC arrival — go to a hashed timing
+//     wheel: one FIFO list per cycle, chained through the arena, and never
+//     touch the heap. A 4-word occupancy bitmap finds the next non-empty
+//     bucket with a couple of trailing-zero counts.
 //   - Everything else goes to a flat 4-ary min-heap of 24-byte inline keys
-//     (cycle, tie, slot index); the callback payloads live out-of-line in a
-//     free-listed arena so sift operations move small values and nothing is
-//     boxed through an interface.
+//     (cycle, tie, slot index), so sift operations move small values.
 //
-// Both structures recycle their storage, so after warm-up the engine
-// performs zero allocations per event. The total execution order is
+// The arena and the heap recycle their storage, so after warm-up the
+// engine performs zero allocations per event. The total execution order is
 // bit-identical to the original container/heap implementation (the
 // property tests in legacy_test.go replay randomized schedules through
 // both): with FIFO tie-breaking, an event lands in the wheel only once
@@ -82,7 +82,7 @@ func (e *Engine) Stopped() bool { return e.stopped.Load() }
 //stash:hotpath
 func (e *Engine) Step() {
 	ev := e.popNext()
-	ev.fire()
+	ev.fn(ev.arg)
 	e.ran++
 }
 
@@ -98,7 +98,7 @@ func (e *Engine) Run(limit uint64) uint64 {
 			break
 		}
 		ev := e.popNext()
-		ev.fire()
+		ev.fn(ev.arg)
 		e.ran++
 		n++
 	}
@@ -122,7 +122,7 @@ func (e *Engine) RunUntil(end Cycle) uint64 {
 			panic("sim: time went backwards")
 		}
 		ev := e.popNext()
-		ev.fire()
+		ev.fn(ev.arg)
 		e.ran++
 		n++
 	}

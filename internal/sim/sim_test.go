@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -60,8 +62,11 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine()
 	e.At(10, "late", func() {
 		defer func() {
-			if recover() == nil {
+			r := recover()
+			if r == nil {
 				t.Error("scheduling in the past did not panic")
+			} else if msg := fmt.Sprint(r); !strings.Contains(msg, `"past"`) {
+				t.Errorf("panic %q does not name the event", msg)
 			}
 		}()
 		e.At(5, "past", func() {})
@@ -183,14 +188,12 @@ func TestEventsRunCounter(t *testing.T) {
 	}
 }
 
-// TestFreshEngineSeedsOnlyUsedBuckets bounds the bytes a fresh engine
-// allocates when it schedules into a single wheel bucket: the engine
-// itself plus one chunk of ring seeds. The model checker builds an engine
-// per explored transition and each touches only a few buckets, so
-// anything a fresh engine allocates for buckets it never uses is paid
-// once per transition.
-func TestFreshEngineSeedsOnlyUsedBuckets(t *testing.T) {
-	const engines = 200
+// TestFreshEngineBytes bounds the bytes a fresh engine allocates when it
+// schedules and runs one event. The model checker builds an engine per
+// explored transition, so whatever a fresh engine allocates is paid once
+// per transition.
+func TestFreshEngineBytes(t *testing.T) {
+	const engines, limit = 200, 4 << 10
 	fn := func() {}
 	keep := make([]*Engine, engines) // engines escape, as they do in real use
 	var before, after runtime.MemStats
@@ -204,10 +207,18 @@ func TestFreshEngineSeedsOnlyUsedBuckets(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	per := (after.TotalAlloc - before.TotalAlloc) / engines
-	limit := uint64(unsafe.Sizeof(Engine{})) + 8<<10
 	t.Logf("%d bytes per fresh engine (limit %d)", per, limit)
 	if per > limit {
 		t.Errorf("a fresh engine scheduling one event allocates %d bytes, want <= %d", per, limit)
+	}
+}
+
+// TestEventSlotSize pins the arena slot at three words, fn plus arg's
+// type and data: every pending event occupies one, so a wider slot
+// widens every wheel and heap operation.
+func TestEventSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(eventSlot{}); n != 24 {
+		t.Fatalf("eventSlot is %d bytes, want 24", n)
 	}
 }
 
