@@ -17,11 +17,12 @@ import (
 // private workload, the most directory-hostile one, and a migratory one.
 var benchWorkloads = []string{"blackscholes", "canneal", "barnes"}
 
-func benchHarness(workloads ...string) *experiments.Harness {
+// benchHarness returns a bench-scale harness that closes when b ends.
+func benchHarness(b *testing.B, workloads ...string) *experiments.Harness {
 	if len(workloads) == 0 {
 		workloads = benchWorkloads
 	}
-	return experiments.NewHarness(experiments.Options{
+	h := experiments.NewHarness(experiments.Options{
 		Quick:     true,
 		Workloads: workloads,
 		ConfigHook: func(c *system.Config) {
@@ -29,21 +30,12 @@ func benchHarness(workloads ...string) *experiments.Harness {
 			c.WorkloadScale = 0.25
 		},
 	})
-}
-
-func covIndex(b *testing.B, r *experiments.SweepResult, cov float64) int {
-	b.Helper()
-	for i, c := range r.Coverages {
-		if c == cov {
-			return i
-		}
-	}
-	b.Fatalf("coverage %v not in sweep", cov)
-	return -1
+	b.Cleanup(h.Close)
+	return h
 }
 
 func BenchmarkTable1Config(b *testing.B) {
-	h := benchHarness()
+	h := benchHarness(b)
 	for i := 0; i < b.N; i++ {
 		if tb := h.Table1Config(); len(tb.Rows) == 0 {
 			b.Fatal("empty table")
@@ -53,7 +45,7 @@ func BenchmarkTable1Config(b *testing.B) {
 
 func BenchmarkTable2Workloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		if _, err := h.Table2Workloads(); err != nil {
 			b.Fatal(err)
 		}
@@ -63,7 +55,7 @@ func BenchmarkTable2Workloads(b *testing.B) {
 func BenchmarkFig1PrivateFraction(b *testing.B) {
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		_, vals, err := h.Fig1PrivateFraction()
 		if err != nil {
 			b.Fatal(err)
@@ -76,12 +68,12 @@ func BenchmarkFig1PrivateFraction(b *testing.B) {
 func BenchmarkFig2Invalidations(b *testing.B) {
 	var at8 float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		r, err := h.Fig2Invalidations()
 		if err != nil {
 			b.Fatal(err)
 		}
-		at8 = r.Geomean[system.DirSparse][covIndex(b, r, 0.125)]
+		at8 = r.Geomean(system.DirSparse, "1/8")
 	}
 	b.ReportMetric(at8, "sparse-conflict-invs-per-1k-acc@1/8")
 }
@@ -89,13 +81,13 @@ func BenchmarkFig2Invalidations(b *testing.B) {
 func BenchmarkFig3ExecTime(b *testing.B) {
 	var stash8, sparse8 float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		r, err := h.Fig3ExecTime()
 		if err != nil {
 			b.Fatal(err)
 		}
-		stash8 = r.Geomean[system.DirStash][covIndex(b, r, 0.125)]
-		sparse8 = r.Geomean[system.DirSparse][covIndex(b, r, 0.125)]
+		stash8 = r.Geomean(system.DirStash, "1/8")
+		sparse8 = r.Geomean(system.DirSparse, "1/8")
 	}
 	b.ReportMetric(stash8, "stash-normtime@1/8")
 	b.ReportMetric(sparse8, "sparse-normtime@1/8")
@@ -104,12 +96,12 @@ func BenchmarkFig3ExecTime(b *testing.B) {
 func BenchmarkFig4MissRate(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		r, err := h.Fig4MissRate()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = r.Geomean[system.DirStash][covIndex(b, r, 0.125)]
+		v = r.Geomean(system.DirStash, "1/8")
 	}
 	b.ReportMetric(v, "stash-norm-missrate@1/8")
 }
@@ -117,12 +109,12 @@ func BenchmarkFig4MissRate(b *testing.B) {
 func BenchmarkFig5Traffic(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		r, err := h.Fig5Traffic()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = r.Geomean[system.DirStash][covIndex(b, r, 0.125)]
+		v = r.Geomean(system.DirStash, "1/8")
 		if _, err := h.Fig5TrafficBreakdown(0.125); err != nil {
 			b.Fatal(err)
 		}
@@ -133,7 +125,7 @@ func BenchmarkFig5Traffic(b *testing.B) {
 func BenchmarkFig6Discovery(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		_, means, err := h.Fig6Discovery()
 		if err != nil {
 			b.Fatal(err)
@@ -146,12 +138,12 @@ func BenchmarkFig6Discovery(b *testing.B) {
 func BenchmarkFig7Energy(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		r, err := h.Fig7Energy()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = r.Geomean[system.DirStash][covIndex(b, r, 0.125)]
+		v = r.Geomean(system.DirStash, "1/8")
 		if _, err := h.Fig7EnergyTotal(); err != nil {
 			b.Fatal(err)
 		}
@@ -162,12 +154,12 @@ func BenchmarkFig7Energy(b *testing.B) {
 func BenchmarkFig8Associativity(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
-		_, gm, err := h.Fig8Associativity()
+		h := benchHarness(b, "canneal")
+		g, err := h.Fig8Associativity()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = gm[system.DirStash][4]
+		v = g.Geomean(system.DirStash, "4-way")
 	}
 	b.ReportMetric(v, "stash-normtime@1/8-4way")
 }
@@ -175,19 +167,19 @@ func BenchmarkFig8Associativity(b *testing.B) {
 func BenchmarkFig9Scaling(b *testing.B) {
 	var v64 float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
-		_, gm, err := h.Fig9Scaling()
+		h := benchHarness(b, "canneal")
+		g, err := h.Fig9Scaling()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v64 = gm[system.DirStash][64]
+		v64 = g.Geomean(system.DirStash, "64-core")
 	}
 	b.ReportMetric(v64, "stash-normtime@1/8-64core")
 }
 
 func BenchmarkTable3Occupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
+		h := benchHarness(b)
 		if _, err := h.Table3Occupancy(); err != nil {
 			b.Fatal(err)
 		}
@@ -197,19 +189,19 @@ func BenchmarkTable3Occupancy(b *testing.B) {
 func BenchmarkFig10Cuckoo(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
+		h := benchHarness(b, "canneal")
 		r, err := h.Fig10Cuckoo()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = r.Geomean[system.DirCuckoo][covIndex(b, r, 0.125)]
+		v = r.Geomean(system.DirCuckoo, "1/8")
 	}
 	b.ReportMetric(v, "cuckoo-normtime@1/8")
 }
 
 func BenchmarkFig11Ablation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
+		h := benchHarness(b, "canneal")
 		if _, err := h.Fig11Ablation(); err != nil {
 			b.Fatal(err)
 		}
@@ -219,12 +211,12 @@ func BenchmarkFig11Ablation(b *testing.B) {
 func BenchmarkFig12ProtocolVariants(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
-		_, gm, err := h.Fig12ProtocolVariants()
+		h := benchHarness(b, "canneal")
+		g, err := h.Fig12ProtocolVariants()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = gm[system.DirStash]["3hop/4mshr"]
+		v = g.Geomean(system.DirStash, "3hop/4mshr")
 	}
 	b.ReportMetric(v, "stash-normtime@1/8-3hop-4mshr")
 }
@@ -232,7 +224,7 @@ func BenchmarkFig12ProtocolVariants(b *testing.B) {
 func BenchmarkFig13EntryFormat(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
+		h := benchHarness(b, "canneal")
 		_, gm, err := h.Fig13EntryFormat()
 		if err != nil {
 			b.Fatal(err)
@@ -245,12 +237,12 @@ func BenchmarkFig13EntryFormat(b *testing.B) {
 func BenchmarkFig14PrivateL2(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
-		_, gm, err := h.Fig14PrivateL2()
+		h := benchHarness(b, "canneal")
+		g, err := h.Fig14PrivateL2()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = gm[system.DirStash][0.125]
+		v = g.Geomean(system.DirStash, "1/8")
 	}
 	b.ReportMetric(v, "stash-normtime@1/8-withL2")
 }
@@ -258,12 +250,12 @@ func BenchmarkFig14PrivateL2(b *testing.B) {
 func BenchmarkFig15ReplacementPolicy(b *testing.B) {
 	var v float64
 	for i := 0; i < b.N; i++ {
-		h := benchHarness("canneal")
-		_, gm, err := h.Fig15ReplacementPolicy()
+		h := benchHarness(b, "canneal")
+		g, err := h.Fig15ReplacementPolicy()
 		if err != nil {
 			b.Fatal(err)
 		}
-		v = gm[system.DirStash]["random"]
+		v = g.Geomean(system.DirStash, "random")
 	}
 	b.ReportMetric(v, "stash-normtime@1/8-random-policy")
 }

@@ -8,20 +8,20 @@
 //	experiments -only fig3,fig6     # a subset
 //	experiments -workloads canneal,barnes
 //
-// Experiment ids: table1 table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8
-// fig9 table3 fig10 fig11 fig12 fig13 fig14 fig15.
+// Experiment ids: table1 table2 fig1 fig2 fig3 fig4 fig5 fig5b fig6 fig7
+// fig7b fig8 fig9 table3 fig10 fig11 fig12 fig13 fig14 fig15 scaling
+// scaling-recalls.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/profiling"
-	"repro/internal/stats"
 )
 
 func main() {
@@ -30,7 +30,7 @@ func main() {
 		only      = flag.String("only", "", "comma-separated experiment ids (default: all)")
 		workloads = flag.String("workloads", "", "comma-separated workload subset (default: all)")
 		verbose   = flag.Bool("v", false, "print per-run progress")
-		parallel  = flag.Int("j", -1, "concurrent simulations in sweeps (-1 = all cores)")
+		parallel  = flag.Int("j", -1, "concurrent simulations (-1 = all cores)")
 		cacheDir  = flag.String("cache-dir", "", "persist simulation results here so repeated invocations reuse them")
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned text tables")
 	)
@@ -49,84 +49,42 @@ func main() {
 	if *verbose {
 		opts.Progress = func(msg string) { fmt.Fprintln(os.Stderr, msg) }
 	}
-	h := experiments.NewHarness(opts)
+	all := experiments.NewHarness(opts).Experiments()
 
-	type exp struct {
-		id  string
-		run func() (*stats.Table, error)
+	valid := make([]string, len(all))
+	for i, e := range all {
+		valid[i] = e.ID
 	}
-	all := []exp{
-		{"table1", func() (*stats.Table, error) { return h.Table1Config(), nil }},
-		{"table2", h.Table2Workloads},
-		{"fig1", func() (*stats.Table, error) { tb, _, err := h.Fig1PrivateFraction(); return tb, err }},
-		{"fig2", func() (*stats.Table, error) { r, err := h.Fig2Invalidations(); return tableOf(r, err) }},
-		{"fig3", func() (*stats.Table, error) { r, err := h.Fig3ExecTime(); return tableOf(r, err) }},
-		{"fig4", func() (*stats.Table, error) { r, err := h.Fig4MissRate(); return tableOf(r, err) }},
-		{"fig5", func() (*stats.Table, error) { r, err := h.Fig5Traffic(); return tableOf(r, err) }},
-		{"fig5b", func() (*stats.Table, error) { return h.Fig5TrafficBreakdown(0.125) }},
-		{"fig6", func() (*stats.Table, error) { tb, _, err := h.Fig6Discovery(); return tb, err }},
-		{"fig7", func() (*stats.Table, error) { r, err := h.Fig7Energy(); return tableOf(r, err) }},
-		{"fig7b", func() (*stats.Table, error) { r, err := h.Fig7EnergyTotal(); return tableOf(r, err) }},
-		{"fig8", func() (*stats.Table, error) { tb, _, err := h.Fig8Associativity(); return tb, err }},
-		{"fig9", func() (*stats.Table, error) { tb, _, err := h.Fig9Scaling(); return tb, err }},
-		{"table3", h.Table3Occupancy},
-		{"fig10", func() (*stats.Table, error) { r, err := h.Fig10Cuckoo(); return tableOf(r, err) }},
-		{"fig11", h.Fig11Ablation},
-		{"fig12", func() (*stats.Table, error) { tb, _, err := h.Fig12ProtocolVariants(); return tb, err }},
-		{"fig13", func() (*stats.Table, error) { tb, _, err := h.Fig13EntryFormat(); return tb, err }},
-		{"fig14", func() (*stats.Table, error) { tb, _, err := h.Fig14PrivateL2(); return tb, err }},
-		{"fig15", func() (*stats.Table, error) { tb, _, err := h.Fig15ReplacementPolicy(); return tb, err }},
-		{"scaling", func() (*stats.Table, error) { tb, _, err := h.ScalingStudy(); return tb, err }},
-		{"scaling-recalls", h.ScalingRecalls},
-	}
-
 	selected := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			selected[strings.TrimSpace(id)] = true
-		}
-		known := map[string]bool{}
-		for _, e := range all {
-			known[e.id] = true
-		}
-		var unknown []string
-		for id := range selected {
-			if !known[id] {
+	var unknown []string
+	for _, id := range strings.Split(*only, ",") {
+		if id = strings.TrimSpace(id); id != "" && !selected[id] {
+			selected[id] = true
+			if !slices.Contains(valid, id) {
 				unknown = append(unknown, id)
 			}
 		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			valid := make([]string, len(all))
-			for i, e := range all {
-				valid[i] = e.id
-			}
-			fmt.Fprintf(os.Stderr, "experiments: unknown ids %v\nvalid ids: %s\n",
-				unknown, strings.Join(valid, " "))
-			prof.Exit(2)
-		}
+	}
+	if len(unknown) > 0 {
+		slices.Sort(unknown)
+		fmt.Fprintf(os.Stderr, "experiments: unknown ids %v\nvalid ids: %s\n",
+			unknown, strings.Join(valid, " "))
+		prof.Exit(2)
 	}
 
 	for _, e := range all {
-		if len(selected) > 0 && !selected[e.id] {
+		if len(selected) > 0 && !selected[e.ID] {
 			continue
 		}
-		tb, err := e.run()
+		tb, err := e.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", e.ID, err)
 			prof.Exit(1)
 		}
 		if *csv {
-			fmt.Printf("# %s\n%s\n", e.id, tb.CSV())
+			fmt.Printf("# %s\n%s\n", e.ID, tb.CSV())
 		} else {
-			fmt.Printf("== %s ==\n%s\n", e.id, tb)
+			fmt.Printf("== %s ==\n%s\n", e.ID, tb)
 		}
 	}
-}
-
-func tableOf(r *experiments.SweepResult, err error) (*stats.Table, error) {
-	if err != nil {
-		return nil, err
-	}
-	return r.Table, nil
 }

@@ -65,7 +65,7 @@ func main() {
 		if *binary {
 			return trace.WriteBinarySource(w, st)
 		}
-		return trace.WriteStream(w, st)
+		return trace.WriteText(w, st)
 	}
 
 	if *out != "" {
@@ -175,7 +175,7 @@ func convertTrace(in, out string, forceBinary bool) (err error) {
 		if forceBinary {
 			werr = trace.WriteBinarySource(w, bs)
 		} else {
-			werr = writeTextSource(w, bs)
+			werr = trace.WriteText(w, bs)
 		}
 		if werr != nil {
 			return werr
@@ -193,23 +193,4 @@ func convertTrace(in, out string, forceBinary bool) (err error) {
 		return werr
 	}
 	return fs.Err()
-}
-
-// writeTextSource drains any access source into the text trace format.
-func writeTextSource(w io.Writer, s trace.Source) error {
-	bw := bufio.NewWriter(w)
-	for {
-		a, ok := s.Next()
-		if !ok {
-			break
-		}
-		op := byte('L')
-		if a.Write {
-			op = 'S'
-		}
-		if _, err := fmt.Fprintf(bw, "%c %x\n", op, uint64(a.Addr)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

@@ -13,7 +13,7 @@
 //     package loaded alongside (for cross-package //stash: annotations),
 //   - a cross-package facts layer (facts.go): analyzers that declare
 //     FactTypes run over every applicable package in dependency order and
-//     attach typed facts to objects and packages; passes over importing
+//     attach typed facts to objects; passes over importing
 //     packages read them back. This is what makes the interprocedural
 //     analyzer (sharecheck) possible without SSA: each pass exports
 //     per-function summaries, and callers consume them.

@@ -3,21 +3,27 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/system"
+	"repro/internal/testutil/leakcheck"
 )
 
 // tinyHarness shrinks runs so the whole experiment suite stays fast in
 // tests while preserving the capacity ratios.
-func tinyHarness(workloads ...string) *Harness {
-	return tinyHarnessParallel(0, workloads...)
+func tinyHarness(t *testing.T, workloads ...string) *Harness {
+	return tinyHarnessParallel(t, 0, workloads...)
 }
 
 // tinyHarnessParallel is tinyHarness with an explicit worker count, which
-// must be fixed at construction time now that the harness owns a pool.
-func tinyHarnessParallel(parallel int, workloads ...string) *Harness {
-	return NewHarness(Options{
+// must be fixed at construction time now that the harness owns a pool. The
+// harness closes when the test ends, and the test fails if that leaves any
+// of its goroutines running.
+func tinyHarnessParallel(t *testing.T, parallel int, workloads ...string) *Harness {
+	leakcheck.Check(t)
+	h := NewHarness(Options{
 		Quick:     true,
 		Workloads: workloads,
 		Parallel:  parallel,
@@ -26,6 +32,8 @@ func tinyHarnessParallel(parallel int, workloads ...string) *Harness {
 			c.WorkloadScale = 0.25
 		},
 	})
+	t.Cleanup(h.Close)
+	return h
 }
 
 func TestGeomean(t *testing.T) {
@@ -51,13 +59,12 @@ func TestCovLabel(t *testing.T) {
 
 func TestHarnessMemoizes(t *testing.T) {
 	runs := 0
-	h := tinyHarness("blackscholes")
+	h := tinyHarness(t, "blackscholes")
 	h.opts.Progress = func(string) { runs++ }
-	if _, err := h.baseline("blackscholes"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.baseline("blackscholes"); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := h.perWorkload(sparseAt1x); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if runs != 1 {
 		t.Fatalf("baseline ran %d times, want 1 (memoized)", runs)
@@ -65,7 +72,7 @@ func TestHarnessMemoizes(t *testing.T) {
 }
 
 func TestTable1RendersWithoutRunning(t *testing.T) {
-	h := tinyHarness("blackscholes")
+	h := tinyHarness(t, "blackscholes")
 	tb := h.Table1Config()
 	out := tb.String()
 	for _, want := range []string{"cores", "L1", "directory", "mesh"} {
@@ -76,7 +83,7 @@ func TestTable1RendersWithoutRunning(t *testing.T) {
 }
 
 func TestFig1PrivateFractionHigh(t *testing.T) {
-	h := tinyHarness("blackscholes", "streamcluster")
+	h := tinyHarness(t, "blackscholes", "streamcluster")
 	_, vals, err := h.Fig1PrivateFraction()
 	if err != nil {
 		t.Fatal(err)
@@ -93,45 +100,40 @@ func TestFig1PrivateFractionHigh(t *testing.T) {
 }
 
 func TestFig2InvalidationsGrowAsCoverageShrinks(t *testing.T) {
-	h := tinyHarness("canneal")
+	h := tinyHarness(t, "canneal")
 	res, err := h.Fig2Invalidations()
 	if err != nil {
 		t.Fatal(err)
 	}
-	gm := res.Geomean[system.DirSparse]
-	// Coverages are ordered 2x .. 1/16: invalidations must be (weakly)
-	// increasing from 1x to 1/16 and much larger at the end.
-	if !(gm[len(gm)-1] > gm[1]*2) {
-		t.Errorf("conflict invalidations did not explode: %v", gm)
+	// Invalidations must be much larger at 1/16 than at 1x.
+	if !(res.Geomean(system.DirSparse, "1/16") > res.Geomean(system.DirSparse, "1x")*2) {
+		t.Errorf("conflict invalidations did not explode: %v", res.Geomeans[system.DirSparse])
 	}
 }
 
 func TestFig3HeadlineShape(t *testing.T) {
-	h := tinyHarness("canneal", "barnes")
+	h := tinyHarness(t, "canneal", "barnes")
 	res, err := h.Fig3ExecTime()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse := res.Geomean[system.DirSparse]
-	stash := res.Geomean[system.DirStash]
-	i8 := indexOf(res.Coverages, 0.125)
-	i1 := indexOf(res.Coverages, 1)
+	sparse8, stash8 := res.Geomean(system.DirSparse, "1/8"), res.Geomean(system.DirStash, "1/8")
 	// The abstract's claim at bench scale: stash at 1/8 coverage within a
 	// few percent of sparse at 1x (normalized 1.0).
-	if stash[i8] > 1.10 {
-		t.Errorf("stash at 1/8 coverage is %.3f x sparse@1x, want <= 1.10", stash[i8])
+	if stash8 > 1.10 {
+		t.Errorf("stash at 1/8 coverage is %.3f x sparse@1x, want <= 1.10", stash8)
 	}
 	// Sparse must visibly degrade at 1/8.
-	if sparse[i8] < stash[i8]*1.05 {
-		t.Errorf("sparse@1/8 (%.3f) not clearly worse than stash@1/8 (%.3f)", sparse[i8], stash[i8])
+	if sparse8 < stash8*1.05 {
+		t.Errorf("sparse@1/8 (%.3f) not clearly worse than stash@1/8 (%.3f)", sparse8, stash8)
 	}
-	if sparse[i1] < 0.95 || sparse[i1] > 1.05 {
-		t.Errorf("sparse@1x should normalize to ~1.0, got %.3f", sparse[i1])
+	if sparse1 := res.Geomean(system.DirSparse, "1x"); sparse1 < 0.95 || sparse1 > 1.05 {
+		t.Errorf("sparse@1x should normalize to ~1.0, got %.3f", sparse1)
 	}
 }
 
 func TestFig6DiscoveryGrowsButStaysRare(t *testing.T) {
-	h := tinyHarness("barnes")
+	h := tinyHarness(t, "barnes")
 	_, means, err := h.Fig6Discovery()
 	if err != nil {
 		t.Fatal(err)
@@ -145,21 +147,18 @@ func TestFig6DiscoveryGrowsButStaysRare(t *testing.T) {
 }
 
 func TestFig7EnergyShrinksWithDirectory(t *testing.T) {
-	h := tinyHarness("blackscholes")
+	h := tinyHarness(t, "blackscholes")
 	res, err := h.Fig7Energy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	stash := res.Geomean[system.DirStash]
-	i8 := indexOf(res.Coverages, 0.125)
-	i2 := indexOf(res.Coverages, 2)
-	if !(stash[i8] < stash[i2]) {
-		t.Errorf("a 1/8 directory should use less directory energy than a 2x one: %v", stash)
+	if !(res.Geomean(system.DirStash, "1/8") < res.Geomean(system.DirStash, "2x")) {
+		t.Errorf("a 1/8 directory should use less directory energy than a 2x one: %v", res.Geomeans[system.DirStash])
 	}
 }
 
 func TestFig5TrafficBreakdownSumsToOne(t *testing.T) {
-	h := tinyHarness("barnes")
+	h := tinyHarness(t, "barnes")
 	tb, err := h.Fig5TrafficBreakdown(0.125)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +182,7 @@ func TestFig5TrafficBreakdownSumsToOne(t *testing.T) {
 }
 
 func TestTable3AndAblationRender(t *testing.T) {
-	h := tinyHarness("barnes")
+	h := tinyHarness(t, "barnes")
 	tb, err := h.Table3Occupancy()
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +200,7 @@ func TestTable3AndAblationRender(t *testing.T) {
 }
 
 func TestTable2Renders(t *testing.T) {
-	h := tinyHarness("blackscholes")
+	h := tinyHarness(t, "blackscholes")
 	tb, err := h.Table2Workloads()
 	if err != nil {
 		t.Fatal(err)
@@ -211,43 +210,35 @@ func TestTable2Renders(t *testing.T) {
 	}
 }
 
-func indexOf(vs []float64, v float64) int {
-	for i, x := range vs {
-		if x == v {
-			return i
-		}
-	}
-	return -1
-}
-
 // fmtSscan parses one float out of a table cell.
 func fmtSscan(s string, v *float64) (int, error) {
 	return fmt.Sscanf(s, "%f", v)
 }
 
 func TestFig12ProtocolVariantsShape(t *testing.T) {
-	h := tinyHarness("canneal")
-	tb, gm, err := h.Fig12ProtocolVariants()
+	h := tinyHarness(t, "canneal")
+	g, err := h.Fig12ProtocolVariants()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 { // (1 workload + GEOMEAN) x 2 orgs
-		t.Fatalf("rows = %d, want 4", len(tb.Rows))
+	if len(g.Table.Rows) != 4 { // (1 workload + GEOMEAN) x 2 orgs
+		t.Fatalf("rows = %d, want 4", len(g.Table.Rows))
 	}
 	// The headline must hold under every variant: stash@1/8 close to 1.0,
 	// sparse@1/8 clearly above it.
-	for variant, v := range gm[system.DirStash] {
+	for _, variant := range g.Columns {
+		v := g.Geomean(system.DirStash, variant)
 		if v > 1.15 {
 			t.Errorf("stash@1/8 under %s = %.3f, want <= 1.15", variant, v)
 		}
-		if sp := gm[system.DirSparse][variant]; sp < v {
+		if sp := g.Geomean(system.DirSparse, variant); sp < v {
 			t.Errorf("sparse@1/8 under %s (%.3f) not worse than stash (%.3f)", variant, sp, v)
 		}
 	}
 }
 
 func TestFig13EntryFormatShape(t *testing.T) {
-	h := tinyHarness("streamcluster") // enough sharing to overflow pointers
+	h := tinyHarness(t, "streamcluster") // enough sharing to overflow pointers
 	tb, gm, err := h.Fig13EntryFormat()
 	if err != nil {
 		t.Fatal(err)
@@ -269,24 +260,23 @@ func TestFig13EntryFormatShape(t *testing.T) {
 }
 
 func TestFig14PrivateL2Shape(t *testing.T) {
-	h := tinyHarness("canneal")
-	tb, gm, err := h.Fig14PrivateL2()
+	h := tinyHarness(t, "canneal")
+	g, err := h.Fig14PrivateL2()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Rows) != 4 {
-		t.Fatalf("rows = %d, want 4", len(tb.Rows))
+	if len(g.Table.Rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(g.Table.Rows))
 	}
 	// With private L2s, stash at 1/8 must still beat sparse at 1/8.
-	if gm[system.DirStash][0.125] >= gm[system.DirSparse][0.125] {
-		t.Errorf("stash (%v) not better than sparse (%v) at 1/8 with L2s",
-			gm[system.DirStash][0.125], gm[system.DirSparse][0.125])
+	if stash, sparse := g.Geomean(system.DirStash, "1/8"), g.Geomean(system.DirSparse, "1/8"); stash >= sparse {
+		t.Errorf("stash (%v) not better than sparse (%v) at 1/8 with L2s", stash, sparse)
 	}
 }
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
-	seq := tinyHarness("canneal", "barnes")
-	par := tinyHarnessParallel(4, "canneal", "barnes")
+	seq := tinyHarness(t, "canneal", "barnes")
+	par := tinyHarnessParallel(t, 4, "canneal", "barnes")
 	a, err := seq.Fig3ExecTime()
 	if err != nil {
 		t.Fatal(err)
@@ -295,10 +285,10 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kind, gm := range a.Geomean {
+	for kind, gm := range a.Geomeans {
 		for i, v := range gm {
-			if b.Geomean[kind][i] != v {
-				t.Fatalf("parallel diverged: %s[%d] %v vs %v", kind, i, v, b.Geomean[kind][i])
+			if b.Geomeans[kind][i] != v {
+				t.Fatalf("parallel diverged: %s[%d] %v vs %v", kind, i, v, b.Geomeans[kind][i])
 			}
 		}
 	}
@@ -309,29 +299,22 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 // byte-identical whether the sweep executed sequentially or on 8 workers.
 func TestSweepSummariesDeterministicAcrossParallelism(t *testing.T) {
 	summaries := func(parallel int) []string {
-		h := tinyHarnessParallel(parallel, "canneal", "barnes")
-		defer h.Close()
-		var batch []system.Config
-		for _, w := range h.workloadList() {
-			for _, cov := range []float64{1, 0.25} {
-				for _, kind := range []string{system.DirSparse, system.DirStash} {
-					cfg := h.baseConfig(w)
-					cfg.DirKind = kind
-					cfg.Coverage = cov
-					batch = append(batch, cfg)
-				}
+		h := tinyHarnessParallel(t, parallel, "canneal", "barnes")
+		var sets []func(*system.Config)
+		for _, cov := range []float64{1, 0.25} {
+			for _, kind := range []string{system.DirSparse, system.DirStash} {
+				sets = append(sets, dir(kind, cov).set)
 			}
 		}
-		if err := h.runAll(batch); err != nil {
+		res, err := h.perWorkload(sets...)
+		if err != nil {
 			t.Fatal(err)
 		}
 		var out []string
-		for _, cfg := range batch {
-			r, err := h.run(cfg) // memo hit
-			if err != nil {
-				t.Fatal(err)
+		for _, rs := range res {
+			for _, r := range rs {
+				out = append(out, r.Summary())
 			}
-			out = append(out, r.Summary())
 		}
 		return out
 	}
@@ -348,14 +331,14 @@ func TestSweepSummariesDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestFig15PolicyShape(t *testing.T) {
-	h := tinyHarness("canneal")
-	_, gm, err := h.Fig15ReplacementPolicy()
+	h := tinyHarness(t, "canneal")
+	g, err := h.Fig15ReplacementPolicy()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stash must be insensitive to the policy: spread across policies small.
 	min, max := 1e9, 0.0
-	for _, v := range gm[system.DirStash] {
+	for _, v := range g.Geomeans[system.DirStash] {
 		if v < min {
 			min = v
 		}
@@ -373,42 +356,71 @@ func TestFig8AssociativityShape(t *testing.T) {
 	// pressure), so associativity visibly helps its sparse directory;
 	// canneal would not work here — it is capacity-bound and nearly
 	// associativity-insensitive (see the full-scale Fig 8 data).
-	h := tinyHarness("blackscholes")
-	_, gm, err := h.Fig8Associativity()
+	h := tinyHarness(t, "blackscholes")
+	g, err := h.Fig8Associativity()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Sparse must benefit from associativity far more than stash.
-	sparseGain := gm[system.DirSparse][2] - gm[system.DirSparse][16]
-	stashGain := gm[system.DirStash][2] - gm[system.DirStash][16]
+	sparseGain := g.Geomean(system.DirSparse, "2-way") - g.Geomean(system.DirSparse, "16-way")
+	stashGain := g.Geomean(system.DirStash, "2-way") - g.Geomean(system.DirStash, "16-way")
 	if sparseGain <= stashGain {
 		t.Errorf("sparse assoc gain (%v) not larger than stash (%v)", sparseGain, stashGain)
 	}
 }
 
 func TestFig9ScalingShape(t *testing.T) {
-	h := tinyHarness("canneal")
-	_, gm, err := h.Fig9Scaling()
+	h := tinyHarness(t, "canneal")
+	g, err := h.Fig9Scaling()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cores := range []int{16, 32, 64} {
-		if gm[system.DirStash][cores] >= gm[system.DirSparse][cores] {
-			t.Errorf("%d cores: stash (%v) not better than sparse (%v)",
-				cores, gm[system.DirStash][cores], gm[system.DirSparse][cores])
+	for _, cores := range g.Columns {
+		if stash, sparse := g.Geomean(system.DirStash, cores), g.Geomean(system.DirSparse, cores); stash >= sparse {
+			t.Errorf("%s: stash (%v) not better than sparse (%v)", cores, stash, sparse)
 		}
 	}
 }
 
 func TestFig10CuckooBetweenSparseAndStash(t *testing.T) {
-	h := tinyHarness("canneal")
+	h := tinyHarness(t, "canneal")
 	r, err := h.Fig10Cuckoo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	i4 := indexOf(r.Coverages, 0.25)
-	sparse, cuckoo, stash := r.Geomean[system.DirSparse][i4], r.Geomean[system.DirCuckoo][i4], r.Geomean[system.DirStash][i4]
+	sparse, cuckoo, stash := r.Geomean(system.DirSparse, "1/4"), r.Geomean(system.DirCuckoo, "1/4"), r.Geomean(system.DirStash, "1/4")
 	if !(stash <= cuckoo && cuckoo <= sparse*1.02) {
 		t.Errorf("expected stash (%v) <= cuckoo (%v) <= sparse (%v) at 1/4", stash, cuckoo, sparse)
+	}
+}
+
+// TestFig8RunsInParallel: at Parallel 2 Fig 8 hands its whole grid to the
+// runner as one batch, so the runner's events show two of its simulations
+// in flight at once.
+func TestFig8RunsInParallel(t *testing.T) {
+	h := tinyHarnessParallel(t, 2, "blackscholes")
+	h.runner.Close()
+	var mu sync.Mutex
+	running, peak := 0, 0
+	h.runner = runner.New(runner.Options{
+		Workers:       2,
+		MemoryEntries: runner.UnlimitedMemory,
+		Events: func(e runner.Event) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case e.Kind == runner.EventStarted:
+				running++
+				peak = max(peak, running)
+			case e.Kind == runner.EventFinished && e.CacheHit == "", e.Kind == runner.EventFailed:
+				running--
+			}
+		},
+	})
+	if _, err := h.Fig8Associativity(); err != nil {
+		t.Fatal(err)
+	}
+	if peak < 2 {
+		t.Fatalf("at most %d Fig 8 simulation(s) ran at once at Parallel 2, want 2", peak)
 	}
 }

@@ -20,116 +20,46 @@ var ScalingCoverages = []float64{1, 0.25, 0.125}
 
 // ScalingStudy sweeps sparse and stash over (cores x coverage): for each
 // point it reports execution time normalized to the same-core-count
-// sparse@1x baseline — the Fig 9 metric extended to 128 and 256 cores —
-// plus the recall-invalidation rate, the directory-pressure symptom that
-// grows with scale. The returned map is gm[kind][cores][coverage] of
-// geomeans across workloads.
-func (h *Harness) ScalingStudy() (*stats.Table, map[string]map[int]map[float64]float64, error) {
-	header := []string{"workload", "directory", "coverage"}
-	for _, n := range ScalingCores {
-		header = append(header, fmt.Sprintf("%d-core", n))
-	}
-	tb := stats.NewTable("Scaling study: execution time normalized to same-core-count sparse@1x, 16-256 cores", header...)
-
-	// Batch every run up front so Options.Parallel applies across the
-	// whole grid (baselines included; the runner deduplicates).
-	var batch []system.Config
-	point := func(w, kind string, cores int, cov float64) system.Config {
-		cfg := h.baseConfig(w)
-		cfg.Cores = cores
-		cfg.DirKind = kind
-		cfg.Coverage = cov
-		return cfg
-	}
-	for _, w := range h.workloadList() {
-		for _, n := range ScalingCores {
-			batch = append(batch, point(w, system.DirSparse, n, 1))
-			for _, kind := range []string{system.DirSparse, system.DirStash} {
-				for _, cov := range ScalingCoverages {
-					batch = append(batch, point(w, kind, n, cov))
-				}
-			}
-		}
-	}
-	if err := h.runAll(batch); err != nil {
-		return nil, nil, err
-	}
-
-	gm := map[string]map[int]map[float64]float64{}
-	for _, kind := range []string{system.DirSparse, system.DirStash} {
-		gm[kind] = map[int]map[float64]float64{}
-		acc := map[int]map[float64][]float64{}
-		for _, n := range ScalingCores {
-			acc[n] = map[float64][]float64{}
-		}
-		for _, w := range h.workloadList() {
-			for _, cov := range ScalingCoverages {
-				row := []string{w, kind, covLabel(cov)}
-				for _, n := range ScalingCores {
-					base, err := h.run(point(w, system.DirSparse, n, 1))
-					if err != nil {
-						return nil, nil, err
-					}
-					r, err := h.run(point(w, kind, n, cov))
-					if err != nil {
-						return nil, nil, err
-					}
-					v := float64(r.Cycles) / float64(base.Cycles)
-					acc[n][cov] = append(acc[n][cov], v)
-					row = append(row, fmt.Sprintf("%.3f", v))
-				}
-				tb.AddRow(row...)
-			}
-		}
+// sparse@1x baseline — the Fig 9 metric extended to 128 and 256 cores.
+// Its series are kind and coverage pairs, named "stash 1/8" and so on.
+func (h *Harness) ScalingStudy() (*Grid, error) {
+	blocks := make([][]series, 2)
+	for k, kind := range []string{system.DirSparse, system.DirStash} {
 		for _, cov := range ScalingCoverages {
-			row := []string{"GEOMEAN", kind, covLabel(cov)}
-			for _, n := range ScalingCores {
-				if gm[kind][n] == nil {
-					gm[kind][n] = map[float64]float64{}
-				}
-				gm[kind][n][cov] = geomean(acc[n][cov])
-				row = append(row, fmt.Sprintf("%.3f", gm[kind][n][cov]))
-			}
-			tb.AddRow(row...)
+			s := dir(kind, cov)
+			s.labels = append(s.labels, covLabel(cov))
+			blocks[k] = append(blocks[k], s)
 		}
 	}
-	return tb, gm, nil
+	return h.grid(grid{
+		title:   "Scaling study: execution time normalized to same-core-count sparse@1x, 16-256 cores",
+		heads:   []string{"directory", "coverage"},
+		blocks:  blocks,
+		columns: coreColumns(ScalingCores),
+		metric:  normTime,
+	})
 }
 
 // ScalingRecalls reports the per-core-count recall-invalidation pressure
 // at the tightest scaling coverage: recalls per 1k accesses for sparse vs
-// stash. It reuses the ScalingStudy runs (memoized), so calling both costs
-// one sweep.
+// stash, the directory-pressure symptom that grows with scale. It reuses
+// the ScalingStudy runs (memoized), so calling both costs one sweep.
 func (h *Harness) ScalingRecalls() (*stats.Table, error) {
 	cov := ScalingCoverages[len(ScalingCoverages)-1]
-	header := []string{"workload", "directory"}
-	for _, n := range ScalingCores {
-		header = append(header, fmt.Sprintf("%d-core", n))
-	}
-	tb := stats.NewTable(
-		fmt.Sprintf("Scaling study: recall invalidations per 1k accesses at %s coverage", covLabel(cov)),
-		header...)
-	for _, kind := range []string{system.DirSparse, system.DirStash} {
-		for _, w := range h.workloadList() {
-			row := []string{w, kind}
-			for _, n := range ScalingCores {
-				cfg := h.baseConfig(w)
-				cfg.Cores = n
-				cfg.DirKind = kind
-				cfg.Coverage = cov
-				r, err := h.run(cfg)
-				if err != nil {
-					return nil, err
-				}
-				accesses := r.Loads + r.Stores
-				rate := 0.0
-				if accesses > 0 {
-					rate = 1000 * float64(r.InvsRecall) / float64(accesses)
-				}
-				row = append(row, fmt.Sprintf("%.2f", rate))
+	g, err := h.grid(grid{
+		title:   fmt.Sprintf("Scaling study: recall invalidations per 1k accesses at %s coverage", covLabel(cov)),
+		blocks:  apart(cov),
+		columns: coreColumns(ScalingCores),
+		metric: func(r, _ *system.Results) float64 {
+			if accesses := r.Loads + r.Stores; accesses > 0 {
+				return 1000 * float64(r.InvsRecall) / float64(accesses)
 			}
-			tb.AddRow(row...)
-		}
+			return 0
+		},
+		absolute: true,
+	})
+	if err != nil {
+		return nil, err
 	}
-	return tb, nil
+	return g.Table, nil
 }

@@ -4,12 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/system"
+	"repro/internal/testutil/leakcheck"
 )
 
 // scalingHarness shrinks runs hard: the study grid spans five core counts
 // up to 256, so each point must be tiny for the test to stay fast.
-func scalingHarness() *Harness {
-	return NewHarness(Options{
+func scalingHarness(t *testing.T) *Harness {
+	leakcheck.Check(t)
+	h := NewHarness(Options{
 		Quick:     true,
 		Workloads: []string{"canneal"},
 		ConfigHook: func(c *system.Config) {
@@ -17,33 +19,34 @@ func scalingHarness() *Harness {
 			c.WorkloadScale = 0.25
 		},
 	})
+	t.Cleanup(h.Close)
+	return h
 }
 
 func TestScalingStudyShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("256-core grid")
 	}
-	h := scalingHarness()
-	defer h.Close()
-	tb, gm, err := h.ScalingStudy()
+	h := scalingHarness(t)
+	g, err := h.ScalingStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb == nil || len(tb.Rows) == 0 {
+	if len(g.Table.Rows) == 0 {
 		t.Fatal("empty scaling table")
 	}
 	for _, kind := range []string{system.DirSparse, system.DirStash} {
-		for _, n := range ScalingCores {
-			for _, cov := range ScalingCoverages {
-				v := gm[kind][n][cov]
-				if v <= 0 {
-					t.Errorf("%s %d-core cov=%v: normalized time %v, want > 0", kind, n, cov, v)
+		for _, cov := range ScalingCoverages {
+			s := kind + " " + covLabel(cov)
+			for _, n := range g.Columns {
+				if v := g.Geomean(s, n); v <= 0 {
+					t.Errorf("%s %s: normalized time %v, want > 0", s, n, v)
 				}
-			}
-			// The sparse@1x baseline normalizes to exactly 1.
-			if kind == system.DirSparse {
-				if v := gm[kind][n][1]; v != 1 {
-					t.Errorf("sparse %d-core at 1x normalizes to %v, want 1", n, v)
+				// The sparse@1x baseline normalizes to exactly 1.
+				if s == system.DirSparse+" 1x" {
+					if v := g.Geomean(s, n); v != 1 {
+						t.Errorf("sparse %s at 1x normalizes to %v, want 1", n, v)
+					}
 				}
 			}
 		}
@@ -53,10 +56,10 @@ func TestScalingStudyShape(t *testing.T) {
 	// headline number, but at this smoke-test scale (600 accesses/core,
 	// quarter-size working sets) it is noise — EXPERIMENTS.md records the
 	// real-size outcome. Log it so failures elsewhere come with context.
-	tight := ScalingCoverages[len(ScalingCoverages)-1]
-	big := ScalingCores[len(ScalingCores)-1]
-	t.Logf("%d-core cov=%v: stash %.3f vs sparse %.3f",
-		big, tight, gm[system.DirStash][big][tight], gm[system.DirSparse][big][tight])
+	tight := covLabel(ScalingCoverages[len(ScalingCoverages)-1])
+	big := g.Columns[len(g.Columns)-1]
+	t.Logf("%s cov=%s: stash %.3f vs sparse %.3f", big, tight,
+		g.Geomean(system.DirStash+" "+tight, big), g.Geomean(system.DirSparse+" "+tight, big))
 
 	rt, err := h.ScalingRecalls()
 	if err != nil {

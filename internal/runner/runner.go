@@ -342,13 +342,14 @@ func (r *Runner) Run(ctx context.Context, cfg system.Config) (*system.Results, e
 }
 
 // RunAll executes a batch of independent configurations (deduplicated by
-// cache key) and waits for all of them. The first failure synchronously
-// abandons RunAll's registration on every job — cancelling each job that
-// has no other waiter before another queued job can start — and RunAll
-// returns that first error.
-func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
+// cache key), waits for all of them and returns their results in input
+// order; identical configs share one result. The first failure
+// synchronously abandons RunAll's registration on every job — cancelling
+// each job that has no other waiter before another queued job can start —
+// and RunAll returns that first error.
+func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) ([]*system.Results, error) {
 	if len(cfgs) == 0 {
-		return nil
+		return nil, nil
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -356,7 +357,9 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	seen := make(map[string]bool, len(cfgs))
+	// slot[i] indexes cfgs[i]'s job in jobs.
+	slot := make([]int, len(cfgs))
+	index := make(map[string]int, len(cfgs))
 	var jobs []*Job
 	var waiters []*waiter
 	abort := func() {
@@ -364,27 +367,33 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 			w.drop()
 		}
 	}
-	for _, cfg := range cfgs {
+	for i, cfg := range cfgs {
 		j, w, err := r.submit(ctx, cfg)
 		if err != nil {
 			abort() // synchronously cancel the already-queued jobs
-			return err
+			return nil, err
 		}
-		if seen[j.key] {
+		if k, ok := index[j.key]; ok {
 			w.drop() // duplicate registration on a job already held above
+			slot[i] = k
 			continue
 		}
-		seen[j.key] = true
+		index[j.key] = len(jobs)
+		slot[i] = len(jobs)
 		jobs = append(jobs, j)
 		waiters = append(waiters, w)
 	}
 
+	// Each waiter goroutine writes only its own results[k], before its
+	// send; receiving every send orders those writes before the reads below.
+	results := make([]*system.Results, len(jobs))
 	errc := make(chan error, len(jobs))
-	for _, j := range jobs {
-		go func(j *Job) {
-			_, err := j.Wait(ctx)
+	for k, j := range jobs {
+		go func(k int, j *Job) {
+			var err error
+			results[k], err = j.Wait(ctx)
 			errc <- err
-		}(j)
+		}(k, j)
 	}
 	var firstErr error
 	for range jobs {
@@ -395,7 +404,14 @@ func (r *Runner) RunAll(ctx context.Context, cfgs []system.Config) error {
 			abort()  // synchronously cancel every job not shared with others
 		}
 	}
-	return firstErr
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	out := make([]*system.Results, len(cfgs))
+	for i, k := range slot {
+		out[i] = results[k]
+	}
+	return out, nil
 }
 
 // Submit returns cfg's job without waiting for a worker. A cache hit

@@ -203,6 +203,39 @@ func TestCorruptedCacheFileIsMiss(t *testing.T) {
 	}
 }
 
+// TestRunAllResultsInInputOrder: RunAll answers every config in the order
+// given, duplicates included, and simulates each distinct config once.
+func TestRunAllResultsInInputOrder(t *testing.T) {
+	leakcheck.Check(t)
+	var executed atomic.Int64
+	r := New(Options{Workers: 2})
+	defer r.Close()
+	r.execute = func(_ context.Context, cfg system.Config) (*system.Results, error) {
+		executed.Add(1)
+		return fakeResults(cfg), nil
+	}
+	seeds := []int64{3, 1, 2, 1, 3}
+	cfgs := make([]system.Config, len(seeds))
+	for i, s := range seeds {
+		cfgs[i] = tinyConfig(s)
+	}
+	res, err := r.RunAll(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(seeds) {
+		t.Fatalf("RunAll returned %d results for %d configs", len(res), len(seeds))
+	}
+	for i, s := range seeds {
+		if res[i].Cycles != uint64(s) {
+			t.Errorf("result %d has seed %d, want %d", i, res[i].Cycles, s)
+		}
+	}
+	if n := executed.Load(); n != 3 {
+		t.Errorf("%d simulations for 3 distinct configs", n)
+	}
+}
+
 func TestCancelledContextStopsSweepEarly(t *testing.T) {
 	leakcheck.Check(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -224,7 +257,7 @@ func TestCancelledContextStopsSweepEarly(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = tinyConfig(int64(i + 1))
 	}
-	err := r.RunAll(ctx, cfgs)
+	_, err := r.RunAll(ctx, cfgs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunAll error = %v, want context.Canceled", err)
 	}
@@ -253,7 +286,7 @@ func TestRunAllStopsOnFirstError(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = tinyConfig(int64(i + 1))
 	}
-	err := r.RunAll(context.Background(), cfgs)
+	_, err := r.RunAll(context.Background(), cfgs)
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunAll error = %v, want the simulation failure", err)
 	}

@@ -14,7 +14,6 @@ type scheduler interface {
 	After(Cycle, string, Event)
 	Now() Cycle
 	Run(uint64) uint64
-	RunUntil(Cycle) uint64
 	SetShuffleSeed(uint64)
 	Pending() int
 }
@@ -66,10 +65,9 @@ func driveRandom(s scheduler, seed int64, shuffle uint64, stepped bool) []string
 		s.At(Cycle(rng.Intn(30)), "root", spawn(4))
 	}
 	if stepped {
-		// Alternate bounded Run and RunUntil calls to cover the stepping
-		// entry points, then drain.
-		for end := Cycle(25); s.Pending() > 0; end += 40 {
-			s.RunUntil(end)
+		// Drain in bounded Run calls, so every call resumes a schedule
+		// another one left part-run.
+		for s.Pending() > 0 {
 			s.Run(7)
 		}
 	} else {
@@ -80,7 +78,7 @@ func driveRandom(s scheduler, seed int64, shuffle uint64, stepped bool) []string
 
 // TestEngineMatchesLegacyOrdering is the rewrite's equivalence proof:
 // randomized (cycle, seq) schedules — including shuffle-seeded tie
-// permutation and stepped Run/RunUntil driving — must execute in exactly
+// permutation and stepped Run driving — must execute in exactly
 // the same total order on the flat 4-ary engine as on the original
 // container/heap implementation.
 func TestEngineMatchesLegacyOrdering(t *testing.T) {
@@ -105,23 +103,23 @@ func TestEngineMatchesLegacyOrdering(t *testing.T) {
 	}
 }
 
-// TestRunUntilTimeBackwardsGuard covers the guard RunUntil shares with
-// Run: a clock that would move backwards is a scheduler invariant
-// violation and must panic rather than corrupt event order.
-func TestRunUntilTimeBackwardsGuard(t *testing.T) {
+// TestRunTimeBackwardsGuard covers popNext's guard: a clock that would
+// move backwards is a scheduler invariant violation and must panic rather
+// than corrupt event order.
+func TestRunTimeBackwardsGuard(t *testing.T) {
 	e := NewEngine()
 	e.At(10, "a", func() {})
-	e.RunUntil(20)
+	e.Run(0)
 	// Corrupt the clock the only way external code could observe it: an
 	// already-queued heap entry behind the clock.
 	e.arena = append(e.arena, eventSlot{fn: runEvent, arg: Event(func() {})})
 	e.heap = append(e.heap, heapEntry{at: 3, tie: 1, slot: int32(len(e.arena) - 1)})
 	defer func() {
 		if recover() == nil {
-			t.Fatal("RunUntil executed an event behind the clock without panicking")
+			t.Fatal("Run executed an event behind the clock without panicking")
 		}
 	}()
-	e.RunUntil(100)
+	e.Run(0)
 }
 
 // TestArenaRecycling proves the heap path reuses storage: a long

@@ -99,19 +99,3 @@ func (e *legacyEngine) Run(limit uint64) uint64 {
 	}
 	return n
 }
-
-func (e *legacyEngine) RunUntil(end Cycle) uint64 {
-	var n uint64
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted && e.queue[0].at <= end {
-		ev := heap.Pop(&e.queue).(*legacyQueued)
-		e.now = ev.at
-		if e.Trace != nil {
-			e.Trace(e.now, ev.name)
-		}
-		ev.run()
-		e.ran++
-		n++
-	}
-	return n
-}

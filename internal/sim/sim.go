@@ -65,10 +65,10 @@ func NewEngine() *Engine {
 // EventsRun returns the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
-// Stop makes Run and RunUntil return after the current event, leaving any
-// remaining events queued. It is safe to call from any goroutine, and it
-// is sticky: a stop raised before or during a run ends every later Run and
-// RunUntil call on this engine too.
+// Stop makes Run return after the current event, leaving any remaining
+// events queued. It is safe to call from any goroutine, and it is sticky:
+// a stop raised before or during a run ends every later Run call on this
+// engine too.
 func (e *Engine) Stop() { e.stopped.Store(true) }
 
 // Stopped reports whether Stop has been called.
@@ -96,30 +96,6 @@ func (e *Engine) Run(limit uint64) uint64 {
 	for e.Pending() > 0 && !e.stopped.Load() {
 		if limit != 0 && n >= limit {
 			break
-		}
-		ev := e.popNext()
-		ev.fn(ev.arg)
-		e.ran++
-		n++
-	}
-	return n
-}
-
-// RunUntil executes events with timestamps up to and including cycle end,
-// or until Stop is called. Events scheduled beyond end remain queued; the
-// clock is left at the timestamp of the last event executed (not advanced
-// to end).
-//
-//stash:hotpath
-func (e *Engine) RunUntil(end Cycle) uint64 {
-	var n uint64
-	for !e.stopped.Load() {
-		t, ok := e.nextTime()
-		if !ok || t > end {
-			break
-		}
-		if t < e.now {
-			panic("sim: time went backwards")
 		}
 		ev := e.popNext()
 		ev.fn(ev.arg)

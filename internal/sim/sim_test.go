@@ -93,23 +93,7 @@ func TestRunLimit(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var ran []Cycle
-	for _, at := range []Cycle{1, 5, 10, 15} {
-		at := at
-		e.At(at, "t", func() { ran = append(ran, at) })
-	}
-	e.RunUntil(10)
-	if len(ran) != 3 {
-		t.Fatalf("RunUntil(10) executed %v", ran)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-}
-
-// TestStop: Stop ends Run and RunUntil after the current event and leaves
+// TestStop: Stop ends Run after the current event and leaves
 // the rest queued. The flag is sticky and goroutine-safe, so a stop raised
 // on another goroutine ends a run that would never drain, and a stop that
 // lands before a run starts is not lost.
@@ -123,8 +107,8 @@ func TestStop(t *testing.T) {
 	if n != 1 || e.Pending() != 1 {
 		t.Fatalf("Stop did not end the run after the current event: n = %d, pending = %d", n, e.Pending())
 	}
-	if e.Run(0) != 0 || e.RunUntil(10) != 0 || n != 1 {
-		t.Fatalf("a later Run or RunUntil resumed a stopped engine; n = %d", n)
+	if e.Run(0) != 0 || n != 1 {
+		t.Fatalf("a later Run resumed a stopped engine; n = %d", n)
 	}
 
 	e = NewEngine()
@@ -140,7 +124,7 @@ func TestStop(t *testing.T) {
 	e = NewEngine()
 	e.At(1, "a", func() { t.Error("an event ran after a stop raised before the run") })
 	e.Stop()
-	if e.RunUntil(10) != 0 || e.Run(0) != 0 {
+	if e.Run(0) != 0 {
 		t.Fatal("a stop raised before the run was lost")
 	}
 }

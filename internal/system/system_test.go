@@ -364,7 +364,7 @@ func TestTraceFileReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteStream(f, s); err != nil {
+		if err := trace.WriteText(f, s); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()

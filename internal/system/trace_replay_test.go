@@ -36,7 +36,7 @@ func writeReplayFiles(t *testing.T, cores, accesses int) (textFiles, binFiles []
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := trace.WriteStream(tf, gen()); err != nil {
+		if err := trace.WriteText(tf, gen()); err != nil {
 			t.Fatal(err)
 		}
 		if err := tf.Close(); err != nil {

@@ -38,7 +38,7 @@ func benchTraceFiles(b *testing.B) (textPath, binPath string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := WriteStream(tf, benchStream(b)); err != nil {
+	if err := WriteText(tf, benchStream(b)); err != nil {
 		b.Fatal(err)
 	}
 	if err := tf.Close(); err != nil {

@@ -23,6 +23,29 @@ func encodeBinary(t *testing.T, accs []mem.Access) []byte {
 	return buf.Bytes()
 }
 
+// accessSlice replays a slice as a Source.
+type accessSlice []mem.Access
+
+func (s *accessSlice) Next() (mem.Access, bool) {
+	if len(*s) == 0 {
+		return mem.Access{}, false
+	}
+	a := (*s)[0]
+	*s = (*s)[1:]
+	return a, true
+}
+
+// encodeText writes accs in the text trace format.
+func encodeText(t *testing.T, accs []mem.Access) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	src := accessSlice(accs)
+	if err := WriteText(&buf, &src); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // drain pulls a source dry and returns the accesses plus its Err.
 func drain(s *BinarySource) ([]mem.Access, error) {
 	var out []mem.Access
@@ -82,11 +105,7 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 			accs[i] = mem.Access{Addr: mem.Addr(addr), Write: rng.Intn(2) == 0}
 		}
 
-		var text bytes.Buffer
-		if err := WriteAccesses(&text, accs); err != nil {
-			t.Fatal(err)
-		}
-		parsed, err := ParseAccesses(bytes.NewReader(text.Bytes()))
+		parsed, err := ParseAccesses(bytes.NewReader(encodeText(t, accs)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,11 +271,7 @@ func TestOpenBinaryMmapAndDetect(t *testing.T) {
 		t.Fatal(err)
 	}
 	textPath := filepath.Join(dir, "text.trace")
-	var text bytes.Buffer
-	if err := WriteAccesses(&text, accs); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(textPath, text.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(textPath, encodeText(t, accs), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

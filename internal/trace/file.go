@@ -15,26 +15,11 @@ import (
 // The format is what cmd/tracegen -raw emits and what FileSource consumes,
 // so externally captured traces can drive the simulator.
 
-// WriteAccesses writes accesses in the trace file format.
-func WriteAccesses(w io.Writer, accs []mem.Access) error {
-	bw := bufio.NewWriter(w)
-	for _, a := range accs {
-		op := byte('L')
-		if a.Write {
-			op = 'S'
-		}
-		if _, err := fmt.Fprintf(bw, "%c %x\n", op, uint64(a.Addr)); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteStream drains a stream into w in the trace file format.
-func WriteStream(w io.Writer, s *Stream) error {
+// WriteText drains any access source into w in the trace file format.
+func WriteText(w io.Writer, src Source) error {
 	bw := bufio.NewWriter(w)
 	for {
-		a, ok := s.Next()
+		a, ok := src.Next()
 		if !ok {
 			break
 		}

@@ -15,11 +15,7 @@ func TestWriteParseRoundTrip(t *testing.T) {
 		{Addr: 0},
 		{Addr: 0xffff_ffff_ffc0, Write: true},
 	}
-	var buf bytes.Buffer
-	if err := WriteAccesses(&buf, in); err != nil {
-		t.Fatal(err)
-	}
-	out, err := ParseAccesses(&buf)
+	out, err := ParseAccesses(bytes.NewReader(encodeText(t, in)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +38,7 @@ func TestWriteStreamRoundTrip(t *testing.T) {
 		return s
 	}
 	var buf bytes.Buffer
-	if err := WriteStream(&buf, mk()); err != nil {
+	if err := WriteText(&buf, mk()); err != nil {
 		t.Fatal(err)
 	}
 	parsed, err := ParseAccesses(&buf)
