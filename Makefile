@@ -54,20 +54,21 @@ lint-fast:
 # mcheck exhaustively model-checks the protocol on the 2-core/1-address
 # configuration for every directory organization, then explores the
 # 2-core/2-address conflict configuration one injected stimulus deeper
-# than CI does (depth 5: 88k-121k states per organization, ~30s in
-# all). See internal/mcheck.
+# than CI does (depth 6: 293k-544k states per organization, ~40s in all
+# and ~300 MB peak RSS on a 2-CPU Xeon host). See internal/mcheck.
 mcheck:
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all
-	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 5 -kind all
+	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 6 -kind all
 
 # mcheck-smoke is the CI slice of mcheck: the exhaustive 2x1 sweep plus
-# the depth-4 two-address conflict slice, both over all organizations
-# (~1s and ~5s in all). The depth-4 run is the only place fullmap, cuckoo
-# and stash-ss reach the conflict slice that deep; proto-table-check
-# covers sparse and stash there too.
+# the depth-5 two-address conflict slice (88k-121k states per
+# organization), both over all organizations (~0.3s and ~7s in all on a
+# 2-CPU Xeon host). The depth-5 run is the only place fullmap, cuckoo and
+# stash-ss reach the conflict slice that deep; proto-table-check covers
+# sparse and stash at depth 4.
 mcheck-smoke:
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all
-	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 4 -kind all
+	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 5 -kind all
 
 # fuzz-smoke runs the binary-trace decoder fuzzer for a few seconds so CI
 # keeps the fuzz target compiling and covers the seeded corruption corpus

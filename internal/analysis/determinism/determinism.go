@@ -2,7 +2,8 @@
 // simulation core reproducible: a run is a pure function of its config and
 // seed, so the simulation packages must not read wall-clock time, draw from
 // the global math/rand stream, spawn goroutines, or iterate maps in an
-// order-sensitive way. The runner/stashd service layer is deliberately out of
+// order-sensitive way. The model checker and the experiment harness are held
+// to the same rules. The runner/stashd service layer is deliberately out of
 // scope — it talks to the OS and may do all of these.
 package determinism
 
@@ -45,10 +46,22 @@ var Analyzer = &analysis.Analyzer{
 	Run:       run,
 }
 
-// AppliesTo scopes the analyzer to the deterministic simulation core.
-// Everything else (cmd/, internal/runner, internal/stashd,
-// internal/experiments) is service layer and exempt.
-func AppliesTo(pkgPath string) bool { return analysis.SimulationLayer.Contains(pkgPath) }
+// reproducible lists the packages outside the simulation core whose output
+// must be a pure function of their inputs too: the model checker (its
+// results, tables and traces are pinned byte for byte) and the experiment
+// harness (its tables are golden). They stay out of SimulationLayer, which
+// would also put them under sharecheck's tile-isolation rules.
+var reproducible = analysis.Layer{
+	"internal/mcheck",
+	"internal/experiments",
+}
+
+// AppliesTo scopes the analyzer to the deterministic simulation core plus
+// the model checker and the experiment harness. Everything else (cmd/,
+// internal/runner, internal/stashd) is service layer and exempt.
+func AppliesTo(pkgPath string) bool {
+	return analysis.SimulationLayer.Contains(pkgPath) || reproducible.Contains(pkgPath)
+}
 
 // allowsParallel reports whether //stash:parallel sanctions are honored in
 // the package.

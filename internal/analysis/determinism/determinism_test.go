@@ -17,13 +17,15 @@ func TestDeterminism(t *testing.T) {
 
 func TestAppliesTo(t *testing.T) {
 	for path, want := range map[string]bool{
-		"repro/internal/sim":       true,
-		"repro/internal/psim":      true,
-		"repro/internal/coherence": true,
-		"fixture/src/internal/noc": true,
-		"repro/internal/runner":    false,
-		"repro/internal/stashd":    false,
-		"repro/cmd/stashvet":       false,
+		"repro/internal/sim":         true,
+		"repro/internal/psim":        true,
+		"repro/internal/coherence":   true,
+		"fixture/src/internal/noc":   true,
+		"repro/internal/mcheck":      true,
+		"repro/internal/experiments": true,
+		"repro/internal/runner":      false,
+		"repro/internal/stashd":      false,
+		"repro/cmd/stashvet":         false,
 	} {
 		if got := determinism.AppliesTo(path); got != want {
 			t.Errorf("AppliesTo(%q) = %v, want %v", path, got, want)

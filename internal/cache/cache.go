@@ -112,6 +112,15 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
+// Reset returns the cache to what New built: every line invalid and
+// zeroed, the replacement policy at its initial state and the statistics
+// zeroed. The line array is kept.
+func (c *Cache) Reset() {
+	clear(c.lines)
+	c.policy.Reset()
+	c.stats = Stats{}
+}
+
 // Config returns the configuration the cache was built with.
 func (c *Cache) Config() Config { return c.cfg }
 

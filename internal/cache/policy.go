@@ -57,6 +57,10 @@ type Policy interface {
 	// Victim picks the way to evict in set, skipping ways for which
 	// excluded returns true. It returns -1 if every way is excluded.
 	Victim(set int, excluded func(way int) bool) int
+	// Reset returns the policy to the state its constructor built, keeping
+	// its storage: no way has been used, and a seeded policy restarts from
+	// its construction seed.
+	Reset()
 }
 
 // NewPolicy builds a standalone replacement policy instance for callers
@@ -103,6 +107,11 @@ func (p *lruPolicy) Touch(set, way int) {
 
 //stash:hotpath
 func (p *lruPolicy) Insert(set, way int) { p.Touch(set, way) }
+
+func (p *lruPolicy) Reset() {
+	p.clock = 0
+	clear(p.stamps)
+}
 
 //stash:hotpath
 func (p *lruPolicy) Victim(set int, excluded func(way int) bool) int {
@@ -163,6 +172,8 @@ func (p *plruPolicy) Touch(set, way int) { p.walk(set, way) }
 
 //stash:hotpath
 func (p *plruPolicy) Insert(set, way int) { p.walk(set, way) }
+
+func (p *plruPolicy) Reset() { clear(p.bits) }
 
 //stash:hotpath
 func (p *plruPolicy) Victim(set int, excluded func(way int) bool) int {
@@ -226,6 +237,8 @@ func (p *nruPolicy) Touch(set, way int) { p.mark(set, way) }
 //stash:hotpath
 func (p *nruPolicy) Insert(set, way int) { p.mark(set, way) }
 
+func (p *nruPolicy) Reset() { clear(p.bits) }
+
 //stash:hotpath
 func (p *nruPolicy) Victim(set int, excluded func(way int) bool) int {
 	fallback := -1
@@ -249,6 +262,7 @@ func (p *nruPolicy) Victim(set int, excluded func(way int) bool) int {
 //stash:tileowned
 type randomPolicy struct {
 	ways int
+	seed int64
 	rng  *rand.Rand
 	// scratch holds Victim's candidate list between calls; Victim runs once
 	// per eviction, and reusing the buffer keeps it allocation-free.
@@ -258,6 +272,7 @@ type randomPolicy struct {
 func newRandomPolicy(ways int, seed int64) *randomPolicy {
 	return &randomPolicy{
 		ways:    ways,
+		seed:    seed,
 		rng:     rand.New(rand.NewSource(seed)),
 		scratch: make([]int, 0, ways),
 	}
@@ -268,6 +283,9 @@ func (p *randomPolicy) Touch(set, way int) {}
 
 //stash:hotpath
 func (p *randomPolicy) Insert(set, way int) {}
+
+// Reset re-seeds the generator, so the victim sequence restarts.
+func (p *randomPolicy) Reset() { p.rng.Seed(p.seed) }
 
 //stash:hotpath
 func (p *randomPolicy) Victim(set int, excluded func(way int) bool) int {

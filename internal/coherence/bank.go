@@ -169,6 +169,25 @@ func NewBank(id int, fab *Fabric, dir core.Directory, llcCfg cache.Config) (*Ban
 	return b, nil
 }
 
+// reset returns the bank to what NewBank built: an empty LLC bank and
+// directory slice, no transaction, zeroed statistics. Live TBEs go back to
+// the free list, and the requests queued behind them to the message pool.
+func (bk *Bank) reset() {
+	bk.llc.Reset()
+	bk.dir.Reset()
+	bk.tbes.forEach(func(_ mem.Block, tbe *dirTBE) {
+		for m := tbe.qhead; m != nil; {
+			next := m.next
+			bk.fab.releaseMsg(m)
+			m = next
+		}
+		bk.tbeFree = append(bk.tbeFree, tbe)
+	})
+	bk.tbes.reset()
+	bk.tbeUse, bk.tbeHigh = 0, 0
+	bk.stats = BankStats{}
+}
+
 // Stats returns the bank's counters.
 //
 //stash:hotpath

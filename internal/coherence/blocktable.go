@@ -11,6 +11,10 @@ import "repro/internal/mem"
 // Deletion uses backward-shift compaction (no tombstones), so the load
 // factor stays honest no matter how much churn the protocol produces.
 //
+// A table allocates nothing until its first insertion: most of a
+// machine's tables are empty for most of a run, and a model-checker world
+// that is only built and encoded touches none of them.
+//
 //stash:tileowned
 type blockTable[V any] struct {
 	keys  []mem.Block
@@ -18,28 +22,48 @@ type blockTable[V any] struct {
 	used  []bool
 	n     int
 	shift uint // 64 - log2(len(keys)); fibonacci-hash bucket shift
+	size0 int  // the first allocation's size, which reset returns to
 }
 
-// newBlockTable returns a table pre-sized so that `hint` live entries fit
-// below the grow threshold (3/4 load).
+// newBlockTable returns an empty table whose first insertion sizes it so
+// that `hint` live entries fit below the grow threshold (3/4 load).
 func newBlockTable[V any](hint int) *blockTable[V] {
-	t := &blockTable[V]{}
 	size := 8
 	for size*3 < hint*4 {
 		size *= 2
 	}
-	t.alloc(size)
-	return t
+	return &blockTable[V]{size0: size}
 }
 
 func (t *blockTable[V]) alloc(size int) {
 	t.keys = make([]mem.Block, size)
 	t.vals = make([]V, size)
 	t.used = make([]bool, size)
+	t.setShift(size)
+}
+
+func (t *blockTable[V]) setShift(size int) {
 	t.shift = 64
 	for s := size; s > 1; s >>= 1 {
 		t.shift--
 	}
+}
+
+// reset empties the table back to its first allocation's size, so slot
+// order (and with it forEach order) matches a fresh table's. A grown
+// table keeps the head of its arrays.
+func (t *blockTable[V]) reset() {
+	if t.keys == nil {
+		return
+	}
+	t.keys = t.keys[:t.size0]
+	t.vals = t.vals[:t.size0]
+	t.used = t.used[:t.size0]
+	clear(t.keys)
+	clear(t.vals)
+	clear(t.used)
+	t.n = 0
+	t.setShift(t.size0)
 }
 
 // home returns the preferred slot for block b.
@@ -58,6 +82,10 @@ func (t *blockTable[V]) len() int { return t.n }
 //
 //stash:hotpath
 func (t *blockTable[V]) get(b mem.Block) (V, bool) {
+	if t.n == 0 {
+		var zero V
+		return zero, false
+	}
 	mask := len(t.keys) - 1
 	for i := t.home(b); t.used[i]; i = (i + 1) & mask {
 		if t.keys[i] == b {
@@ -72,6 +100,9 @@ func (t *blockTable[V]) get(b mem.Block) (V, bool) {
 //
 //stash:hotpath
 func (t *blockTable[V]) has(b mem.Block) bool {
+	if t.n == 0 {
+		return false
+	}
 	mask := len(t.keys) - 1
 	for i := t.home(b); t.used[i]; i = (i + 1) & mask {
 		if t.keys[i] == b {
@@ -108,6 +139,9 @@ func (t *blockTable[V]) put(b mem.Block, v V) {
 //
 //stash:hotpath
 func (t *blockTable[V]) del(b mem.Block) {
+	if t.n == 0 {
+		return
+	}
 	mask := len(t.keys) - 1
 	i := t.home(b)
 	for {
@@ -141,10 +175,11 @@ func (t *blockTable[V]) del(b mem.Block) {
 	t.n--
 }
 
-// grow doubles the table and re-inserts every entry.
+// grow doubles the table (or makes its first allocation) and re-inserts
+// every entry.
 func (t *blockTable[V]) grow() {
 	keys, vals, used := t.keys, t.vals, t.used
-	t.alloc(2 * len(keys))
+	t.alloc(max(2*len(keys), t.size0))
 	t.n = 0
 	for i, u := range used {
 		if u {

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/mem"
@@ -71,5 +72,42 @@ func TestBlockTableZeroKey(t *testing.T) {
 	tab.del(0)
 	if _, ok := tab.get(0); ok {
 		t.Fatal("deleted block 0 still present")
+	}
+}
+
+// TestBlockTableReset checks that a reset table, grown or never allocated,
+// behaves exactly as a new one: the same operations leave the same entries
+// in the same slot order.
+func TestBlockTableReset(t *testing.T) {
+	for seed := int64(0); seed < 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		used := newBlockTable[int](4)
+		for op := 0; op < 500; op++ {
+			used.put(mem.Block(rng.Intn(1000)), op)
+		}
+		used.reset()
+		idle := newBlockTable[int](4)
+		idle.reset()
+		fresh := newBlockTable[int](4)
+		for op := 0; op < 2000; op++ {
+			b := mem.Block(rng.Intn(48))
+			for _, tab := range []*blockTable[int]{used, idle, fresh} {
+				if op%3 == 2 {
+					tab.del(b)
+				} else {
+					tab.put(b, op)
+				}
+			}
+		}
+		order := func(tab *blockTable[int]) (out []mem.Block) {
+			tab.forEach(func(b mem.Block, _ int) { out = append(out, b) })
+			return out
+		}
+		want := order(fresh)
+		for name, tab := range map[string]*blockTable[int]{"grown": used, "idle": idle} {
+			if got := order(tab); !slices.Equal(got, want) {
+				t.Fatalf("seed %d: reset %s table holds %v, want %v", seed, name, got, want)
+			}
+		}
 	}
 }

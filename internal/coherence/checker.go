@@ -16,8 +16,12 @@ import (
 // protocol bug that lets a core read stale data (a lost invalidation, a
 // missed hidden copy, a stale LLC grant) surfaces as a stamp mismatch.
 //
-// The checker is cheap (two map operations per access) and stays enabled in
-// all tests; production-scale benchmark runs may disable it.
+// The checker is not free: a map write per committed store, a map read per
+// completed load, and an end-of-run Audit that walks every private and LLC
+// line (524,288 LLC lines at 256 cores). Traced benchmark runs attribute
+// 8-17% of host time to it (coherence.checker_share 0.15 on scale-256,
+// 0.17 on private-16, 0.08 on dir-conflict-16). It stays enabled in all
+// tests; production-scale benchmark runs may disable it.
 //
 //stash:tileowned (parallel runs give each tile view a strided checker; see NewStridedChecker)
 type Checker struct {
@@ -57,6 +61,15 @@ func NewStridedChecker(tile, stride int) *Checker {
 	c.nextVal = uint64(tile)
 	c.stride = uint64(stride)
 	return c
+}
+
+// reset forgets every stamp and recorded violation, keeping the oracle's
+// map, the enabled flag and the audit scratch. The stamp sequence restarts
+// at NewChecker's start.
+func (c *Checker) reset() {
+	clear(c.oracle)
+	c.nextVal = 0
+	c.violations = nil
 }
 
 // SetEnabled toggles checking; a disabled checker still issues store

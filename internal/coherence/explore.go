@@ -3,7 +3,6 @@ package coherence
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"encoding/binary"
 
@@ -354,13 +353,13 @@ func slotOf(c *cache.Cache, ln *cacheLine) int {
 	return set*c.Ways() + way
 }
 
-// sortedTBEBlocks collects a blockTable's keys in ascending block order;
-// the table's own iteration order depends on insertion history, which a
+// sortedBlocks collects a blockTable's keys in ascending block order; the
+// table's own iteration order depends on insertion history, which a
 // canonical encoding must erase.
 func sortedBlocks[V any](t *blockTable[V], scratch []mem.Block) []mem.Block {
 	out := scratch[:0]
 	t.forEach(func(b mem.Block, _ V) { out = append(out, b) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -469,7 +468,7 @@ func (e *StateEncoder) Fabric(f *Fabric) {
 	for b := range f.Memory.values {
 		e.blocks = append(e.blocks, b)
 	}
-	sort.Slice(e.blocks, func(i, j int) bool { return e.blocks[i] < e.blocks[j] })
+	slices.Sort(e.blocks)
 	for _, b := range e.blocks {
 		e.U64(uint64(b))
 		e.stamp(f.Memory.values[b])
@@ -481,7 +480,7 @@ func (e *StateEncoder) Fabric(f *Fabric) {
 	for b := range f.Checker.oracle {
 		e.blocks = append(e.blocks, b)
 	}
-	sort.Slice(e.blocks, func(i, j int) bool { return e.blocks[i] < e.blocks[j] })
+	slices.Sort(e.blocks)
 	for _, b := range e.blocks {
 		e.U64(uint64(b))
 		e.stamp(f.Checker.oracle[b])

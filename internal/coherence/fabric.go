@@ -139,6 +139,34 @@ func (f *Fabric) releaseMsg(m *Msg) { f.pool.put(m) }
 // only; poisoning does not change behavior of correct code.
 func (f *Fabric) SetPoolDebug(on bool) { f.pool.poison = on }
 
+// Reset returns a serial fabric to the state NewFabric built, keeping the
+// storage every layer has grown: the engine at cycle 0 with nothing
+// pending, idle mesh links, empty caches, directory slices, transaction
+// tables and memory, a fresh value oracle, and every statistic zeroed.
+// Live TBEs go back to their free lists and queued requests to the message
+// pool; messages held anywhere else (pending engine events, a send hook's
+// capture) are abandoned unless their holder recycles them first. The
+// wiring, the send and retry hooks, OnMessage, the checker's enabled flag,
+// the engine's shuffle seed and the pool's debug mode are kept. Processors
+// attached before the reset must not be started again; attach new ones.
+// The model checker resets one fabric per replay instead of building one.
+func (f *Fabric) Reset() {
+	if f.pout != nil || (len(f.L1s) > 0 && f.L1s[0].fab != f) {
+		panic("coherence: Reset on a parallel fabric")
+	}
+	f.Engine.Reset()
+	f.Mesh.Reset()
+	for _, l1 := range f.L1s {
+		l1.reset()
+	}
+	for _, bk := range f.Banks {
+		bk.reset()
+	}
+	f.Memory.reset()
+	f.Checker.reset()
+	f.pool.resetBooks()
+}
+
 // MsgPoolStats reports the message pool's live count and high-water mark,
 // letting tests bound the protocol's peak message population.
 func (f *Fabric) MsgPoolStats() (inUse, highWater int) {

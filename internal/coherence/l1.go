@@ -161,6 +161,23 @@ func NewL1(id int, fab *Fabric, cfg cache.Config, l2cfg *cache.Config) (*L1, err
 	return l1, nil
 }
 
+// reset returns the controller to what NewL1 built: empty tag arrays, no
+// transaction, stall or eviction in flight, no remembered invalidations,
+// zeroed statistics. Live TBEs go back to the free list.
+func (l *L1) reset() {
+	l.cache.Reset()
+	if l.l2 != nil {
+		l.l2.Reset()
+	}
+	l.tbes.forEach(func(_ mem.Block, tbe *l1TBE) { l.freeTBE(tbe) })
+	l.tbes.reset()
+	l.stalled = l.stalled[:0]
+	l.stalledSpare = l.stalledSpare[:0]
+	l.evict.reset()
+	l.invalidatedBy.reset()
+	l.stats = L1Stats{}
+}
+
 // Stats returns the L1's counters.
 //
 //stash:hotpath

@@ -27,6 +27,12 @@ func NewMemory() *Memory {
 	return &Memory{values: make(map[mem.Block]uint64)}
 }
 
+// reset empties the value store, keeping its map, and zeroes the counters.
+func (m *Memory) reset() {
+	clear(m.values)
+	m.stats = MemoryStats{}
+}
+
 // Read returns the value of block b, counting one DRAM read.
 func (m *Memory) Read(b mem.Block) uint64 {
 	m.stats.Reads.Inc()

@@ -219,6 +219,11 @@ type msgPool struct {
 	poison   bool
 }
 
+// resetBooks zeroes the live count and the high-water mark. Messages that
+// were live are abandoned to the garbage collector unless their holders
+// put them back first; the free list and the poison mode are kept.
+func (p *msgPool) resetBooks() { p.inUse, p.high = 0, 0 }
+
 // get returns a zeroed message.
 //
 //stash:acquire

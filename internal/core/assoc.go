@@ -81,6 +81,16 @@ func newAssocStore(cfg AssocConfig) (*assocStore, error) {
 	return s, nil
 }
 
+// reset invalidates every entry, keeping each slot's (set, way)
+// coordinates, and restarts the replacement policy.
+func (s *assocStore) reset() {
+	for i := range s.entries {
+		e := &s.entries[i]
+		*e = Entry{set: e.set, way: e.way}
+	}
+	s.policy.Reset()
+}
+
 func (s *assocStore) capacity() int { return s.cfg.Sets * s.cfg.Ways }
 
 //stash:hotpath

@@ -286,3 +286,17 @@ func (d *Cuckoo) ForEach(fn func(*Entry)) {
 
 // Stats implements Directory.
 func (d *Cuckoo) Stats() *DirStats { return &d.st }
+
+// Reset implements Directory. Slots keep their (sub-table, slot)
+// coordinates; the relocation-search scratch starts over as built.
+func (d *Cuckoo) Reset() {
+	for i := range d.slots {
+		e := &d.slots[i]
+		*e = Entry{set: e.set, way: e.way}
+	}
+	d.used = 0
+	d.st = DirStats{}
+	d.frontier = d.frontier[:0]
+	clear(d.seen)
+	d.gen = 0
+}

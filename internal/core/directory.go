@@ -270,6 +270,12 @@ type Directory interface {
 	ForEach(fn func(*Entry))
 	// Stats returns the organization's counters.
 	Stats() *DirStats
+	// Reset returns the organization to the state its constructor built,
+	// keeping its storage: no entry valid, replacement state and a seeded
+	// policy back at their start, statistics zeroed. A wrapper that keeps
+	// state of its own, such as one installed through the model checker's
+	// WrapDirectory, must reset that state too.
+	Reset()
 }
 
 // DirStats counts a directory organization's activity. Counters for events

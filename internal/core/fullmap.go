@@ -87,3 +87,9 @@ func (d *FullMap) ForEach(fn func(*Entry)) {
 
 // Stats implements Directory.
 func (d *FullMap) Stats() *DirStats { return &d.st }
+
+// Reset implements Directory.
+func (d *FullMap) Reset() {
+	clear(d.entries)
+	d.st = DirStats{}
+}

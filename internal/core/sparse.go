@@ -88,3 +88,9 @@ func (d *Sparse) ForEach(fn func(*Entry)) { d.store.forEach(fn) }
 
 // Stats implements Directory.
 func (d *Sparse) Stats() *DirStats { return &d.st }
+
+// Reset implements Directory.
+func (d *Sparse) Reset() {
+	d.store.reset()
+	d.st = DirStats{}
+}

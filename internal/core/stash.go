@@ -139,3 +139,9 @@ func (d *Stash) ForEach(fn func(*Entry)) { d.store.forEach(fn) }
 
 // Stats implements Directory.
 func (d *Stash) Stats() *DirStats { return &d.st }
+
+// Reset implements Directory.
+func (d *Stash) Reset() {
+	d.store.reset()
+	d.st = DirStats{}
+}

@@ -14,13 +14,16 @@
 // injection: exploration terminates by exhaustion rather than by bound
 // when no depth limit is set.
 //
-// Nodes are reconstructed by replay — re-building the fabric and re-running
-// the action path from the root — rather than by snapshotting the
-// controllers' object graphs. Replay keeps the checker honest: the only
-// state that matters is state the real protocol can rebuild
-// deterministically. Expanding a node replays it once per enabled action
-// but the last, which is applied to the world already replayed to list
-// the actions, so each transition costs one fabric build.
+// Nodes are reconstructed by replay — resetting a recycled fabric to its
+// initial state and re-running the action path from the root — rather than
+// by snapshotting the controllers' object graphs. Replay keeps the checker
+// honest: the only state that matters is state the real protocol can
+// rebuild deterministically. Expanding a node replays it once per enabled
+// action but the last, which is applied to the world already replayed to
+// list the actions, so each transition costs one replay. A search holds at
+// most two worlds (the node being expanded and its child) and builds the
+// second only when it first needs it; every other replay resets one of
+// them instead of building a fabric.
 package mcheck
 
 import (
@@ -28,6 +31,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -217,6 +221,14 @@ type world struct {
 	outstanding []bool // per core: an injected access has not completed
 	injections  int
 	dropped     int // messages eaten by the drop filter
+
+	// drop is this replay's message-drop filter (Config.NewDropFilter),
+	// a fresh instance per replay; nil drops nothing.
+	drop func(src, dst noc.NodeID, m *coherence.Msg) bool
+	// doneFns[c] clears core c's outstanding bit when its injected access
+	// completes. They are bound on the world's first injection, so a world
+	// that never injects allocates none.
+	doneFns []func()
 }
 
 func (w *world) channelFor(src, dst noc.NodeID) *channel {
@@ -306,7 +318,10 @@ type Explorer struct {
 	res     *Result
 	rows    map[TableRow]struct{}
 	parked  []coherence.ParkedRetry // scratch for sortedParked
-	replays int                     // worlds rebuilt from the root by replay
+	acts    []action                // scratch for enabled
+	steps   []action                // scratch for path
+	spare   []*world                // worlds free for the next replay
+	replays int                     // worlds replayed from the root
 }
 
 // Run explores cfg's configuration and returns the result. An error means
@@ -345,24 +360,10 @@ func explore(cfg Config) (*Explorer, error) {
 	if err := e.search(); err != nil {
 		return nil, err
 	}
-	if cfg.RecordTable {
-		for r := range e.rows {
-			e.res.Table = append(e.res.Table, r)
-		}
-		sort.Slice(e.res.Table, func(i, j int) bool {
-			a, b := e.res.Table[i], e.res.Table[j]
-			if a.Receiver != b.Receiver {
-				return a.Receiver < b.Receiver
-			}
-			if a.Msg != b.Msg {
-				return a.Msg < b.Msg
-			}
-			if a.Pre != b.Pre {
-				return a.Pre < b.Pre
-			}
-			return a.Post < b.Post
-		})
-	}
+	slices.SortFunc(e.res.Table, func(a, b TableRow) int {
+		return cmp.Or(strings.Compare(a.Receiver, b.Receiver), strings.Compare(a.Msg, b.Msg),
+			strings.Compare(a.Pre, b.Pre), strings.Compare(a.Post, b.Post))
+	})
 	return e, nil
 }
 
@@ -398,12 +399,11 @@ func (e *Explorer) newWorld() (*world, error) {
 		return nil, err
 	}
 	w := &world{f: f, outstanding: make([]bool, e.cfg.Cores)}
-	var drop func(src, dst noc.NodeID, m *coherence.Msg) bool
 	if e.cfg.NewDropFilter != nil {
-		drop = e.cfg.NewDropFilter()
+		w.drop = e.cfg.NewDropFilter()
 	}
 	f.SetSendHook(func(src, dst noc.NodeID, m *coherence.Msg) bool {
-		if drop != nil && drop(src, dst, m) {
+		if w.drop != nil && w.drop(src, dst, m) {
 			w.dropped++
 			f.RecycleMsg(m)
 			return true
@@ -415,6 +415,36 @@ func (e *Explorer) newWorld() (*world, error) {
 	f.SetRetryHook(func(p coherence.ParkedRetry) { w.parked = append(w.parked, p) })
 	return w, nil
 }
+
+// initialWorld returns a world at the initial state: a spare one, reset,
+// when there is one, else a newly built one. Hand it back with release.
+func (e *Explorer) initialWorld() (*world, error) {
+	n := len(e.spare)
+	if n == 0 {
+		return e.newWorld()
+	}
+	w := e.spare[n-1]
+	e.spare = e.spare[:n-1]
+	for _, ch := range w.chans {
+		for i, m := range ch.q {
+			w.f.RecycleMsg(m)
+			ch.q[i] = nil
+		}
+		ch.q = ch.q[:0]
+	}
+	w.parked = w.parked[:0]
+	clear(w.outstanding)
+	w.injections, w.dropped = 0, 0
+	w.f.Reset()
+	w.drop = nil
+	if e.cfg.NewDropFilter != nil {
+		w.drop = e.cfg.NewDropFilter()
+	}
+	return w, nil
+}
+
+// release makes w available to the next initialWorld.
+func (e *Explorer) release(w *world) { e.spare = append(e.spare, w) }
 
 // drain runs the engine to quiescence after an action; its internal timer
 // chains are deterministic, so all nondeterminism stays in the action
@@ -468,8 +498,12 @@ func (e *Explorer) apply(w *world, a action) error {
 		if len(ch.q) == 0 {
 			return errDiverged{fmt.Sprintf("channel %d->%d empty", a.src, a.dst)}
 		}
+		// Pop by copying the queue down, so the channel keeps its
+		// capacity across the world's replays.
 		m := ch.q[0]
-		ch.q = ch.q[1:]
+		n := copy(ch.q, ch.q[1:])
+		ch.q[n] = nil
+		ch.q = ch.q[:n]
 		var row TableRow
 		if e.rows != nil {
 			if m.Type.ToBank() {
@@ -489,7 +523,10 @@ func (e *Explorer) apply(w *world, a action) error {
 			} else {
 				row.Post = w.f.L1BlockState(int(a.dst), blk)
 			}
-			e.rows[row] = struct{}{}
+			if _, ok := e.rows[row]; !ok {
+				e.rows[row] = struct{}{}
+				e.res.Table = append(e.res.Table, row)
+			}
 		}
 		return nil
 
@@ -515,9 +552,14 @@ func (e *Explorer) apply(w *world, a action) error {
 		}
 		w.injections++
 		w.outstanding[a.core] = true
-		c := a.core
-		w.f.L1s[c].Access(mem.Access{Addr: mem.AddrOf(e.blocks[a.addr]), Write: a.kind == aStore},
-			func() { w.outstanding[c] = false })
+		if w.doneFns == nil {
+			w.doneFns = make([]func(), len(w.outstanding))
+			for c := range w.doneFns {
+				w.doneFns[c] = func() { w.outstanding[c] = false }
+			}
+		}
+		w.f.L1s[a.core].Access(mem.Access{Addr: mem.AddrOf(e.blocks[a.addr]), Write: a.kind == aStore},
+			w.doneFns[a.core])
 		return e.drain(w)
 
 	case aEvict:
@@ -547,9 +589,10 @@ func (e *Explorer) sortedParked(w *world) []coherence.ParkedRetry {
 }
 
 // enabled enumerates w's actions in canonical order: deliveries (channel
-// order), parked retries (sorted), then injections per (core, addr).
+// order), parked retries (sorted), then injections per (core, addr). The
+// slice is scratch, valid until the next call.
 func (e *Explorer) enabled(w *world) []action {
-	var out []action
+	out := e.acts[:0]
 	for _, ch := range w.chans {
 		if len(ch.q) > 0 {
 			out = append(out, action{kind: aDeliver, src: ch.src, dst: ch.dst})
@@ -560,6 +603,7 @@ func (e *Explorer) enabled(w *world) []action {
 	}
 	if e.cfg.MaxDepth > 0 && w.injections >= e.cfg.MaxDepth {
 		e.res.Truncated = "depth budget"
+		e.acts = out
 		return out
 	}
 	for c := 0; c < e.cfg.Cores; c++ {
@@ -579,6 +623,7 @@ func (e *Explorer) enabled(w *world) []action {
 			}
 		}
 	}
+	e.acts = out
 	return out
 }
 
@@ -620,22 +665,23 @@ func (e *Explorer) encode(w *world) []byte {
 	return enc.Bytes()
 }
 
-// path returns the action sequence from the root to node id.
+// path returns the action sequence from the root to node id. The slice
+// is scratch, valid until the next call.
 func (e *Explorer) path(id int32) []action {
-	var rev []action
+	steps := e.steps[:0]
 	for n := id; n > 0; n = e.nodes[n].parent {
-		rev = append(rev, e.nodes[n].act)
+		steps = append(steps, e.nodes[n].act)
 	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
+	slices.Reverse(steps)
+	e.steps = steps
+	return steps
 }
 
-// replay rebuilds node id's world from scratch.
+// replay reconstructs node id's world from the initial state. Hand the
+// world back with release once done with it.
 func (e *Explorer) replay(id int32) (*world, error) {
 	e.replays++
-	w, err := e.newWorld()
+	w, err := e.initialWorld()
 	if err != nil {
 		return nil, err
 	}
@@ -653,10 +699,11 @@ func (e *Explorer) replay(id int32) (*world, error) {
 // trace renders node id's path as human-readable steps (by replaying it),
 // followed by next's step when given: the action that failed from id.
 func (e *Explorer) trace(id int32, next ...action) []string {
-	w, err := e.newWorld()
+	w, err := e.initialWorld()
 	if err != nil {
 		return []string{fmt.Sprintf("<trace unavailable: %v>", err)}
 	}
+	defer e.release(w)
 	_ = e.drain(w)
 	var out []string
 	for _, a := range e.path(id) {
@@ -708,7 +755,7 @@ func (e *Explorer) checkState(w *world, id int32, prevChk int) {
 
 // search is the BFS over canonical states.
 func (e *Explorer) search() error {
-	w0, err := e.newWorld()
+	w0, err := e.initialWorld()
 	if err != nil {
 		return err
 	}
@@ -719,6 +766,7 @@ func (e *Explorer) search() error {
 	e.visited[string(e.encode(w0))] = 0
 	e.res.States = 1
 	e.checkState(w0, 0, 0)
+	e.release(w0)
 
 	queue := []int32{0}
 	for qi := 0; qi < len(queue) && !e.done(); qi++ {
@@ -749,6 +797,7 @@ func (e *Explorer) search() error {
 			}
 		}
 		if open && !hasDeliver && retries == 0 {
+			e.release(pw)
 			e.violation("deadlock", "open transactions with no deliverable message and no retry to fire", id)
 			continue
 		}
@@ -765,6 +814,8 @@ func (e *Explorer) search() error {
 				if cw, err = e.replay(id); err != nil {
 					return err
 				}
+			} else {
+				pw = nil
 			}
 			var desc string
 			if e.cfg.RecordEdges {
@@ -778,6 +829,7 @@ func (e *Explorer) search() error {
 				}
 				// Event-budget blowout: report it with the offending step
 				// appended to the parent's trace.
+				e.release(cw)
 				v := Violation{Kind: "event-budget", Message: aerr.Error(), Trace: e.trace(id, a)}
 				e.res.Violations = append(e.res.Violations, v)
 				continue
@@ -787,6 +839,7 @@ func (e *Explorer) search() error {
 				retrySelfLoops++
 			}
 			if prev, ok := e.visited[string(k)]; ok {
+				e.release(cw)
 				if e.cfg.RecordEdges {
 					e.res.Edges = append(e.res.Edges, Edge{From: id, To: prev, Label: desc})
 				}
@@ -804,7 +857,11 @@ func (e *Explorer) search() error {
 				e.res.Edges = append(e.res.Edges, Edge{From: id, To: nid, Label: desc})
 			}
 			e.checkState(cw, nid, parentChk)
+			e.release(cw)
 			queue = append(queue, nid)
+		}
+		if pw != nil {
+			e.release(pw)
 		}
 
 		// Livelock: protocol work is stuck behind retries whose firing

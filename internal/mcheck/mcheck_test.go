@@ -64,8 +64,9 @@ func TestConflictBounded(t *testing.T) {
 }
 
 // TestReplayCounts pins how many worlds the 2x2 depth-2 conflict slice
-// rebuilds from the root: one per expanded node plus one per enabled
-// action but the last, which reuses the world replayed to list them.
+// replays from the root: one per expanded node plus one per enabled action
+// but the last, which reuses the world replayed to list them. A replay
+// into a reset world counts like one into a new world.
 func TestReplayCounts(t *testing.T) {
 	for _, tc := range []struct {
 		kind    string
@@ -82,11 +83,15 @@ func TestReplayCounts(t *testing.T) {
 }
 
 // TestConflictSliceAllocs caps the allocations and the bytes of the
-// sparse+stash 2x2 depth-2 pair, the benchmark's model-checker job. Each
-// replay builds a whole fabric, event engine included, so both what a
-// build allocates and how many builds a transition costs show here.
+// sparse+stash 2x2 depth-2 pair, the benchmark's model-checker job. A pair
+// builds four fabrics (two per exploration) and replays into reset ones
+// otherwise, so what is left is mostly per-state: visited-set keys, node
+// records and the encoder's rename map. The pair measured about 5,200
+// allocations and 0.4 MB; the caps leave about twice that. A search that
+// builds a fabric per replay, as it once did, allocated 154k times and
+// 12.4 MB.
 func TestConflictSliceAllocs(t *testing.T) {
-	const limit, maxMB = 250_000, 16.0
+	const limit, maxMB = 10_000, 1.0
 	pair := func() {
 		for _, kind := range []string{"sparse", "stash"} {
 			if _, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2}); err != nil {
@@ -100,12 +105,36 @@ func TestConflictSliceAllocs(t *testing.T) {
 	pair()
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("%.0f allocations, %.1f MB per sparse+stash pair (limits %d, %.0f MB)", allocs, mb, limit, maxMB)
+	t.Logf("%.0f allocations, %.2f MB per sparse+stash pair (limits %d, %.1f MB)", allocs, mb, limit, maxMB)
 	if allocs > limit {
 		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.0f times, want <= %d", allocs, limit)
 	}
 	if mb > maxMB {
-		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.1f MB, want <= %.0f MB", mb, maxMB)
+		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.2f MB, want <= %.1f MB", mb, maxMB)
+	}
+}
+
+// TestReplayAllocFree checks that once the explorer holds its worlds,
+// replaying any node of the 2x2 depth-2 slices allocates nothing: a reset
+// world keeps every pool, queue and callback its fabric and transport grew.
+func TestReplayAllocFree(t *testing.T) {
+	for _, kind := range []string{"sparse", "stash"} {
+		e, err := explore(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for id := range e.nodes {
+			allocs := testing.AllocsPerRun(2, func() {
+				w, err := e.replay(int32(id))
+				if err != nil {
+					t.Fatalf("%s: %v", kind, err)
+				}
+				e.release(w)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: replaying node %d allocates %.1f times, want 0", kind, id, allocs)
+			}
+		}
 	}
 }
 
@@ -138,9 +167,12 @@ func TestSilentAndThreeHopVariants(t *testing.T) {
 // TestDroppedInvAckYieldsDeadlock mutates the protocol at the transport
 // boundary — the first invalidation acknowledgment is silently dropped —
 // and demands that the checker produce a deadlock counterexample: the
-// bank's transaction waits for an ack that never arrives.
+// bank's transaction waits for an ack that never arrives. The filter is
+// stateful, so it also checks that every replay, into a recycled world or
+// a new one, gets a fresh instance: otherwise a recycled world would
+// deliver the ack its path dropped.
 func TestDroppedInvAckYieldsDeadlock(t *testing.T) {
-	res, err := Run(Config{
+	e, err := explore(Config{
 		Cores: 2, Addrs: 1, Kind: "stash",
 		NewDropFilter: func() func(src, dst noc.NodeID, m *coherence.Msg) bool {
 			dropped := false
@@ -154,8 +186,10 @@ func TestDroppedInvAckYieldsDeadlock(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("explore: %v", err)
 	}
+	requireRecycledReplays(t, e)
+	res := e.res
 	if len(res.Violations) == 0 {
 		t.Fatalf("dropped InvAck went undetected: %s", res.Summary())
 	}
@@ -210,8 +244,11 @@ func TestForgottenHiddenBitYieldsViolation(t *testing.T) {
 }
 
 // TestEncodingCanonical checks that two independently built initial worlds
-// encode identically (the dedup key must be history-free), and that the
-// encoder actually distinguishes a perturbed state.
+// encode identically (the dedup key must be history-free), that the
+// encoder actually distinguishes a perturbed state, and that replaying a
+// node into a recycled world encodes exactly as replaying it into a newly
+// built one, for every node of the 2x2 depth-3 slices (the shallowest in
+// which bank retries park, so recycled worlds must drop parked retries).
 func TestEncodingCanonical(t *testing.T) {
 	e1 := &Explorer{cfg: Config{Cores: 2, Addrs: 2, Kind: "stash"}, enc: coherence.NewStateEncoder()}
 	e1.cfg.setDefaults()
@@ -237,5 +274,44 @@ func TestEncodingCanonical(t *testing.T) {
 	}
 	if string(e2.encode(w2)) == k1 {
 		t.Errorf("state changed by a load encodes identically to the initial state")
+	}
+
+	for _, kind := range []string{"sparse", "stash"} {
+		e, err := explore(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		requireRecycledReplays(t, e)
+	}
+}
+
+// requireRecycledReplays replays every node e explored into a recycled
+// world and into a newly built one, and fails the test unless the two
+// encode identically.
+func requireRecycledReplays(t *testing.T, e *Explorer) {
+	t.Helper()
+	for id := range e.nodes {
+		w, err := e.replay(int32(id))
+		if err != nil {
+			t.Fatalf("%s: %v", e.cfg.Kind, err)
+		}
+		recycled := string(e.encode(w))
+		e.release(w)
+
+		fresh, err := e.newWorld()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.drain(fresh); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range e.path(int32(id)) {
+			if err := e.apply(fresh, a); err != nil {
+				t.Fatalf("%s: replaying node %d: %v", e.cfg.Kind, id, err)
+			}
+		}
+		if string(e.encode(fresh)) != recycled {
+			t.Errorf("%s: node %d encodes differently in a recycled world", e.cfg.Kind, id)
+		}
 	}
 }

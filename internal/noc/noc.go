@@ -189,6 +189,15 @@ func (m *Mesh) putMessage(msg *Message) {
 	m.free = append(m.free, msg)
 }
 
+// Reset returns the mesh to what New built: every link free from cycle 0
+// and the statistics zeroed. Attached endpoints and the envelope free list
+// are kept. Envelopes still in flight belong to the engine's pending
+// events, which its own Reset drops; they are not recovered.
+func (m *Mesh) Reset() {
+	clear(m.linkFree)
+	m.stats = Stats{}
+}
+
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 

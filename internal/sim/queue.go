@@ -97,6 +97,20 @@ func (q *EventQueue) SetShuffleSeed(seed uint64) {
 	q.shuffle = seed
 }
 
+// reset empties the queue and rewinds its clock and sequence counter,
+// keeping the shuffle seed and the arena's and the heap's storage. Slot
+// indices carry no ordering, so refilling the arena from the start orders
+// events exactly as a fresh queue would.
+func (q *EventQueue) reset() {
+	q.now, q.seq = 0, 0
+	q.heap = q.heap[:0]
+	q.arena = q.arena[:0]
+	q.next = q.next[:0]
+	q.free = q.free[:0]
+	q.wheelOcc = [wheelWords]uint64{}
+	q.wheelCount = 0
+}
+
 // mix64 is the splitmix64 finalizer, used to derive shuffle tie-break keys.
 func mix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

@@ -65,6 +65,15 @@ func NewEngine() *Engine {
 // EventsRun returns the number of events executed so far.
 func (e *Engine) EventsRun() uint64 { return e.ran }
 
+// Reset returns the engine to what NewEngine built — cycle 0, no pending
+// events, no events run, not stopped — keeping its shuffle seed and the
+// storage its queue has grown. Pending events are dropped unrun.
+func (e *Engine) Reset() {
+	e.EventQueue.reset()
+	e.ran = 0
+	e.stopped.Store(false)
+}
+
 // Stop makes Run return after the current event, leaving any remaining
 // events queued. It is safe to call from any goroutine, and it is sticky:
 // a stop raised before or during a run ends every later Run call on this

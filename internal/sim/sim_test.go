@@ -173,9 +173,8 @@ func TestEventsRunCounter(t *testing.T) {
 }
 
 // TestFreshEngineBytes bounds the bytes a fresh engine allocates when it
-// schedules and runs one event. The model checker builds an engine per
-// explored transition, so whatever a fresh engine allocates is paid once
-// per transition.
+// schedules and runs one event. Every machine build pays it, including
+// each model-checker run's root world.
 func TestFreshEngineBytes(t *testing.T) {
 	const engines, limit = 200, 4 << 10
 	fn := func() {}
