@@ -8,7 +8,7 @@
 //	tracegen -workload barnes -out traces/ -n 5000 -cores 16
 //	                                              # one replayable file per core
 //	tracegen -workload barnes -out traces/ -binary -cores 128
-//	                                              # binary files (mmap replay)
+//	                                              # binary files (streamed replay)
 //	tracegen -convert old.trace -o new.btrace     # text<->binary (by magic)
 package main
 

@@ -63,6 +63,14 @@ type Policy interface {
 	Reset()
 }
 
+// slotPolicy is a Policy whose per-set state a Cache indexes by slot and
+// grows a chunk of sets at a time, as sets are first filled.
+type slotPolicy interface {
+	Policy
+	// grow appends state for n more sets, none of whose ways has been used.
+	grow(n int)
+}
+
 // NewPolicy builds a standalone replacement policy instance for callers
 // that manage their own tag storage (the directory organizations in
 // internal/core reuse the policies this way).
@@ -70,7 +78,7 @@ func NewPolicy(kind PolicyKind, sets, ways int, seed int64) (Policy, error) {
 	return newPolicy(kind, sets, ways, seed)
 }
 
-func newPolicy(kind PolicyKind, sets, ways int, seed int64) (Policy, error) {
+func newPolicy(kind PolicyKind, sets, ways int, seed int64) (slotPolicy, error) {
 	switch kind {
 	case LRU:
 		return newLRUPolicy(sets, ways), nil
@@ -113,6 +121,8 @@ func (p *lruPolicy) Reset() {
 	clear(p.stamps)
 }
 
+func (p *lruPolicy) grow(n int) { p.stamps = append(p.stamps, make([]uint64, n*p.ways)...) }
+
 //stash:hotpath
 func (p *lruPolicy) Victim(set int, excluded func(way int) bool) int {
 	best := -1
@@ -139,7 +149,6 @@ type plruPolicy struct {
 	ways     int
 	treeWays int // ways rounded up to a power of two
 	bits     []bool
-	sets     int
 }
 
 func newPLRUPolicy(sets, ways int) *plruPolicy {
@@ -147,7 +156,7 @@ func newPLRUPolicy(sets, ways int) *plruPolicy {
 	for tw < ways {
 		tw <<= 1
 	}
-	return &plruPolicy{ways: ways, treeWays: tw, sets: sets, bits: make([]bool, sets*(tw-1))}
+	return &plruPolicy{ways: ways, treeWays: tw, bits: make([]bool, sets*(tw-1))}
 }
 
 // walk flips the tree bits along the path to way so the path points away
@@ -174,6 +183,8 @@ func (p *plruPolicy) Touch(set, way int) { p.walk(set, way) }
 func (p *plruPolicy) Insert(set, way int) { p.walk(set, way) }
 
 func (p *plruPolicy) Reset() { clear(p.bits) }
+
+func (p *plruPolicy) grow(n int) { p.bits = append(p.bits, make([]bool, n*(p.treeWays-1))...) }
 
 //stash:hotpath
 func (p *plruPolicy) Victim(set int, excluded func(way int) bool) int {
@@ -239,6 +250,8 @@ func (p *nruPolicy) Insert(set, way int) { p.mark(set, way) }
 
 func (p *nruPolicy) Reset() { clear(p.bits) }
 
+func (p *nruPolicy) grow(n int) { p.bits = append(p.bits, make([]bool, n*p.ways)...) }
+
 //stash:hotpath
 func (p *nruPolicy) Victim(set int, excluded func(way int) bool) int {
 	fallback := -1
@@ -286,6 +299,9 @@ func (p *randomPolicy) Insert(set, way int) {}
 
 // Reset re-seeds the generator, so the victim sequence restarts.
 func (p *randomPolicy) Reset() { p.rng.Seed(p.seed) }
+
+// grow has nothing to add: the random policy keeps no per-set state.
+func (p *randomPolicy) grow(int) {}
 
 //stash:hotpath
 func (p *randomPolicy) Victim(set int, excluded func(way int) bool) int {

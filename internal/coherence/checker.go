@@ -17,11 +17,14 @@ import (
 // missed hidden copy, a stale LLC grant) surfaces as a stamp mismatch.
 //
 // The checker is not free: a map write per committed store, a map read per
-// completed load, and an end-of-run Audit that walks every private and LLC
-// line (524,288 LLC lines at 256 cores). Traced benchmark runs attribute
-// 8-17% of host time to it (coherence.checker_share 0.15 on scale-256,
-// 0.17 on private-16, 0.08 on dir-conflict-16). It stays enabled in all
-// tests; production-scale benchmark runs may disable it.
+// completed load, and an end-of-run Audit over every valid private and LLC
+// line. A tag array gives a set storage on its first fill, so the audit
+// walks the filled sets only: at 256 cores, the slot map of 65,536 LLC
+// sets and the ~7k sets a job fills, not all 524,288 LLC lines. Traced
+// benchmark runs attribute 8-17% of host time to the checker
+// (coherence.checker_share 0.15 on scale-256, 0.17 on private-16, 0.08 on
+// dir-conflict-16). It stays enabled in all tests; production-scale
+// benchmark runs may disable it.
 //
 //stash:tileowned (parallel runs give each tile view a strided checker; see NewStridedChecker)
 type Checker struct {

@@ -114,6 +114,41 @@ func TestConflictSliceAllocs(t *testing.T) {
 	}
 }
 
+// TestRootWorldBytes caps what the benchmark's set-up measurement builds:
+// a sparse+stash 2x2 pair run with MaxStates 1, which builds and encodes
+// one root world per organization. The cap is the 17,776 bytes such a pair
+// allocated before tag arrays filled their sets on demand, with no margin,
+// because of a cliff: the measurement repeats the pair 200 times from a
+// collected heap, and under go1.24.0 those 3.6 MB sit just below the
+// runtime's 4 MB minimum heap goal. A root world 6% over the cap (a Cache
+// padded from 128 to 264 bytes, which made a pair 18,864 bytes) pushes the
+// loop past the goal, and set-up then pays the page faults of a growing
+// heap: an 8 s mcheck-2x2 run took ~4.5x the minor faults and read setup_s
+// ~70% worse for an unchanged build. A change that needs more bytes here
+// must take them out of the world elsewhere.
+func TestRootWorldBytes(t *testing.T) {
+	const maxBytes, pairs = 17_776, 20
+	pair := func() {
+		for _, kind := range []string{"sparse", "stash"} {
+			if _, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2, MaxStates: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pair()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < pairs; i++ {
+		pair()
+	}
+	runtime.ReadMemStats(&after)
+	perPair := (after.TotalAlloc - before.TotalAlloc) / pairs
+	t.Logf("a root-only sparse+stash pair allocates %d bytes (cap %d)", perPair, maxBytes)
+	if perPair > maxBytes {
+		t.Errorf("a root-only sparse+stash pair allocates %d bytes, want at most %d", perPair, maxBytes)
+	}
+}
+
 // TestReplayAllocFree checks that once the explorer holds its worlds,
 // replaying any node of the 2x2 depth-2 slices allocates nothing: a reset
 // world keeps every pool, queue and callback its fabric and transport grew.

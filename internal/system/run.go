@@ -137,10 +137,11 @@ func Build(cfg Config) (*coherence.Fabric, []*coherence.Processor, error) {
 
 // buildSources resolves the per-core access streams: synthetic generator
 // streams, or replayed trace files. Every trace file is first opened as a
-// binary trace: one that is replays zero-copy through an mmap-backed
-// trace.BinarySource (closed by finishSources after the run); one without
-// the magic (trace.ErrNotBinary) is text, parsed up front into a slice, so
-// its format errors still surface at build time.
+// binary trace: one that is streams through a trace.BinarySource, which
+// reads its file through a window of at most 64 KiB (one read for a small
+// trace) and holds the descriptor until finishSources closes it after the
+// run; one without the magic (trace.ErrNotBinary) is text, parsed up front
+// into a slice, so its format errors still surface at build time.
 func buildSources(cfg *Config) ([]coherence.AccessSource, error) {
 	sources := make([]coherence.AccessSource, cfg.Cores)
 	if len(cfg.TraceFiles) != 0 {
@@ -184,7 +185,7 @@ func buildSources(cfg *Config) ([]coherence.AccessSource, error) {
 }
 
 // closeSources releases any file-backed sources in a partially built
-// slice; build error paths use it so mmaps are not leaked.
+// slice; build error paths use it so open trace files are not leaked.
 func closeSources(sources []coherence.AccessSource) {
 	for _, s := range sources {
 		if c, ok := s.(io.Closer); ok && c != nil {
@@ -193,10 +194,11 @@ func closeSources(sources []coherence.AccessSource) {
 	}
 }
 
-// finishSources closes file-backed sources after a run and surfaces any
-// read error a streaming source deferred until replay (a binary trace that
-// went bad mid-stream ends the stream early rather than panicking; the
-// error lands here).
+// finishSources closes the trace files of file-backed sources after a run
+// and surfaces any read or decode error a streaming source deferred until
+// replay (a binary trace that went bad mid-stream ends the stream early
+// rather than panicking; the error lands here). Closing is one close per
+// file: there is no mapping to release.
 func finishSources(procs []*coherence.Processor) error {
 	var first error
 	for _, p := range procs {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/mem"
 	"repro/internal/testutil/leakcheck"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -246,12 +247,32 @@ func TestRunContextStops(t *testing.T) {
 	}
 }
 
+// victimWays fills set 0 of a fresh cache and returns the ways its
+// replacement policy picks over 64 victim choices. Under the random policy
+// the sequence is a fingerprint of the policy's seed.
+func victimWays(c *cache.Cache) string {
+	filled := 0
+	for b := mem.Block(0); filled < c.Ways(); b++ {
+		if c.SetIndex(b) == 0 {
+			c.Install(c.Victim(b, nil), b, mem.Shared, 0)
+			filled++
+		}
+	}
+	var seq []byte
+	for i := 0; i < 64; i++ {
+		_, way := c.Locate(c.Victim(0, nil))
+		seq = append(seq, byte('0'+way))
+	}
+	return string(seq)
+}
+
 // TestSeedReachesReplacementPolicies pins the satellite fix for the
 // determinism audit: the run seed must reach every random replacement
 // policy (it used to stop at the trace generator, leaving the cache
-// configs at Seed 0 and the directory at a bank-only constant).
+// configs at Seed 0 and the directory at a bank-only constant). Each
+// structure's seed is read off the victims its policy picks.
 func TestSeedReachesReplacementPolicies(t *testing.T) {
-	build := func(seed int64) ([]int64, error) {
+	build := func(seed int64) ([]string, error) {
 		c := tiny("barnes", DirStash, 0.25)
 		c.ReplacementPolicy = cache.Random
 		c.Seed = seed
@@ -259,10 +280,10 @@ func TestSeedReachesReplacementPolicies(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return []int64{
-			fab.L1s[0].Cache().Config().Seed,
-			fab.L1s[1].Cache().Config().Seed,
-			fab.Banks[0].LLC().Config().Seed,
+		return []string{
+			victimWays(fab.L1s[0].Cache()),
+			victimWays(fab.L1s[1].Cache()),
+			victimWays(fab.Banks[0].LLC()),
 		}, nil
 	}
 	a, err := build(1)
@@ -275,11 +296,11 @@ func TestSeedReachesReplacementPolicies(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] == b[i] {
-			t.Errorf("structure %d: run seeds 1 and 2 produced the same policy seed %d", i, a[i])
+			t.Errorf("structure %d: run seeds 1 and 2 picked the same victims %s", i, a[i])
 		}
 	}
 	if a[0] == a[1] {
-		t.Errorf("cores 0 and 1 share L1 policy seed %d; victim sequences march in lockstep", a[0])
+		t.Errorf("cores 0 and 1 picked the same L1 victims %s; their policy seeds march in lockstep", a[0])
 	}
 	// And the machine still runs (and reproduces) under the random policy.
 	run := func() *Results {

@@ -12,7 +12,7 @@ import (
 
 // benchScalingFiles writes one binary trace per core for an N-core
 // machine. The generation cost is paid outside the timed region; every
-// benchmark iteration replays the same files through the mmap path.
+// benchmark iteration replays the same files through OpenBinary.
 func benchScalingFiles(b testing.TB, cores, accesses int) []string {
 	b.Helper()
 	dir := b.TempDir()

@@ -66,8 +66,8 @@ func nameFor(core int, ext string) string {
 
 // TestTraceReplayTextBinaryEquivalence pins the tentpole's correctness
 // claim: replaying the same trace from the text format (slurped into
-// slices) and from the binary format (streamed zero-copy through the
-// mmap-backed BinarySource) must produce byte-identical Results for every
+// slices) and from the binary format (streamed through BinarySource's read
+// window) must produce byte-identical Results for every
 // directory organization.
 func TestTraceReplayTextBinaryEquivalence(t *testing.T) {
 	const cores, accesses = 4, 3000

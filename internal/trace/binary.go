@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"syscall"
 
 	"repro/internal/mem"
 )
@@ -55,8 +54,11 @@ const (
 	// varint's low bit, leaving 63 bits for the zigzag delta, which covers
 	// signed deltas of magnitude < 2^62.
 	binaryMaxAddr = 1 << 62
-	// binaryBatch is how many records a BinarySource decodes per refill.
+	// binaryBatch is the most records a BinarySource decodes per refill.
 	binaryBatch = 512
+	// binaryWindow is the largest read window a streaming BinarySource
+	// holds; a smaller payload gets a window of its own size.
+	binaryWindow = 64 << 10
 )
 
 // zigzag folds a signed delta into an unsigned varint-friendly value.
@@ -171,13 +173,15 @@ func checkBinaryHeader(h []byte) error {
 }
 
 // BinarySource replays a binary trace as an access source, decoding records
-// in batches with zero allocations per access. The fast path serves whole
-// files mapped (or held) in memory; the io.ReaderAt fallback streams chunks
-// through a fixed window buffer, so either way Next never allocates.
+// in batches with zero allocations per access. It serves a payload held in
+// memory, or streams one from an io.ReaderAt through a window it reads
+// with ReadAt, so either way Next never allocates. The window and the
+// batch are sized to the payload: a record is at least one byte, so a
+// batch never needs more accesses than the window has bytes.
 //
 //stash:tileowned
 type BinarySource struct {
-	// data is the decode window: the whole payload in mapped/bytes mode, a
+	// data is the decode window: the whole payload in bytes mode, a
 	// sliding chunk in ReaderAt mode.
 	data []byte
 	off  int
@@ -189,16 +193,17 @@ type BinarySource struct {
 	window []byte
 
 	prev  uint64
-	batch [binaryBatch]mem.Access
+	batch []mem.Access
 	bi    int
 	bn    int
 	err   error
 	done  bool
 
-	// mapped and f hold mmap-mode resources for Close.
-	mapped []byte
-	f      *os.File
+	f *os.File // the file OpenBinary opened, for Close
 }
+
+// newBatch returns a decode batch for a window of n bytes.
+func newBatch(n int) []mem.Access { return make([]mem.Access, min(binaryBatch, n)) }
 
 // NewBinaryBytes replays a binary trace held in memory. The source aliases
 // b; the caller must keep it immutable until the source is drained.
@@ -206,14 +211,14 @@ func NewBinaryBytes(b []byte) (*BinarySource, error) {
 	if err := checkBinaryHeader(b); err != nil {
 		return nil, err
 	}
-	return &BinarySource{data: b[binaryHeaderLen:]}, nil
+	payload := b[binaryHeaderLen:]
+	return &BinarySource{data: payload, batch: newBatch(len(payload))}, nil
 }
 
 // NewBinaryReaderAt replays a binary trace through an io.ReaderAt of the
-// given total size — the fallback for platforms or files where mmap is
-// unavailable. It reads fixed-size chunks into one reusable window buffer.
+// given total size. It reads the payload into one reusable window of
+// min(payload, 64 KiB) bytes, so a small trace is a single read.
 func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
-	const windowSize = 1 << 20
 	var h [binaryHeaderLen]byte
 	n := int(min(max(size, 0), binaryHeaderLen))
 	if m, err := r.ReadAt(h[:n], 0); m < n {
@@ -222,21 +227,22 @@ func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
 	if err := checkBinaryHeader(h[:n]); err != nil {
 		return nil, err
 	}
+	window := int(min(size-binaryHeaderLen, binaryWindow))
 	return &BinarySource{
 		r:      r,
 		roff:   binaryHeaderLen,
 		rsize:  size,
-		window: make([]byte, 0, windowSize),
+		window: make([]byte, 0, window),
+		batch:  newBatch(window),
 	}, nil
 }
 
-// OpenBinary opens the binary trace at path for zero-copy replay: the file
-// is mapped read-only (syscall.Mmap) and decoded in place; when mapping
-// fails (exotic filesystems) or the file is shorter than the header, it
-// degrades to the ReaderAt window path over the same descriptor. Close
-// releases the mapping and the file. A file without the magic fails with
-// an error that wraps ErrNotBinary, so a caller accepting either format
-// opens a binary trace once and tries the text parser only on that error.
+// OpenBinary opens the binary trace at path for replay: it streams the
+// file through NewBinaryReaderAt's window over the open descriptor, so a
+// trace costs one read per 64 KiB and a window no larger than its payload.
+// Close closes the file. A file without the magic fails with an error that
+// wraps ErrNotBinary, so a caller accepting either format opens a binary
+// trace once and tries the text parser only on that error.
 func OpenBinary(path string) (*BinarySource, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -247,21 +253,7 @@ func OpenBinary(path string) (*BinarySource, error) {
 		f.Close()
 		return nil, err
 	}
-	size := st.Size()
-	if size >= binaryHeaderLen {
-		if m, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED); err == nil {
-			s, err := NewBinaryBytes(m)
-			if err != nil {
-				syscall.Munmap(m)
-				f.Close()
-				return nil, fmt.Errorf("trace: %s: %w", path, err)
-			}
-			s.mapped = m
-			s.f = f
-			return s, nil
-		}
-	}
-	s, err := NewBinaryReaderAt(f, size)
+	s, err := NewBinaryReaderAt(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("trace: %s: %w", path, err)
@@ -299,7 +291,7 @@ func (s *BinarySource) Next() (mem.Access, bool) {
 //stash:hotpath
 func (s *BinarySource) fill() {
 	s.bi, s.bn = 0, 0
-	for s.bn < binaryBatch {
+	for s.bn < len(s.batch) {
 		if s.off >= len(s.data) {
 			if !s.refill() {
 				return
@@ -414,21 +406,14 @@ func (s *BinarySource) failRead(off int64, err error) {
 // Err returns the first decode or read error, or nil at a clean end.
 func (s *BinarySource) Err() error { return s.err }
 
-// Close unmaps and closes the underlying file, if any. The source must not
-// be used afterwards.
+// Close closes the file OpenBinary opened, if any. The source must not be
+// used afterwards.
 func (s *BinarySource) Close() error {
-	var err error
-	if s.mapped != nil {
-		err = syscall.Munmap(s.mapped)
-		s.mapped = nil
-		s.data = nil
+	if s.f == nil {
+		return nil
 	}
-	if s.f != nil {
-		if cerr := s.f.Close(); err == nil {
-			err = cerr
-		}
-		s.f = nil
-	}
+	err := s.f.Close()
+	s.f = nil
 	return err
 }
 
@@ -439,11 +424,6 @@ func (s *BinarySource) Reset() {
 	if s.r != nil {
 		s.roff = binaryHeaderLen
 		s.data = s.window[:0]
-		s.off = 0
-		return
-	}
-	if s.mapped != nil {
-		s.data = s.mapped[binaryHeaderLen:]
 	}
 	s.off = 0
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // benchAccessCount is the 1M-access trace size the acceptance bar is
-// measured at: binary mmap replay must be >= 5x the text FileSource.
+// measured at: binary replay must be >= 5x the text FileSource.
 const benchAccessCount = 1_000_000
 
 func benchStream(b *testing.B) *Stream {
@@ -88,8 +88,8 @@ func BenchmarkTraceReplayText(b *testing.B) {
 	b.ReportMetric(float64(benchAccessCount), "accesses/op")
 }
 
-// BenchmarkTraceReplayBinary replays the same trace through the
-// mmap-backed zero-copy BinarySource.
+// BenchmarkTraceReplayBinary replays the same trace from its file through
+// OpenBinary's read window.
 func BenchmarkTraceReplayBinary(b *testing.B) {
 	_, binPath := benchTraceFiles(b)
 	src, err := OpenBinary(binPath)
@@ -117,8 +117,8 @@ func BenchmarkTraceReplayBinary(b *testing.B) {
 	b.ReportMetric(float64(benchAccessCount), "accesses/op")
 }
 
-// BenchmarkTraceReplayBinaryReaderAt measures the windowed io.ReaderAt
-// fallback used when mmap is unavailable.
+// BenchmarkTraceReplayBinaryReaderAt streams the same window from an
+// in-memory io.ReaderAt, which leaves out the file reads.
 func BenchmarkTraceReplayBinaryReaderAt(b *testing.B) {
 	_, binPath := benchTraceFiles(b)
 	payload, err := os.ReadFile(binPath)

@@ -262,7 +262,12 @@ func TestBinaryReaderAtMidRecordEOF(t *testing.T) {
 	}
 }
 
-func TestOpenBinaryMmapAndDetect(t *testing.T) {
+// TestOpenBinaryStreamAndDetect covers OpenBinary's one read path: format
+// detection on open, and replay through a read window sized to the payload
+// up to 64 KiB, with a batch no larger than the window, for a small trace
+// (one read), a header-only one and one that slides the window with
+// records split across its edges.
+func TestOpenBinaryStreamAndDetect(t *testing.T) {
 	dir := t.TempDir()
 	accs := sampleAccesses()
 
@@ -298,37 +303,61 @@ func TestOpenBinaryMmapAndDetect(t *testing.T) {
 		t.Fatalf("OpenBinary(missing file) = %v; want os.ErrNotExist", err)
 	}
 
-	s, err := OpenBinary(binPath)
-	if err != nil {
-		t.Fatal(err)
+	// Random addresses take 4-5 bytes a record, so 40k of them slide the
+	// 64 KiB window a few times and split records across its edge.
+	big := make([]mem.Access, 40_000)
+	rng := rand.New(rand.NewSource(5))
+	for i := range big {
+		big[i] = mem.Access{Addr: mem.Addr(rng.Uint64() % (1 << 32)), Write: rng.Intn(2) == 0}
 	}
-	defer s.Close()
-	got, err := drain(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(accs) {
-		t.Fatalf("mmap replay got %d accesses, want %d", len(got), len(accs))
-	}
-	for i := range accs {
-		if got[i] != accs[i] {
-			t.Fatalf("access %d: got %v, want %v", i, got[i], accs[i])
+	for _, tc := range []struct {
+		name   string
+		accs   []mem.Access
+		window int // the read window OpenBinary must size
+	}{
+		{"sample", accs, len(encodeBinary(t, accs)) - binaryHeaderLen},
+		{"header-only", nil, 0},
+		{"sliding", big, binaryWindow},
+	} {
+		path := binPath
+		if tc.name != "sample" {
+			path = filepath.Join(dir, tc.name+".btrace")
+			if err := os.WriteFile(path, encodeBinary(t, tc.accs), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-
-	// Reset rewinds to the first record.
-	s.Reset()
-	again, err := drain(s)
-	if err != nil || len(again) != len(accs) {
-		t.Fatalf("after Reset: %d accesses, err %v", len(again), err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
+		s, err := OpenBinary(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(s.window) != tc.window || len(s.batch) != min(binaryBatch, tc.window) {
+			t.Errorf("%s: window %d bytes and batch %d accesses, want %d and %d",
+				tc.name, cap(s.window), len(s.batch), tc.window, min(binaryBatch, tc.window))
+		}
+		// Replay twice: Reset rewinds to the first record.
+		for pass := 0; pass < 2; pass++ {
+			got, err := drain(s)
+			if err != nil {
+				t.Fatalf("%s pass %d: %v", tc.name, pass, err)
+			}
+			if len(got) != len(tc.accs) {
+				t.Fatalf("%s pass %d: replay got %d accesses, want %d", tc.name, pass, len(got), len(tc.accs))
+			}
+			for i := range tc.accs {
+				if got[i] != tc.accs[i] {
+					t.Fatalf("%s pass %d: access %d: got %v, want %v", tc.name, pass, i, got[i], tc.accs[i])
+				}
+			}
+			s.Reset()
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 // TestBinaryReplayAllocFree pins the replay hot path at zero allocations
-// per access, for both the in-memory (mmap) and streaming window paths.
+// per access, for both the in-memory and the streaming window paths.
 func TestBinaryReplayAllocFree(t *testing.T) {
 	accs := make([]mem.Access, 50_000)
 	rng := rand.New(rand.NewSource(3))
