@@ -54,15 +54,15 @@ lint-fast:
 # mcheck exhaustively model-checks the protocol on the 2-core/1-address
 # configuration for every directory organization, then explores the
 # 2-core/2-address conflict configuration one injected stimulus deeper
-# than CI does (depth 6: 293k-544k states per organization, ~40s in all
-# and ~300 MB peak RSS on a 2-CPU Xeon host). See internal/mcheck.
+# than CI does (depth 6: 293k-544k states per organization, ~21s in all
+# and under 100 MB peak RSS on a 2-CPU Xeon host). See internal/mcheck.
 mcheck:
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 6 -kind all
 
 # mcheck-smoke is the CI slice of mcheck: the exhaustive 2x1 sweep plus
 # the depth-5 two-address conflict slice (88k-121k states per
-# organization), both over all organizations (~0.3s and ~7s in all on a
+# organization), both over all organizations (~0.2s and ~5s in all on a
 # 2-CPU Xeon host). The depth-5 run is the only place fullmap, cuckoo and
 # stash-ss reach the conflict slice that deep; proto-table-check covers
 # sparse and stash at depth 4.
@@ -117,15 +117,18 @@ bench-engine:
 	@$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json -max-allocs 0 -max-allocs-filter 'BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)' || \
 		{ echo "bench-engine: scheduler hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
-# bench-protocol records the coherence hot-path benchmarks and the
-# directory organizations' conflict cycle into BENCH_protocol.json and
-# fails if any steady-state protocol or directory path allocates: the
-# pooled-message/pooled-TBE design is a zero-allocs/op contract, enforced
-# here in CI. When it fails, start with the static picture: `make lint` —
-# the hotpath analyzer usually names the exact allocation site that broke
-# the contract.
+# bench-protocol records the coherence hot-path benchmarks, the
+# directory organizations' conflict cycle and the model checker's
+# exploration rate (BenchmarkExplore: the sparse and stash 2x2 slices to
+# depth 2, in states/s) into BENCH_protocol.json. It fails if any
+# steady-state protocol or directory path allocates: the pooled-message/
+# pooled-TBE design is a zero-allocs/op contract, enforced here in CI.
+# The explorer builds its fabrics and grows its visited set, so the gate
+# leaves it out. When it fails, start with the static picture: `make
+# lint` — the hotpath analyzer usually names the exact allocation site
+# that broke the contract.
 bench-protocol:
-	@$(GO) test -run '^$$' -bench 'BenchmarkProtocol|BenchmarkDirectory' -benchmem ./internal/coherence ./internal/core | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 || \
+	@$(GO) test -run '^$$' -bench 'BenchmarkProtocol|BenchmarkDirectory|BenchmarkExplore' -benchmem ./internal/coherence ./internal/core ./internal/mcheck | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 -max-allocs-filter 'BenchmarkProtocol|BenchmarkDirectory' || \
 		{ echo "bench-protocol: allocation contract broken; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
 
 # bench-psim records the serial-vs-parallel engine sweep (16-core model,

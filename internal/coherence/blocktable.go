@@ -13,7 +13,9 @@ import "repro/internal/mem"
 //
 // A table allocates nothing until its first insertion: most of a
 // machine's tables are empty for most of a run, and a model-checker world
-// that is only built and encoded touches none of them.
+// that is only built and encoded touches none of them. The zero value is
+// an empty table of the minimum size, so a table can live inside the
+// struct that owns it.
 //
 //stash:tileowned
 type blockTable[V any] struct {
@@ -22,13 +24,17 @@ type blockTable[V any] struct {
 	used  []bool
 	n     int
 	shift uint // 64 - log2(len(keys)); fibonacci-hash bucket shift
-	size0 int  // the first allocation's size, which reset returns to
+	size0 int  // the first allocation's size (0: minBlockTable), which reset returns to
 }
+
+// minBlockTable is the smallest first allocation: a zero table's, and
+// newBlockTable's for a hint of 6 or less.
+const minBlockTable = 8
 
 // newBlockTable returns an empty table whose first insertion sizes it so
 // that `hint` live entries fit below the grow threshold (3/4 load).
 func newBlockTable[V any](hint int) *blockTable[V] {
-	size := 8
+	size := minBlockTable
 	for size*3 < hint*4 {
 		size *= 2
 	}
@@ -178,6 +184,9 @@ func (t *blockTable[V]) del(b mem.Block) {
 // grow doubles the table (or makes its first allocation) and re-inserts
 // every entry.
 func (t *blockTable[V]) grow() {
+	if t.size0 == 0 {
+		t.size0 = minBlockTable
+	}
 	keys, vals, used := t.keys, t.vals, t.used
 	t.alloc(max(2*len(keys), t.size0))
 	t.n = 0

@@ -16,20 +16,20 @@ import (
 // protocol bug that lets a core read stale data (a lost invalidation, a
 // missed hidden copy, a stale LLC grant) surfaces as a stamp mismatch.
 //
-// The checker is not free: a map write per committed store, a map read per
-// completed load, and an end-of-run Audit over every valid private and LLC
-// line. A tag array gives a set storage on its first fill, so the audit
-// walks the filled sets only: at 256 cores, the slot map of 65,536 LLC
-// sets and the ~7k sets a job fills, not all 524,288 LLC lines. Traced
-// benchmark runs attribute 8-17% of host time to the checker
-// (coherence.checker_share 0.15 on scale-256, 0.17 on private-16, 0.08 on
-// dir-conflict-16). It stays enabled in all tests; production-scale
-// benchmark runs may disable it.
+// The checker is not free: a table write per committed store, a table
+// read per completed load, and an end-of-run Audit over every valid
+// private and LLC line. A tag array gives a set storage on its first
+// fill, so the audit walks the filled sets only: at 256 cores, the slot
+// map of 65,536 LLC sets and the ~7k sets a job fills, not all 524,288
+// LLC lines. Traced benchmark runs attribute 8-17% of host time to the
+// checker (coherence.checker_share 0.15 on scale-256, 0.17 on
+// private-16, 0.08 on dir-conflict-16). It stays enabled in all tests;
+// production-scale benchmark runs may disable it.
 //
 //stash:tileowned (parallel runs give each tile view a strided checker; see NewStridedChecker)
 type Checker struct {
 	enabled    bool
-	oracle     map[mem.Block]uint64
+	oracle     blockTable[uint64] // allocates on the first committed store
 	nextVal    uint64
 	stride     uint64 // stamp increment; 0 means the serial default of 1
 	violations []string
@@ -42,11 +42,7 @@ type Checker struct {
 
 // NewChecker returns an enabled checker.
 func NewChecker() *Checker {
-	return &Checker{
-		enabled:   true,
-		oracle:    make(map[mem.Block]uint64),
-		maxRecord: 32,
-	}
+	return &Checker{enabled: true, maxRecord: 32}
 }
 
 // NewStridedChecker returns a disabled checker whose store stamps walk the
@@ -67,10 +63,10 @@ func NewStridedChecker(tile, stride int) *Checker {
 }
 
 // reset forgets every stamp and recorded violation, keeping the oracle's
-// map, the enabled flag and the audit scratch. The stamp sequence restarts
-// at NewChecker's start.
+// storage, the enabled flag and the audit scratch. The stamp sequence
+// restarts at NewChecker's start.
 func (c *Checker) reset() {
-	clear(c.oracle)
+	c.oracle.reset()
 	c.nextVal = 0
 	c.violations = nil
 }
@@ -94,13 +90,13 @@ func (c *Checker) CommitStore(b mem.Block) uint64 {
 	}
 	c.nextVal += step
 	// A disabled checker never reads the oracle (CheckLoad and the audit
-	// are both gated), so skip the map write: on Checker=false benchmark
+	// are both gated), so skip the table write: on Checker=false benchmark
 	// runs and on the parallel engine's per-tile strided checkers the
 	// oracle would otherwise grow to the store working set for nothing.
-	// The stamp sequence itself is independent of the map, so data values
+	// The stamp sequence itself is independent of the table, so data values
 	// flowing through the protocol are unchanged.
 	if c.enabled {
-		c.oracle[b] = c.nextVal
+		c.oracle.put(b, c.nextVal)
 	}
 	return c.nextVal
 }
@@ -111,8 +107,7 @@ func (c *Checker) CheckLoad(core int, b mem.Block, got uint64) {
 	if !c.enabled {
 		return
 	}
-	want := c.oracle[b]
-	if got != want {
+	if want, _ := c.oracle.get(b); got != want {
 		c.violate(fmt.Sprintf("core %d loaded %#x from block %#x, oracle says %#x",
 			core, got, uint64(b), want))
 	}

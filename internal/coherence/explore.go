@@ -260,9 +260,20 @@ func (f *Fabric) BankBlockState(bank int, b mem.Block) string {
 // never consults a policy), engine time (states are encoded at engine
 // quiescence, where future behavior is time-independent), and the
 // miss-classification table (it feeds counters only).
+//
+// Once its buffers have grown, an encoding allocates nothing.
+//
+//stash:tileowned
 type StateEncoder struct {
-	buf    []byte
-	rename map[uint64]uint32
+	buf []byte
+	// stamps lists the payload values met so far in this encoding, in
+	// first-encounter order: a value's canonical name is its index plus
+	// one. A state holds a handful of distinct values, so a linear search
+	// beats a map that would have to be cleared on every encode.
+	stamps []uint64
+	// entryFn is entry bound once, so walking a directory through the
+	// core.Directory interface allocates no closure per encode.
+	entryFn func(*core.Entry)
 	// scratch slices reused across encodes.
 	blocks []mem.Block
 	tbeBuf []mem.Block
@@ -270,13 +281,15 @@ type StateEncoder struct {
 
 // NewStateEncoder returns an empty encoder.
 func NewStateEncoder() *StateEncoder {
-	return &StateEncoder{rename: make(map[uint64]uint32)}
+	e := &StateEncoder{}
+	e.entryFn = e.entry
+	return e
 }
 
 // Reset clears the encoder for the next state.
 func (e *StateEncoder) Reset() {
 	e.buf = e.buf[:0]
-	clear(e.rename)
+	e.stamps = e.stamps[:0]
 }
 
 // Bytes returns the encoded state. The slice is valid until the next Reset.
@@ -301,12 +314,12 @@ func (e *StateEncoder) sint(v int) { e.buf = binary.AppendVarint(e.buf, int64(v)
 
 // stamp appends the canonical rename of a payload value.
 func (e *StateEncoder) stamp(v uint64) {
-	id, ok := e.rename[v]
-	if !ok {
-		id = uint32(len(e.rename) + 1)
-		e.rename[v] = id
+	i := slices.Index(e.stamps, v)
+	if i < 0 {
+		i = len(e.stamps)
+		e.stamps = append(e.stamps, v)
 	}
-	e.U64(uint64(id))
+	e.U64(uint64(i + 1))
 }
 
 // Msg appends a message canonically. Exposed so the checker can fold its
@@ -409,20 +422,8 @@ func (e *StateEncoder) Fabric(f *Fabric) {
 	for _, bk := range f.Banks {
 		e.Byte('B')
 		e.tagArray(bk.llc)
-		// Directory entries arrive in slot order (deterministic per
-		// organization); slot coordinates are part of the state because
-		// placement drives future victim and relocation choices.
 		e.Byte('D')
-		bk.dir.ForEach(func(en *core.Entry) {
-			set, way := en.Slot()
-			e.U64(uint64(set))
-			e.U64(uint64(way))
-			e.U64(uint64(en.Block))
-			e.flag(en.Owned)
-			e.flag(en.Overflowed)
-			en.Sharers.ForEach(func(c int) { e.Byte(byte(c)) })
-			e.Byte(0xFF)
-		})
+		bk.dir.ForEach(e.entryFn)
 		e.Byte('T')
 		e.tbeBuf = sortedBlocks(bk.tbes, e.tbeBuf)
 		e.U64(uint64(len(e.tbeBuf)))
@@ -463,31 +464,37 @@ func (e *StateEncoder) Fabric(f *Fabric) {
 	}
 
 	e.Byte('M')
-	e.blocks = e.blocks[:0]
-	//stash:ignore determinism keys are sorted before use
-	for b := range f.Memory.values {
-		e.blocks = append(e.blocks, b)
-	}
-	slices.Sort(e.blocks)
-	for _, b := range e.blocks {
-		e.U64(uint64(b))
-		e.stamp(f.Memory.values[b])
-	}
-
+	e.blockValues(&f.Memory.values)
 	e.Byte('O')
-	e.blocks = e.blocks[:0]
-	//stash:ignore determinism keys are sorted before use
-	for b := range f.Checker.oracle {
-		e.blocks = append(e.blocks, b)
-	}
-	slices.Sort(e.blocks)
-	for _, b := range e.blocks {
-		e.U64(uint64(b))
-		e.stamp(f.Checker.oracle[b])
-	}
+	e.blockValues(&f.Checker.oracle)
 
 	e.Byte('P')
 	e.U64(uint64(f.pool.inUse))
+}
+
+// entry appends one directory entry. Entries arrive in slot order
+// (deterministic per organization); slot coordinates are part of the state
+// because placement drives future victim and relocation choices.
+func (e *StateEncoder) entry(en *core.Entry) {
+	set, way := en.Slot()
+	e.U64(uint64(set))
+	e.U64(uint64(way))
+	e.U64(uint64(en.Block))
+	e.flag(en.Owned)
+	e.flag(en.Overflowed)
+	en.Sharers.ForEach(func(c int) { e.Byte(byte(c)) })
+	e.Byte(0xFF)
+}
+
+// blockValues appends a block-to-value table (memory contents or the value
+// oracle) in block order, with each value renamed.
+func (e *StateEncoder) blockValues(t *blockTable[uint64]) {
+	e.blocks = sortedBlocks(t, e.blocks)
+	for _, b := range e.blocks {
+		v, _ := t.get(b)
+		e.U64(uint64(b))
+		e.stamp(v)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -524,7 +531,7 @@ func StepInvariants(f *Fabric, inflight func(mem.Block) bool) []string {
 			return
 		}
 		for _, h := range copies {
-			if want := f.Checker.oracle[h.block]; h.data != want {
+			if want, _ := f.Checker.oracle.get(h.block); h.data != want {
 				report("core %d holds block %#x in %v with payload %#x, oracle says %#x",
 					l1.id, uint64(h.block), h.state, h.data, want)
 			}

@@ -8,11 +8,12 @@ import (
 // Memory is the off-chip DRAM model: a flat value store with fixed access
 // latency (imposed by the banks via the engine) and access counting for the
 // energy model. Reads of never-written blocks return zero, matching the
-// value oracle's initial state.
+// value oracle's initial state. The value store is a block table, so a
+// memory allocates nothing until its first write.
 //
 //stash:tileowned (each parallel tile view gets its own Memory, folded after the run)
 type Memory struct {
-	values map[mem.Block]uint64
+	values blockTable[uint64]
 
 	stats MemoryStats
 }
@@ -23,27 +24,27 @@ type MemoryStats struct {
 }
 
 // NewMemory returns an empty memory.
-func NewMemory() *Memory {
-	return &Memory{values: make(map[mem.Block]uint64)}
-}
+func NewMemory() *Memory { return &Memory{} }
 
-// reset empties the value store, keeping its map, and zeroes the counters.
+// reset empties the value store, keeping its storage, and zeroes the
+// counters.
 func (m *Memory) reset() {
-	clear(m.values)
+	m.values.reset()
 	m.stats = MemoryStats{}
 }
 
 // Read returns the value of block b, counting one DRAM read.
 func (m *Memory) Read(b mem.Block) uint64 {
 	m.stats.Reads.Inc()
-	return m.values[b]
+	v, _ := m.values.get(b)
+	return v
 }
 
 // Write stores the value of block b, counting one DRAM write. Writebacks
 // are posted: the caller does not wait.
 func (m *Memory) Write(b mem.Block, v uint64) {
 	m.stats.Writes.Inc()
-	m.values[b] = v
+	m.values.put(b, v)
 }
 
 // Stats returns the memory's counters.

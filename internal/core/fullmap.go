@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/mem"
 )
@@ -14,6 +14,7 @@ import (
 //stash:tileowned
 type FullMap struct {
 	entries map[mem.Block]*Entry
+	blocks  []mem.Block // ForEach's sorted keys, reused across calls
 
 	st DirStats
 }
@@ -72,15 +73,16 @@ func (d *FullMap) Remove(b mem.Block) {
 func (d *FullMap) OccupiedEntries() int { return len(d.entries) }
 
 // ForEach implements Directory; iteration is in ascending block order so
-// audits are deterministic.
+// audits are deterministic. Once its key buffer has grown, it allocates
+// nothing.
 func (d *FullMap) ForEach(fn func(*Entry)) {
-	blocks := make([]mem.Block, 0, len(d.entries))
+	d.blocks = d.blocks[:0]
 	//stash:ignore determinism keys are sorted before use
 	for b := range d.entries {
-		blocks = append(blocks, b)
+		d.blocks = append(d.blocks, b)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i] < blocks[j] })
-	for _, b := range blocks {
+	slices.Sort(d.blocks)
+	for _, b := range d.blocks {
 		fn(d.entries[b])
 	}
 }

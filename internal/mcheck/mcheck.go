@@ -24,10 +24,24 @@
 // most two worlds (the node being expanded and its child) and builds the
 // second only when it first needs it; every other replay resets one of
 // them instead of building a fabric.
+//
+// Each transition encodes one state, its child's, and allocates nothing
+// once the search's buffers have grown: a parent is encoded only when it
+// has a retry to fire, since only the livelock check reads its key.
+//
+// The visited set keeps hash compaction's fingerprint per state (Stern and
+// Dill): the first 16 bytes of the SHA-256 of its encoding, not the
+// encoding itself, so a state costs a 16-byte key and a 24-byte node. The
+// search is exact up to a fingerprint collision, which would drop the
+// later of two colliding states unexplored. Over n distinct states a
+// 128-bit hash collides with probability at most n(n-1)/2^129, below
+// 2^-87 at the default budget of 2M states. SHA-256 is deterministic, so
+// a collision, however unlikely, would repeat identically from run to run.
 package mcheck
 
 import (
 	"cmp"
+	"crypto/sha256"
 	"fmt"
 	"slices"
 	"sort"
@@ -195,15 +209,17 @@ const (
 // head of a per-(src,dst) FIFO is the only deliverable message on it: the
 // real NoC preserves point-to-point order, so out-of-order delivery within
 // a channel would explore states the machine cannot reach). Retries are
-// identified by (bank, kind, block), injections by (core, addr).
+// identified by (bank, kind, block), injections by (core, addr). Tiles,
+// banks, cores and addresses fit a byte each (validate caps cores and
+// addresses at 4), which keeps an action at 16 bytes.
 type action struct {
 	kind     actionKind
-	src, dst noc.NodeID          // aDeliver
-	bank     int                 // aRetry
+	src, dst uint8               // aDeliver: tile ids
+	bank     uint8               // aRetry
 	rkind    coherence.RetryKind // aRetry
+	core     uint8               // aLoad/aStore/aEvict
+	addr     uint8               // aLoad/aStore/aEvict: block index
 	block    mem.Block           // aRetry
-	core     int                 // aLoad/aStore/aEvict
-	addr     int                 // aLoad/aStore/aEvict: block index
 }
 
 // channel is one point-to-point FIFO of captured messages.
@@ -302,10 +318,23 @@ func newDirectory(kind string) (core.Directory, error) {
 // Explorer
 // ---------------------------------------------------------------------------
 
+// node is one distinct state: the action that first reached it from its
+// parent. Nodes are numbered in the order the BFS reaches them, which is
+// also the order it expands them.
 type node struct {
 	parent int32
 	depth  int32
 	act    action
+}
+
+// fingerprint is a visited state's key: the first 16 bytes of the SHA-256
+// of its canonical encoding (see the package comment for the collision
+// bound).
+type fingerprint [16]byte
+
+func fingerprintOf(k []byte) fingerprint {
+	sum := sha256.Sum256(k)
+	return fingerprint(sum[:16])
 }
 
 // Explorer runs one bounded or exhaustive exploration.
@@ -314,7 +343,7 @@ type Explorer struct {
 	blocks  []mem.Block
 	enc     *coherence.StateEncoder
 	nodes   []node
-	visited map[string]int32
+	visited map[fingerprint]int32
 	res     *Result
 	rows    map[TableRow]struct{}
 	parked  []coherence.ParkedRetry // scratch for sortedParked
@@ -344,7 +373,7 @@ func explore(cfg Config) (*Explorer, error) {
 	e := &Explorer{
 		cfg:     cfg,
 		enc:     coherence.NewStateEncoder(),
-		visited: make(map[string]int32),
+		visited: make(map[fingerprint]int32),
 		res:     &Result{Kind: cfg.Kind, Cores: cfg.Cores, Addrs: cfg.Addrs},
 	}
 	if cfg.RecordTable {
@@ -471,7 +500,7 @@ func (d errDiverged) Error() string { return "replay divergence: " + d.msg }
 func (e *Explorer) describe(w *world, a action) string {
 	switch a.kind {
 	case aDeliver:
-		if ch := w.channelFor(a.src, a.dst); len(ch.q) > 0 {
+		if ch := w.channelFor(noc.NodeID(a.src), noc.NodeID(a.dst)); len(ch.q) > 0 {
 			m := ch.q[0]
 			return fmt.Sprintf("deliver %v(blk %#x) node%d->node%d", m.Type, uint64(m.Block), a.src, a.dst)
 		}
@@ -494,7 +523,7 @@ func (e *Explorer) describe(w *world, a action) string {
 func (e *Explorer) apply(w *world, a action) error {
 	switch a.kind {
 	case aDeliver:
-		ch := w.channelFor(a.src, a.dst)
+		ch := w.channelFor(noc.NodeID(a.src), noc.NodeID(a.dst))
 		if len(ch.q) == 0 {
 			return errDiverged{fmt.Sprintf("channel %d->%d empty", a.src, a.dst)}
 		}
@@ -513,7 +542,7 @@ func (e *Explorer) apply(w *world, a action) error {
 			}
 		}
 		blk := m.Block
-		w.f.DeliverDirect(a.dst, m)
+		w.f.DeliverDirect(noc.NodeID(a.dst), m)
 		if err := e.drain(w); err != nil {
 			return err
 		}
@@ -533,7 +562,7 @@ func (e *Explorer) apply(w *world, a action) error {
 	case aRetry:
 		idx := -1
 		for i, p := range w.parked {
-			if p.BankID() == a.bank && p.Kind() == a.rkind && p.Block() == a.block {
+			if p.BankID() == int(a.bank) && p.Kind() == a.rkind && p.Block() == a.block {
 				idx = i
 				break
 			}
@@ -595,31 +624,31 @@ func (e *Explorer) enabled(w *world) []action {
 	out := e.acts[:0]
 	for _, ch := range w.chans {
 		if len(ch.q) > 0 {
-			out = append(out, action{kind: aDeliver, src: ch.src, dst: ch.dst})
+			out = append(out, action{kind: aDeliver, src: uint8(ch.src), dst: uint8(ch.dst)})
 		}
 	}
 	for _, p := range e.sortedParked(w) {
-		out = append(out, action{kind: aRetry, bank: p.BankID(), rkind: p.Kind(), block: p.Block()})
+		out = append(out, action{kind: aRetry, bank: uint8(p.BankID()), rkind: p.Kind(), block: p.Block()})
 	}
 	if e.cfg.MaxDepth > 0 && w.injections >= e.cfg.MaxDepth {
 		e.res.Truncated = "depth budget"
 		e.acts = out
 		return out
 	}
-	for c := 0; c < e.cfg.Cores; c++ {
+	for c := range uint8(e.cfg.Cores) {
 		if w.outstanding[c] {
 			continue
 		}
-		for a := range e.blocks {
+		for a := range uint8(len(e.blocks)) {
 			out = append(out,
 				action{kind: aLoad, core: c, addr: a},
 				action{kind: aStore, core: c, addr: a})
 		}
 	}
-	for c := 0; c < e.cfg.Cores; c++ {
+	for c := range uint8(e.cfg.Cores) {
 		for a, blk := range e.blocks {
 			if w.f.L1s[c].CanForceEvict(blk) {
-				out = append(out, action{kind: aEvict, core: c, addr: a})
+				out = append(out, action{kind: aEvict, core: c, addr: uint8(a)})
 			}
 		}
 	}
@@ -753,7 +782,8 @@ func (e *Explorer) checkState(w *world, id int32, prevChk int) {
 	}
 }
 
-// search is the BFS over canonical states.
+// search is the BFS over canonical states. The node list is its queue:
+// nodes are appended in the order they are reached.
 func (e *Explorer) search() error {
 	w0, err := e.initialWorld()
 	if err != nil {
@@ -763,23 +793,20 @@ func (e *Explorer) search() error {
 		return err
 	}
 	e.nodes = []node{{parent: -1}}
-	e.visited[string(e.encode(w0))] = 0
+	e.visited[fingerprintOf(e.encode(w0))] = 0
 	e.res.States = 1
 	e.checkState(w0, 0, 0)
 	e.release(w0)
 
-	queue := []int32{0}
-	for qi := 0; qi < len(queue) && !e.done(); qi++ {
+	for id := int32(0); int(id) < len(e.nodes) && !e.done(); id++ {
 		if e.res.States >= e.cfg.MaxStates {
 			e.res.Truncated = "state budget"
 			break
 		}
-		id := queue[qi]
 		pw, err := e.replay(id)
 		if err != nil {
 			return err
 		}
-		parentKey := string(e.encode(pw))
 		parentChk := len(pw.f.Checker.Violations())
 		open := pw.f.OpenWork()
 		acts := e.enabled(pw)
@@ -800,6 +827,13 @@ func (e *Explorer) search() error {
 			e.release(pw)
 			e.violation("deadlock", "open transactions with no deliverable message and no retry to fire", id)
 			continue
+		}
+		// Only the livelock check reads the parent's own key, to spot a
+		// retry that loops back to it, so a parent with no retry to fire
+		// is never encoded.
+		var parentFP fingerprint
+		if retries > 0 {
+			parentFP = fingerprintOf(e.encode(pw))
 		}
 
 		retrySelfLoops := 0
@@ -834,11 +868,11 @@ func (e *Explorer) search() error {
 				e.res.Violations = append(e.res.Violations, v)
 				continue
 			}
-			k := e.encode(cw)
-			if a.kind == aRetry && string(k) == parentKey {
+			fp := fingerprintOf(e.encode(cw))
+			if a.kind == aRetry && fp == parentFP {
 				retrySelfLoops++
 			}
-			if prev, ok := e.visited[string(k)]; ok {
+			if prev, ok := e.visited[fp]; ok {
 				e.release(cw)
 				if e.cfg.RecordEdges {
 					e.res.Edges = append(e.res.Edges, Edge{From: id, To: prev, Label: desc})
@@ -846,7 +880,7 @@ func (e *Explorer) search() error {
 				continue
 			}
 			nid := int32(len(e.nodes))
-			e.visited[string(k)] = nid
+			e.visited[fp] = nid
 			d := e.nodes[id].depth + 1
 			e.nodes = append(e.nodes, node{parent: id, depth: d, act: a})
 			if int(d) > e.res.Depth {
@@ -858,7 +892,6 @@ func (e *Explorer) search() error {
 			}
 			e.checkState(cw, nid, parentChk)
 			e.release(cw)
-			queue = append(queue, nid)
 		}
 		if pw != nil {
 			e.release(pw)

@@ -2,8 +2,10 @@ package mcheck
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/coherence"
 	"repro/internal/core"
@@ -85,13 +87,15 @@ func TestReplayCounts(t *testing.T) {
 // TestConflictSliceAllocs caps the allocations and the bytes of the
 // sparse+stash 2x2 depth-2 pair, the benchmark's model-checker job. A pair
 // builds four fabrics (two per exploration) and replays into reset ones
-// otherwise, so what is left is mostly per-state: visited-set keys, node
-// records and the encoder's rename map. The pair measured about 5,200
-// allocations and 0.4 MB; the caps leave about twice that. A search that
-// builds a fabric per replay, as it once did, allocated 154k times and
-// 12.4 MB.
+// otherwise, and a transition encodes and fingerprints its child without
+// allocating, so what is left is the four builds and the growth of the
+// node list and the visited set. The pair measured 606 allocations and
+// 0.14 MB; the caps leave margins of about 65% and 80%. A search that
+// encoded every parent into a string key and allocated two closures per
+// encoding took 5,160 allocations and 0.44 MB, and one that built a
+// fabric per replay 154k allocations and 12.4 MB.
 func TestConflictSliceAllocs(t *testing.T) {
-	const limit, maxMB = 10_000, 1.0
+	const limit, maxMB = 1_000, 0.25
 	pair := func() {
 		for _, kind := range []string{"sparse", "stash"} {
 			if _, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2}); err != nil {
@@ -105,12 +109,12 @@ func TestConflictSliceAllocs(t *testing.T) {
 	pair()
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("%.0f allocations, %.2f MB per sparse+stash pair (limits %d, %.1f MB)", allocs, mb, limit, maxMB)
+	t.Logf("%.0f allocations, %.2f MB per sparse+stash pair (limits %d, %.2f MB)", allocs, mb, limit, maxMB)
 	if allocs > limit {
 		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.0f times, want <= %d", allocs, limit)
 	}
 	if mb > maxMB {
-		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.2f MB, want <= %.1f MB", mb, maxMB)
+		t.Errorf("sparse+stash 2x2 depth-2 pair allocates %.2f MB, want <= %.2f MB", mb, maxMB)
 	}
 }
 
@@ -170,6 +174,93 @@ func TestReplayAllocFree(t *testing.T) {
 				t.Errorf("%s: replaying node %d allocates %.1f times, want 0", kind, id, allocs)
 			}
 		}
+	}
+}
+
+// TestEncodeAllocFree checks that once the explorer's buffers have grown,
+// encoding and fingerprinting any node of the 2x2 depth-2 slices allocates
+// nothing: the encoder walks directories through a callback bound once and
+// renames stamps without a map.
+func TestEncodeAllocFree(t *testing.T) {
+	for _, kind := range Kinds() {
+		e, err := explore(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2})
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for id := range e.nodes {
+			w, err := e.replay(int32(id))
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			allocs := testing.AllocsPerRun(2, func() { fingerprintOf(e.encode(w)) })
+			e.release(w)
+			if allocs != 0 {
+				t.Errorf("%s: encoding node %d allocates %.1f times, want 0", kind, id, allocs)
+			}
+		}
+	}
+}
+
+// TestNodeSize keeps a visited state's node record at 24 bytes: with its
+// 16-byte fingerprint, the node list is most of a deep search's memory.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(node{}); n > 24 {
+		t.Errorf("node is %d bytes, want at most 24", n)
+	}
+}
+
+// TestFingerprintsInjective re-walks every transition of the 2x2 depth-4
+// slices of all five organizations, encoding each child state, and
+// requires distinct encodings to have distinct fingerprints. The distinct
+// encodings must also number exactly the states the search counted, so
+// the fingerprinted search found every state an exact one would.
+func TestFingerprintsInjective(t *testing.T) {
+	if testing.Short() {
+		t.Skip("re-walking the depth-4 slices takes a few seconds")
+	}
+	for _, kind := range Kinds() {
+		kind := kind
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			e, err := explore(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			byFP := make(map[fingerprint]string, e.res.States)
+			record := func(k []byte) {
+				fp := fingerprintOf(k)
+				if prev, ok := byFP[fp]; ok && prev != string(k) {
+					t.Fatalf("two encodings share fingerprint %x", fp)
+				}
+				byFP[fp] = string(k)
+			}
+			var acts []action
+			for id := range e.nodes {
+				w, err := e.replay(int32(id))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id == 0 {
+					record(e.encode(w))
+				}
+				acts = append(acts[:0], e.enabled(w)...)
+				e.release(w)
+				for _, a := range acts {
+					cw, err := e.replay(int32(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.apply(cw, a); err != nil {
+						t.Fatal(err)
+					}
+					record(e.encode(cw))
+					e.release(cw)
+				}
+			}
+			if len(byFP) != e.res.States {
+				t.Errorf("%d distinct encodings, but the search counted %d states", len(byFP), e.res.States)
+			}
+		})
 	}
 }
 
@@ -237,6 +328,42 @@ func TestDroppedInvAckYieldsDeadlock(t *testing.T) {
 	}
 	if len(v.Trace) > 10 {
 		t.Errorf("counterexample is not minimal: %d steps\n%s", len(v.Trace), v)
+	}
+	t.Logf("minimal counterexample (%d steps):\n%s", len(v.Trace), v)
+}
+
+// stuckDirectory wraps a directory organization whose allocations never
+// succeed: every Allocate reports every candidate busy, so a bank that
+// needs an entry parks a retry whose firing parks the same retry again.
+type stuckDirectory struct{ core.Directory }
+
+func (stuckDirectory) Allocate(mem.Block, func(mem.Block) bool) core.AllocResult {
+	return core.AllocResult{Outcome: core.AllocBlocked}
+}
+
+// TestStuckRetryYieldsLivelock mutates the directory so that no allocation
+// ever succeeds and demands a livelock counterexample: the first miss
+// parks an allocation retry that loops back to the same state forever.
+// It is the livelock check's test, and with it the test of the parent
+// state's key, which only that check reads.
+func TestStuckRetryYieldsLivelock(t *testing.T) {
+	res, err := Run(Config{
+		Cores: 2, Addrs: 1, Kind: "sparse",
+		WrapDirectory: func(d core.Directory) core.Directory { return stuckDirectory{d} },
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(res.Violations) == 0 {
+		t.Fatalf("a retry stuck forever went undetected: %s", res.Summary())
+	}
+	v := res.Violations[0]
+	if v.Kind != "livelock" {
+		t.Fatalf("first violation kind = %q, want livelock:\n%s", v.Kind, v)
+	}
+	want := []string{"core 0: load blk 0x0", "deliver GetS(blk 0x0) node0->node0"}
+	if !slices.Equal(v.Trace, want) {
+		t.Errorf("counterexample = %q, want %q", v.Trace, want)
 	}
 	t.Logf("minimal counterexample (%d steps):\n%s", len(v.Trace), v)
 }
@@ -349,4 +476,23 @@ func requireRecycledReplays(t *testing.T, e *Explorer) {
 			t.Errorf("%s: node %d encodes differently in a recycled world", e.cfg.Kind, id)
 		}
 	}
+}
+
+// BenchmarkExplore times the repository benchmark's model-checker job, the
+// sparse and stash 2x2 conflict slices to depth 2, and reports the states
+// it explores per second. `make bench-protocol` records it into
+// BENCH_protocol.json.
+func BenchmarkExplore(b *testing.B) {
+	b.ReportAllocs()
+	states := 0
+	for i := 0; i < b.N; i++ {
+		for _, kind := range []string{"sparse", "stash"} {
+			res, err := Run(Config{Cores: 2, Addrs: 2, Kind: kind, MaxDepth: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			states += res.States
+		}
+	}
+	b.ReportMetric(float64(states)/b.Elapsed().Seconds(), "states/s")
 }

@@ -44,20 +44,21 @@ func buildShape(tb testing.TB, cores int) Config {
 
 // TestBuildBytes bounds the heap one Build allocates at the two shapes of
 // buildShape. Tag arrays get their lines and replacement state on a set's
-// first fill, and a trace source's read window and decode batch are sized
-// to its file, so a build pays for its slot maps, controllers and sources
-// rather than for the capacity it models; a bound crossed here is a
-// per-line or per-core cost that every simulation job pays before its
-// first event. The caps are the measured 0.64 MB and 2.31 MB with a
-// margin of about half and a third: a build that allocated every LLC line
-// up front took 9.2 MB and 22.5 MB.
+// first fill, a trace source's read window is sized to its file and its
+// decode batch to the records in it, so a build pays for its slot maps,
+// controllers and sources rather than for the capacity it models; a bound
+// crossed here is a per-line or per-core cost that every simulation job
+// pays before its first event. The caps are the measured 0.64 MB and
+// 1.76 MB with margins of about half and 14%. A 256-core build whose
+// batches held one access per payload byte took 2.31 MB, and one that
+// allocated every LLC line up front 22.5 MB (9.2 MB at 16 cores).
 func TestBuildBytes(t *testing.T) {
 	for _, tc := range []struct {
 		cores int
 		maxMB float64
 	}{
 		{16, 1},
-		{256, 3},
+		{256, 2},
 	} {
 		cfg := buildShape(t, tc.cores)
 		var before, after runtime.MemStats

@@ -175,9 +175,11 @@ func checkBinaryHeader(h []byte) error {
 // BinarySource replays a binary trace as an access source, decoding records
 // in batches with zero allocations per access. It serves a payload held in
 // memory, or streams one from an io.ReaderAt through a window it reads
-// with ReadAt, so either way Next never allocates. The window and the
-// batch are sized to the payload: a record is at least one byte, so a
-// batch never needs more accesses than the window has bytes.
+// with ReadAt, so either way Next never allocates. The window is sized to
+// the payload, up to 64 KiB. A window that holds the whole payload is read
+// when the source is made, and the batch holds no more accesses than the
+// payload has records; a sliding window always holds more records than a
+// batch.
 //
 //stash:tileowned
 type BinarySource struct {
@@ -202,8 +204,24 @@ type BinarySource struct {
 	f *os.File // the file OpenBinary opened, for Close
 }
 
-// newBatch returns a decode batch for a window of n bytes.
-func newBatch(n int) []mem.Access { return make([]mem.Access, min(binaryBatch, n)) }
+// batchFor returns a decode batch for the whole payload p: one access per
+// record, up to binaryBatch. A record ends at its first byte below 0x80. A
+// cut final record gets a slot too, so decoding reaches it and reports the
+// cut.
+func batchFor(p []byte) []mem.Access {
+	n := 0
+	for _, b := range p {
+		if b < 0x80 {
+			if n++; n == binaryBatch {
+				break
+			}
+		}
+	}
+	if n < binaryBatch && len(p) > 0 && p[len(p)-1] >= 0x80 {
+		n++
+	}
+	return make([]mem.Access, n)
+}
 
 // NewBinaryBytes replays a binary trace held in memory. The source aliases
 // b; the caller must keep it immutable until the source is drained.
@@ -212,12 +230,14 @@ func NewBinaryBytes(b []byte) (*BinarySource, error) {
 		return nil, err
 	}
 	payload := b[binaryHeaderLen:]
-	return &BinarySource{data: payload, batch: newBatch(len(payload))}, nil
+	return &BinarySource{data: payload, batch: batchFor(payload)}, nil
 }
 
 // NewBinaryReaderAt replays a binary trace through an io.ReaderAt of the
 // given total size. It reads the payload into one reusable window of
-// min(payload, 64 KiB) bytes, so a small trace is a single read.
+// min(payload, 64 KiB) bytes, so a small trace is a single read, made
+// here to size the decode batch. A failed payload read ends the stream at
+// once; Err reports it.
 func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
 	var h [binaryHeaderLen]byte
 	n := int(min(max(size, 0), binaryHeaderLen))
@@ -227,14 +247,18 @@ func NewBinaryReaderAt(r io.ReaderAt, size int64) (*BinarySource, error) {
 	if err := checkBinaryHeader(h[:n]); err != nil {
 		return nil, err
 	}
-	window := int(min(size-binaryHeaderLen, binaryWindow))
-	return &BinarySource{
-		r:      r,
-		roff:   binaryHeaderLen,
-		rsize:  size,
-		window: make([]byte, 0, window),
-		batch:  newBatch(window),
-	}, nil
+	payload := size - binaryHeaderLen
+	window := int(min(payload, binaryWindow))
+	s := &BinarySource{r: r, roff: binaryHeaderLen, rsize: size, window: make([]byte, 0, window)}
+	if int64(window) < payload {
+		// A record is at most 10 bytes, so a full window holds far more
+		// records than a batch.
+		s.batch = make([]mem.Access, binaryBatch)
+	} else {
+		s.refill()
+		s.batch = batchFor(s.data)
+	}
+	return s, nil
 }
 
 // OpenBinary opens the binary trace at path for replay: it streams the

@@ -264,9 +264,9 @@ func TestBinaryReaderAtMidRecordEOF(t *testing.T) {
 
 // TestOpenBinaryStreamAndDetect covers OpenBinary's one read path: format
 // detection on open, and replay through a read window sized to the payload
-// up to 64 KiB, with a batch no larger than the window, for a small trace
-// (one read), a header-only one and one that slides the window with
-// records split across its edges.
+// up to 64 KiB, with a batch no larger than the records the payload holds,
+// for a small trace (one read), a header-only one and one that slides the
+// window with records split across its edges.
 func TestOpenBinaryStreamAndDetect(t *testing.T) {
 	dir := t.TempDir()
 	accs := sampleAccesses()
@@ -330,9 +330,9 @@ func TestOpenBinaryStreamAndDetect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cap(s.window) != tc.window || len(s.batch) != min(binaryBatch, tc.window) {
+		if cap(s.window) != tc.window || len(s.batch) != min(binaryBatch, len(tc.accs)) {
 			t.Errorf("%s: window %d bytes and batch %d accesses, want %d and %d",
-				tc.name, cap(s.window), len(s.batch), tc.window, min(binaryBatch, tc.window))
+				tc.name, cap(s.window), len(s.batch), tc.window, min(binaryBatch, len(tc.accs)))
 		}
 		// Replay twice: Reset rewinds to the first record.
 		for pass := 0; pass < 2; pass++ {
