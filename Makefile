@@ -111,8 +111,7 @@ bench: bench-engine bench-protocol
 # bench-engine records the scheduler benchmarks into BENCH_engine.json and
 # fails if the After1, After0Burst, Mixed or FarFuture benchmark allocates:
 # the wheel and heap paths recycle arena slots, so a steady-state event
-# never allocates. The Legacy baselines and the full-system Throughput run
-# allocate by design.
+# never allocates. The Legacy baselines allocate by design.
 bench-engine:
 	@$(GO) test -run '^$$' -bench BenchmarkEngine -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -o BENCH_engine.json -max-allocs 0 -max-allocs-filter 'BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)' || \
 		{ echo "bench-engine: scheduler hot path allocates; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
@@ -140,11 +139,10 @@ bench-psim:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchmem ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_psim.json
 
 # bench-trace records the trace-pipeline benchmarks into BENCH_trace.json:
-# the text-vs-binary replay comparison (internal/trace, 1M-access streams),
-# the 16-to-256-core binary-replay scaling sweep and the cost of building
-# the private-16 and scale-256 machines (internal/system). The zero-alloc
-# gate applies only to the ReplayBinary entries — the binary hot path's
-# contract — since the text baseline, the full-system scaling runs and
+# the text-vs-binary replay comparison (internal/trace, 1M-access streams)
+# and the cost of building the private-16 and scale-256 machines
+# (internal/system). The zero-alloc gate applies only to the ReplayBinary
+# entries — the binary hot path's contract — since the text baseline and
 # the machine builds allocate by design.
 bench-trace:
 	@$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkBuild' -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -o BENCH_trace.json -max-allocs 0 -max-allocs-filter 'ReplayBinary' || \
@@ -152,13 +150,12 @@ bench-trace:
 
 # bench-smoke runs the scheduler micro-benchmarks for 10000 events each,
 # enough that a warm-up allocation rounds to 0 allocs/op while a per-event
-# one still shows, and gates them like bench-engine; the full-system
-# Throughput run executes once, so ci catches benchmark bit-rot without
-# paying full measurement time.
+# one still shows, and gates them like bench-engine, so ci catches
+# benchmark bit-rot without paying full measurement time. The full-system
+# path is perfbench-check's to compile and self-test.
 bench-smoke:
 	@$(GO) test -run '^$$' -bench 'BenchmarkEngine(Legacy)?(After1|After0Burst|Mixed|FarFuture)$$' -benchtime=10000x -benchmem ./internal/sim | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'BenchmarkEngine(After1|After0Burst|Mixed|FarFuture)' > /dev/null || \
 		{ echo "bench-smoke: scheduler hot path allocates; run 'make lint'" >&2; exit 1; }
-	$(GO) test -run '^$$' -bench BenchmarkEngineThroughput -benchtime=1x -benchmem ./internal/sim
 
 bench-psim-smoke:
 	$(GO) test -run '^$$' -bench BenchmarkPsim -benchtime=1x -benchmem ./internal/system

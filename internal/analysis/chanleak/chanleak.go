@@ -194,7 +194,7 @@ func (sc *scope) stmt(s ast.Stmt, loops []string, cond bool) {
 		sc.stmt(s.Body, append(loops, ""), true)
 	case *ast.RangeStmt:
 		sc.expr(s.X, cond)
-		sc.stmt(s.Body, append(loops, render(s.X)), true)
+		sc.stmt(s.Body, append(loops, analysis.Render(s.X)), true)
 	case *ast.SelectStmt:
 		// Comm clauses are alternatives; nothing in a select earns a
 		// receive credit.
@@ -244,7 +244,7 @@ func (sc *scope) expr(e ast.Expr, cond bool) {
 			return false
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !cond {
-				sc.recvs[render(n.X)]++
+				sc.recvs[analysis.Render(n.X)]++
 			}
 		}
 		return true
@@ -258,7 +258,7 @@ func (sc *scope) makes(lhs, rhs []ast.Expr) {
 	}
 	for i, r := range rhs {
 		call, ok := r.(*ast.CallExpr)
-		if !ok || !isBuiltin(sc.pass.TypesInfo, call.Fun, "make") {
+		if !ok || analysis.BuiltinName(sc.pass.TypesInfo, call.Fun) != "make" {
 			continue
 		}
 		if t := sc.pass.TypesInfo.Types[call].Type; t == nil {
@@ -295,22 +295,14 @@ func (sc *scope) makes(lhs, rhs []ast.Expr) {
 	}
 }
 
-// lenArg matches len(X) and returns X rendered.
+// lenArg matches len(X) for a renderable X and returns X rendered.
 func lenArg(info *types.Info, e ast.Expr) (string, bool) {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 1 || !isBuiltin(info, call.Fun, "len") {
+	if !ok || len(call.Args) != 1 || analysis.BuiltinName(info, call.Fun) != "len" {
 		return "", false
 	}
-	return render(call.Args[0]), true
-}
-
-func isBuiltin(info *types.Info, fun ast.Expr, name string) bool {
-	id, ok := ast.Unparen(fun).(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, ok = info.Uses[id].(*types.Builtin)
-	return ok
+	x := analysis.Render(call.Args[0])
+	return x, x != ""
 }
 
 // sends is the per-goroutine send census for one channel.
@@ -334,7 +326,7 @@ func countSends(pass *analysis.Pass, body *ast.BlockStmt, key string) *sends {
 		ast.Inspect(n, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.SendStmt:
-				if render(n.Chan) != key {
+				if analysis.Render(n.Chan) != key {
 					return true
 				}
 				switch {
@@ -404,7 +396,7 @@ func callsRecover(info *types.Info, n ast.Node) bool {
 	}
 	found := false
 	ast.Inspect(n, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isBuiltin(info, call.Fun, "recover") {
+		if call, ok := n.(*ast.CallExpr); ok && analysis.BuiltinName(info, call.Fun) == "recover" {
 			found = true
 		}
 		return !found
@@ -480,18 +472,4 @@ func (sc *scope) reportFirst(pass *analysis.Pass, cs *sends, format string, args
 	if pos != token.NoPos {
 		pass.Reportf(pos, format, args...)
 	}
-}
-
-// render prints the lexical shape of simple expressions (idents, field
-// chains, derefs) used as channel and range identities.
-func render(e ast.Expr) string {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return render(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return "*" + render(e.X)
-	}
-	return "<expr>"
 }

@@ -70,7 +70,7 @@ func (w *walker) prescan(body *ast.BlockStmt) {
 			w.calledFuns[n.Fun] = true
 		case *ast.AssignStmt:
 			if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
-				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && w.isBuiltin(call.Fun, "append") &&
+				if call, ok := n.Rhs[0].(*ast.CallExpr); ok && analysis.BuiltinName(w.pass.TypesInfo, call.Fun) == "append" &&
 					len(call.Args) > 0 && sameExpr(n.Lhs[0], call.Args[0]) {
 					w.poolAppends[call] = true
 				}
@@ -127,20 +127,20 @@ func (w *walker) visit(n ast.Node) bool {
 // interface-boxing arguments. It returns false (skip subtree) for panic,
 // whose arguments are cold.
 func (w *walker) call(call *ast.CallExpr) bool {
-	if w.isBuiltin(call.Fun, "panic") {
+	builtin := analysis.BuiltinName(w.pass.TypesInfo, call.Fun)
+	switch builtin {
+	case "panic":
 		return false
-	}
-	if id := builtinName(w.pass.TypesInfo, call.Fun); id != "" {
-		switch id {
-		case "make":
-			w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: make allocates; preallocate at construction time", w.fname)
-		case "new":
-			w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: new allocates; draw from a pool", w.fname)
-		case "append":
-			if !w.poolAppends[call] {
-				w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: append may grow the heap; only the x.f = append(x.f, ...) pool-warming idiom is exempt", w.fname)
-			}
+	case "make":
+		w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: make allocates; preallocate at construction time", w.fname)
+	case "new":
+		w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: new allocates; draw from a pool", w.fname)
+	case "append":
+		if !w.poolAppends[call] {
+			w.pass.Reportf(call.Pos(), "%s is //stash:hotpath: append may grow the heap; only the x.f = append(x.f, ...) pool-warming idiom is exempt", w.fname)
 		}
+	}
+	if builtin != "" {
 		return true
 	}
 	// Type conversions: T(x) boxes when T is an interface.
@@ -246,22 +246,6 @@ func pointerShaped(t types.Type) bool {
 		return t.Underlying().(*types.Basic).Kind() == types.UnsafePointer
 	}
 	return false
-}
-
-func (w *walker) isBuiltin(fun ast.Expr, name string) bool {
-	return builtinName(w.pass.TypesInfo, fun) == name
-}
-
-// builtinName returns the builtin's name if fun resolves to one, else "".
-func builtinName(info *types.Info, fun ast.Expr) string {
-	id, ok := fun.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if b, ok := info.Uses[id].(*types.Builtin); ok {
-		return b.Name()
-	}
-	return ""
 }
 
 // sameExpr reports whether two expressions are structurally identical

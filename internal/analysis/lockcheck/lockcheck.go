@@ -27,14 +27,16 @@
 // so a value cannot be written bare on one path and atomically on another;
 // the function-style API allows exactly that mix.
 //
-// The analysis is intraprocedural and must-hold: branch states merge by
-// intersection, so "held" means held on every path reaching the point.
+// The analysis is intraprocedural and must-hold: analysis.WalkFunc supplies
+// the control flow, and lock states join by intersection, so "held" means
+// held on every path reaching the point. Returns, and reaching the closing
+// brace, check for locks still held.
 // Locks are named structurally ("r.mu", "j.mu"); where the mutex expression
 // has a named owner type the qualified name ("Runner.mu") also participates,
 // which is what lets a lock taken on one receiver satisfy a Type.field
-// guard on a value it owns. Goroutine bodies are analyzed as independent
-// functions holding nothing — a goroutine never inherits its spawner's
-// locks.
+// guard on a value it owns. Function literals (goroutine, defer and
+// callback bodies) are analyzed as independent functions holding nothing —
+// a goroutine never inherits its spawner's locks.
 package lockcheck
 
 import (
@@ -80,10 +82,11 @@ type facts struct {
 
 func run(pass *analysis.Pass) error {
 	f := collect(pass)
+	rep := analysis.NewReports(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analyzeFunc(pass, f, fd)
+				analyzeFunc(pass, f, rep, fd)
 			}
 		}
 		checkAtomicFuncs(pass, file)
@@ -235,11 +238,35 @@ type lockState struct {
 	seeded   bool   // assumed held from //stash:locked; expected at return
 }
 
-// lockEnv maps structural lock names ("r.mu") to their states. Copied at
-// branches, merged by intersection (must-hold).
+// lockEnv maps structural lock names ("r.mu") to their states.
 type lockEnv map[string]lockState
 
-func (e lockEnv) clone() lockEnv {
+func analyzeFunc(pass *analysis.Pass, f *facts, rep *analysis.Reports, fd *ast.FuncDecl) {
+	fa := &fnAnalyzer{pass: pass, f: f, rep: rep, everHeld: map[string]bool{}}
+	e := lockEnv{}
+	if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
+		if g, ok := f.locked[fn]; ok {
+			fa.seed(e, fd, g)
+		}
+	}
+	analysis.WalkFunc(pass.TypesInfo, fa, fd.Body, e)
+}
+
+// fnAnalyzer is the lock domain of one function: its states are must-hold
+// lock sets joined by intersection.
+type fnAnalyzer struct {
+	pass *analysis.Pass
+	f    *facts
+	rep  *analysis.Reports
+	// everHeld records locks this function locked at some point; in nested
+	// function literals, "unlock without lock" is only reported for those,
+	// since a closure may legitimately unlock a lock its enclosing function
+	// holds (a deferred-unlock closure).
+	everHeld map[string]bool
+	nested   bool
+}
+
+func (fa *fnAnalyzer) Clone(e lockEnv) lockEnv {
 	out := make(lockEnv, len(e))
 	for k, s := range e {
 		out[k] = s
@@ -247,9 +274,9 @@ func (e lockEnv) clone() lockEnv {
 	return out
 }
 
-// intersectInto narrows dst to the locks held in both dst and src, returning
+// Join narrows dst to the locks held in both dst and src, returning
 // whether dst changed.
-func intersectInto(dst, src lockEnv) bool {
+func (fa *fnAnalyzer) Join(dst, src lockEnv) bool {
 	changed := false
 	for k, ds := range dst {
 		ss, ok := src[k]
@@ -267,69 +294,75 @@ func intersectInto(dst, src lockEnv) bool {
 	return changed
 }
 
-func replace(dst, src lockEnv) {
-	for k := range dst {
-		delete(dst, k)
-	}
-	for k, s := range src {
-		dst[k] = s
+// Literal analyzes a function literal (a goroutine, defer or callback body)
+// as a function that holds nothing when it starts.
+func (fa *fnAnalyzer) Literal(*ast.FuncLit) (analysis.Flow[lockEnv], lockEnv) {
+	return &fnAnalyzer{pass: fa.pass, f: fa.f, rep: fa.rep, everHeld: map[string]bool{}, nested: true}, lockEnv{}
+}
+
+// Panic checks the panic's arguments, which may read guarded fields; held
+// locks are not checked on a panicking path.
+func (fa *fnAnalyzer) Panic(call *ast.CallExpr, e lockEnv) {
+	for _, a := range call.Args {
+		fa.Expr(a, e)
 	}
 }
 
-func analyzeFunc(pass *analysis.Pass, f *facts, fd *ast.FuncDecl) {
-	fa := &fnAnalyzer{
-		pass:     pass,
-		f:        f,
-		reported: map[token.Pos]bool{},
-		everHeld: map[string]bool{},
+// Return flags locks still held at a return with no deferred unlock.
+func (fa *fnAnalyzer) Return(results []ast.Expr, pos token.Pos, e lockEnv) {
+	for _, r := range results {
+		fa.Expr(r, e)
 	}
-	e := lockEnv{}
-	if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-		if g, ok := f.locked[fn]; ok {
-			fa.seed(e, fd, g)
+	var leaked []string
+	for k, s := range e {
+		if !s.deferred && !s.seeded {
+			leaked = append(leaked, k)
 		}
 	}
-	if !fa.block(fd.Body, e) {
-		fa.atReturn(e, fd.Body.Rbrace)
-	}
-	// Function literals run later (goroutines, defers, callbacks) and hold
-	// nothing when they start; each is an independent function.
-	for i := 0; i < len(fa.funcLits); i++ {
-		lit := fa.funcLits[i]
-		sub := &fnAnalyzer{
-			pass:     pass,
-			f:        f,
-			reported: fa.reported,
-			everHeld: map[string]bool{},
-			nested:   true,
-		}
-		le := lockEnv{}
-		if !sub.block(lit.Body, le) {
-			sub.atReturn(le, lit.Body.Rbrace)
-		}
-		fa.funcLits = append(fa.funcLits, sub.funcLits...)
-	}
-}
-
-type fnAnalyzer struct {
-	pass     *analysis.Pass
-	f        *facts
-	reported map[token.Pos]bool
-	// everHeld records locks this function locked at some point; in nested
-	// function literals, "unlock without lock" is only reported for those,
-	// since a closure may legitimately unlock a lock its enclosing function
-	// holds (a deferred-unlock closure).
-	everHeld map[string]bool
-	nested   bool
-	funcLits []*ast.FuncLit
-}
-
-func (fa *fnAnalyzer) reportf(pos token.Pos, format string, args ...any) {
-	if fa.reported[pos] {
+	if len(leaked) == 0 {
 		return
 	}
-	fa.reported[pos] = true
-	fa.pass.Reportf(pos, format, args...)
+	sort.Strings(leaked)
+	fa.rep.Reportf(pos, "%s still locked at return: unlock on every path or defer the unlock", strings.Join(leaked, ", "))
+}
+
+// ScopeEnd is a no-op: locks are not scoped to blocks.
+func (fa *fnAnalyzer) ScopeEnd(token.Pos, token.Pos, lockEnv) {}
+
+func (fa *fnAnalyzer) Stmt(st ast.Stmt, e lockEnv) {
+	switch st := st.(type) {
+	case *ast.ExprStmt:
+		fa.Expr(st.X, e)
+	case *ast.AssignStmt:
+		for _, r := range st.Rhs {
+			fa.Expr(r, e)
+		}
+		for _, l := range st.Lhs {
+			fa.Expr(l, e)
+		}
+	case *ast.DeclStmt:
+		if gd, ok := st.Decl.(*ast.GenDecl); ok {
+			for _, spec := range gd.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					for _, val := range vs.Values {
+						fa.Expr(val, e)
+					}
+				}
+			}
+		}
+	case *ast.DeferStmt:
+		fa.deferStmt(st, e)
+	case *ast.GoStmt:
+		fa.Expr(st.Call.Fun, e)
+		for _, a := range st.Call.Args {
+			fa.Expr(a, e)
+		}
+	case *ast.SendStmt:
+		fa.Expr(st.Chan, e)
+		fa.Expr(st.Value, e)
+	case *ast.IncDecStmt:
+		fa.Expr(st.X, e)
+	}
 }
 
 // seed marks the //stash:locked mutex as held on entry.
@@ -339,7 +372,7 @@ func (fa *fnAnalyzer) seed(e lockEnv, fd *ast.FuncDecl, g guardSpec) {
 		return
 	}
 	if fd.Recv == nil || len(fd.Recv.List) != 1 {
-		fa.reportf(fd.Pos(), "//stash:locked %s on a function without a receiver: use the Type.%s form", g.raw, g.raw)
+		fa.rep.Reportf(fd.Pos(), "//stash:locked %s on a function without a receiver: use the Type.%s form", g.raw, g.raw)
 		return
 	}
 	qual := ""
@@ -373,212 +406,6 @@ func recvTypeName(t ast.Expr) string {
 	return ""
 }
 
-// atReturn flags locks still held at a return with no deferred unlock.
-func (fa *fnAnalyzer) atReturn(e lockEnv, pos token.Pos) {
-	var leaked []string
-	for k, s := range e {
-		if s.deferred || s.seeded {
-			continue
-		}
-		leaked = append(leaked, k)
-	}
-	if len(leaked) == 0 {
-		return
-	}
-	sort.Strings(leaked)
-	fa.reportf(pos, "%s still locked at return: unlock on every path or defer the unlock", strings.Join(leaked, ", "))
-}
-
-// block interprets a block; true means every path through it terminates.
-func (fa *fnAnalyzer) block(b *ast.BlockStmt, e lockEnv) bool {
-	for _, st := range b.List {
-		if fa.stmt(st, e) {
-			return true
-		}
-	}
-	return false
-}
-
-func (fa *fnAnalyzer) stmt(st ast.Stmt, e lockEnv) bool {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok && isPanic(fa.pass.TypesInfo, call) {
-			for _, a := range call.Args {
-				fa.expr(a, e)
-			}
-			return true
-		}
-		fa.expr(st.X, e)
-	case *ast.AssignStmt:
-		for _, r := range st.Rhs {
-			fa.expr(r, e)
-		}
-		for _, l := range st.Lhs {
-			fa.expr(l, e)
-		}
-	case *ast.DeclStmt:
-		if gd, ok := st.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						fa.expr(val, e)
-					}
-				}
-			}
-		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			fa.expr(r, e)
-		}
-		fa.atReturn(e, st.Pos())
-		return true
-	case *ast.IfStmt:
-		return fa.ifStmt(st, e)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			fa.stmt(st.Init, e)
-		}
-		if st.Cond != nil {
-			fa.expr(st.Cond, e)
-		}
-		fa.loop(st.Body, e, func(ee lockEnv) {
-			if st.Post != nil {
-				fa.stmt(st.Post, ee)
-			}
-		})
-	case *ast.RangeStmt:
-		fa.expr(st.X, e)
-		fa.loop(st.Body, e, nil)
-	case *ast.SwitchStmt:
-		return fa.switchStmt(st.Init, st.Tag, st.Body, false, e)
-	case *ast.TypeSwitchStmt:
-		return fa.switchStmt(st.Init, nil, st.Body, false, e)
-	case *ast.SelectStmt:
-		return fa.switchStmt(nil, nil, st.Body, true, e)
-	case *ast.BlockStmt:
-		return fa.block(st, e)
-	case *ast.BranchStmt:
-		// break/continue/goto leave the straight-line path; conservative:
-		// their lock state is dropped rather than merged.
-		return true
-	case *ast.DeferStmt:
-		fa.deferStmt(st, e)
-	case *ast.GoStmt:
-		fa.expr(st.Call.Fun, e)
-		for _, a := range st.Call.Args {
-			fa.expr(a, e)
-		}
-	case *ast.SendStmt:
-		fa.expr(st.Chan, e)
-		fa.expr(st.Value, e)
-	case *ast.IncDecStmt:
-		fa.expr(st.X, e)
-	case *ast.LabeledStmt:
-		return fa.stmt(st.Stmt, e)
-	}
-	return false
-}
-
-func (fa *fnAnalyzer) ifStmt(st *ast.IfStmt, e lockEnv) bool {
-	if st.Init != nil {
-		fa.stmt(st.Init, e)
-	}
-	fa.expr(st.Cond, e)
-	thenEnv := e.clone()
-	thenDone := fa.block(st.Body, thenEnv)
-	elseEnv := e.clone()
-	elseDone := false
-	if st.Else != nil {
-		elseDone = fa.stmt(st.Else, elseEnv)
-	}
-	switch {
-	case thenDone && elseDone:
-		return true
-	case thenDone:
-		replace(e, elseEnv)
-	case elseDone:
-		replace(e, thenEnv)
-	default:
-		replace(e, thenEnv)
-		intersectInto(e, elseEnv)
-	}
-	return false
-}
-
-// switchStmt interprets each clause from a copy of the incoming state and
-// intersects the survivors. A switch without a default adds the no-match
-// fallthrough path; a select always takes exactly one case.
-func (fa *fnAnalyzer) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, isSelect bool, e lockEnv) bool {
-	if init != nil {
-		fa.stmt(init, e)
-	}
-	if tag != nil {
-		fa.expr(tag, e)
-	}
-	hasDefault := false
-	var survivors []lockEnv
-	for _, cl := range body.List {
-		clauseEnv := e.clone()
-		var stmts []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			if cl.List == nil {
-				hasDefault = true
-			}
-			for _, x := range cl.List {
-				fa.expr(x, clauseEnv)
-			}
-			stmts = cl.Body
-		case *ast.CommClause:
-			if cl.Comm == nil {
-				hasDefault = true
-			} else {
-				fa.stmt(cl.Comm, clauseEnv)
-			}
-			stmts = cl.Body
-		}
-		done := false
-		for _, s := range stmts {
-			if fa.stmt(s, clauseEnv) {
-				done = true
-				break
-			}
-		}
-		if !done {
-			survivors = append(survivors, clauseEnv)
-		}
-	}
-	if !isSelect && !hasDefault {
-		survivors = append(survivors, e.clone())
-	}
-	if len(survivors) == 0 {
-		return true
-	}
-	replace(e, survivors[0])
-	for _, s := range survivors[1:] {
-		intersectInto(e, s)
-	}
-	return false
-}
-
-// loop runs a body to a fixpoint. With intersection merging the held set
-// only shrinks, so the fixpoint is reached in few iterations; reports are
-// deduped by position so revisits stay quiet.
-func (fa *fnAnalyzer) loop(body *ast.BlockStmt, e lockEnv, post func(lockEnv)) {
-	for {
-		iter := e.clone()
-		if fa.block(body, iter) {
-			return // body always exits the loop; e keeps the zero-iteration state
-		}
-		if post != nil {
-			post(iter)
-		}
-		if !intersectInto(e, iter) {
-			return
-		}
-	}
-}
-
 func (fa *fnAnalyzer) deferStmt(st *ast.DeferStmt, e lockEnv) {
 	call := st.Call
 	if op, target := fa.lockOp(call); op == opUnlock {
@@ -587,65 +414,30 @@ func (fa *fnAnalyzer) deferStmt(st *ast.DeferStmt, e lockEnv) {
 			s.deferred = true
 			e[key] = s
 		} else if !fa.nested || fa.everHeld[key] {
-			fa.reportf(call.Pos(), "deferred unlock of %s: it is not held on every path reaching here", name)
+			fa.rep.Reportf(call.Pos(), "deferred unlock of %s: it is not held on every path reaching here", name)
 		}
 		return
 	} else if op == opLock {
-		fa.reportf(call.Pos(), "deferred Lock: locking at function exit is almost certainly a typo for Unlock")
+		fa.rep.Reportf(call.Pos(), "deferred Lock: locking at function exit is almost certainly a typo for Unlock")
 		return
 	}
-	fa.expr(call.Fun, e)
+	fa.Expr(call.Fun, e)
 	for _, a := range call.Args {
-		fa.expr(a, e)
+		fa.Expr(a, e)
 	}
 }
 
-func (fa *fnAnalyzer) expr(x ast.Expr, e lockEnv) {
+func (fa *fnAnalyzer) Expr(x ast.Expr, e lockEnv) {
 	switch x := x.(type) {
-	case nil:
 	case *ast.CallExpr:
 		fa.call(x, e)
+		return
 	case *ast.SelectorExpr:
 		fa.checkGuarded(x, e)
-		fa.expr(x.X, e)
-	case *ast.ParenExpr:
-		fa.expr(x.X, e)
-	case *ast.StarExpr:
-		fa.expr(x.X, e)
-	case *ast.UnaryExpr:
-		fa.expr(x.X, e)
-	case *ast.BinaryExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Y, e)
-	case *ast.IndexExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Index, e)
-	case *ast.IndexListExpr:
-		fa.expr(x.X, e)
-		for _, i := range x.Indices {
-			fa.expr(i, e)
-		}
-	case *ast.SliceExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Low, e)
-		fa.expr(x.High, e)
-		fa.expr(x.Max, e)
-	case *ast.TypeAssertExpr:
-		fa.expr(x.X, e)
-	case *ast.KeyValueExpr:
-		fa.expr(x.Value, e)
-	case *ast.CompositeLit:
-		// Keyed fields of a literal initialize an object no other goroutine
-		// can reach yet; the keys are not guarded accesses.
-		for _, elt := range x.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			fa.expr(elt, e)
-		}
-	case *ast.FuncLit:
-		fa.funcLits = append(fa.funcLits, x)
 	}
+	// The keys of a composite literal are no operands: keyed fields
+	// initialize an object no other goroutine can reach yet.
+	analysis.Operands(x, func(y ast.Expr) { fa.Expr(y, e) })
 }
 
 func (fa *fnAnalyzer) call(x *ast.CallExpr, e lockEnv) {
@@ -654,7 +446,7 @@ func (fa *fnAnalyzer) call(x *ast.CallExpr, e lockEnv) {
 		switch op {
 		case opLock:
 			if _, held := e[key]; held {
-				fa.reportf(x.Pos(), "%s is already locked here: locking again self-deadlocks", name)
+				fa.rep.Reportf(x.Pos(), "%s is already locked here: locking again self-deadlocks", name)
 			} else {
 				fa.checkOrder(x.Pos(), fa.qualOf(target), e)
 			}
@@ -663,25 +455,22 @@ func (fa *fnAnalyzer) call(x *ast.CallExpr, e lockEnv) {
 		case opUnlock:
 			if s, held := e[key]; held {
 				if s.deferred {
-					fa.reportf(x.Pos(), "unlock of %s with a deferred unlock pending: it double-unlocks at return", name)
+					fa.rep.Reportf(x.Pos(), "unlock of %s with a deferred unlock pending: it double-unlocks at return", name)
 				}
 				delete(e, key)
 			} else if !fa.nested || fa.everHeld[key] {
-				fa.reportf(x.Pos(), "unlock of %s: it is not held on every path reaching here (double unlock?)", name)
+				fa.rep.Reportf(x.Pos(), "unlock of %s: it is not held on every path reaching here (double unlock?)", name)
 			}
 		}
-		fa.expr(target, e)
+		fa.Expr(target, e)
 		return
 	}
-	if fn := calleeFunc(fa.pass.TypesInfo, x); fn != nil {
-		if g, ok := fa.f.locked[fn.Origin()]; ok {
+	if fn := analysis.Callee(fa.pass.TypesInfo, x); fn != nil {
+		if g, ok := fa.f.locked[fn]; ok {
 			fa.checkLockedCall(x, fn, g, e)
 		}
 	}
-	for _, a := range x.Args {
-		fa.expr(a, e)
-	}
-	fa.expr(x.Fun, e)
+	analysis.Operands(x, func(y ast.Expr) { fa.Expr(y, e) })
 }
 
 // checkOrder flags acquiring a lock that the declared partial order says
@@ -700,7 +489,7 @@ func (fa *fnAnalyzer) checkOrder(pos token.Pos, qual string, e lockEnv) {
 		return
 	}
 	sort.Strings(held)
-	fa.reportf(pos, "lock order violation: acquiring %s while holding %s (declared //stash:lockorder: %s first)",
+	fa.rep.Reportf(pos, "lock order violation: acquiring %s while holding %s (declared //stash:lockorder: %s first)",
 		qual, strings.Join(held, ", "), qual)
 }
 
@@ -718,14 +507,14 @@ func (fa *fnAnalyzer) checkGuarded(sel *ast.SelectorExpr, e lockEnv) {
 	if fa.guardHeld(g, sel.X, e) {
 		return
 	}
-	fa.reportf(sel.Sel.Pos(), "%s is guarded by %s: access requires holding it", v.Name(), g.raw)
+	fa.rep.Reportf(sel.Sel.Pos(), "%s is guarded by %s: access requires holding it", v.Name(), g.raw)
 }
 
 // guardHeld reports whether the guard of a field accessed through base is
 // held in e.
 func (fa *fnAnalyzer) guardHeld(g guardSpec, base ast.Expr, e lockEnv) bool {
 	if g.typeName == "" {
-		if b, ok := renderExpr(base); ok {
+		if b := analysis.Render(base); b != "" {
 			if _, held := e[b+"."+g.field]; held {
 				return true
 			}
@@ -749,40 +538,15 @@ func (fa *fnAnalyzer) guardHeld(g guardSpec, base ast.Expr, e lockEnv) bool {
 }
 
 // checkLockedCall verifies a call to a //stash:locked function holds its
-// required mutex.
+// required mutex: the guard of a field accessed through the call's
+// receiver.
 func (fa *fnAnalyzer) checkLockedCall(call *ast.CallExpr, fn *types.Func, g guardSpec, e lockEnv) {
 	var recv ast.Expr
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		recv = sel.X
 	}
-	satisfied := false
-	if g.typeName == "" && recv != nil {
-		if b, ok := renderExpr(recv); ok {
-			if _, held := e[b+"."+g.field]; held {
-				satisfied = true
-			}
-		}
-		if !satisfied {
-			if tn := namedName(fa.typeOf(recv)); tn != "" {
-				want := tn + "." + g.field
-				for _, s := range e {
-					if s.qual == want {
-						satisfied = true
-						break
-					}
-				}
-			}
-		}
-	} else if g.typeName != "" {
-		for _, s := range e {
-			if s.qual == g.raw {
-				satisfied = true
-				break
-			}
-		}
-	}
-	if !satisfied {
-		fa.reportf(call.Pos(), "call to %s requires %s held (//stash:locked)", fn.Name(), g.raw)
+	if !fa.guardHeld(g, recv, e) {
+		fa.rep.Reportf(call.Pos(), "call to %s requires %s held (//stash:locked)", fn.Name(), g.raw)
 	}
 }
 
@@ -818,7 +582,7 @@ func (fa *fnAnalyzer) lockOp(call *ast.CallExpr) (lockOpKind, ast.Expr) {
 // a position-unique placeholder otherwise (still catches double lock/unlock
 // through the same spelling at the same site being impossible to confuse).
 func (fa *fnAnalyzer) keyOf(x ast.Expr) (key, name string) {
-	if s, ok := renderExpr(x); ok {
+	if s := analysis.Render(x); s != "" {
 		return s, s
 	}
 	pos := fa.pass.Fset.Position(x.Pos())
@@ -858,42 +622,4 @@ func namedName(t types.Type) string {
 		return n.Obj().Name()
 	}
 	return ""
-}
-
-// renderExpr renders a selector chain structurally: r.mu, j.mu, memo.
-func renderExpr(x ast.Expr) (string, bool) {
-	switch x := ast.Unparen(x).(type) {
-	case *ast.Ident:
-		return x.Name, true
-	case *ast.SelectorExpr:
-		if b, ok := renderExpr(x.X); ok {
-			return b + "." + x.Sel.Name, true
-		}
-	case *ast.StarExpr:
-		return renderExpr(x.X)
-	}
-	return "", false
-}
-
-// calleeFunc resolves a call's target function or method.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[fun].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[fun.Sel].(*types.Func)
-		return fn
-	}
-	return nil
-}
-
-// isPanic reports whether the call is the panic builtin.
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
 }

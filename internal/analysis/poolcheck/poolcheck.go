@@ -18,9 +18,13 @@
 //   - use-after-release: reading a value after it may have been released
 //   - releasing a value whose ownership was already transferred
 //
-// The analysis is intraprocedural and path-insensitive: branch states merge
-// by union, so "may leak on some path" is reported. Values received as
-// parameters are not tracked (ownership conventions at function boundaries
+// The analysis is intraprocedural. analysis.WalkFunc supplies the control
+// flow (how branches, loops and jumps combine states); poolcheck supplies
+// may-states joined by union, so "may leak on some path" is reported. A
+// return, or reaching the closing brace, leak-checks every tracked value;
+// leaving a block, clause or statement leak-checks the values declared in
+// it. Function literals are analyzed as functions of their own. Values
+// received as parameters are not tracked (ownership conventions at function boundaries
 // are expressed by annotating the functions themselves). Transferred values
 // may still be read afterwards — the event system shares ownership with the
 // scheduler until delivery — but must not be released by the old owner.
@@ -51,36 +55,16 @@ const (
 	escaped                    // ownership moved: transferred, stored, aliased, returned
 )
 
-// env maps tracked variables to their may-states. Copied at branches,
-// merged by union.
+// env maps tracked variables to their may-states.
 type env map[*types.Var]state
-
-func (e env) clone() env {
-	out := make(env, len(e))
-	for v, s := range e {
-		out[v] = s
-	}
-	return out
-}
-
-// merge unions b into a, returning whether a changed.
-func merge(a, b env) bool {
-	changed := false
-	for v, s := range b {
-		if a[v]|s != a[v] {
-			a[v] |= s
-			changed = true
-		}
-	}
-	return changed
-}
 
 func run(pass *analysis.Pass) error {
 	roles := collectRoles(pass.Universe)
+	rep := analysis.NewReports(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				analyzeBody(pass, roles, fd.Body)
+				analysis.WalkFunc(pass.TypesInfo, newFnAnalyzer(pass, roles, rep, fd), fd.Body, env{})
 			}
 		}
 	}
@@ -114,95 +98,89 @@ func collectRoles(universe []*analysis.PackageInfo) map[*types.Func]string {
 	return roles
 }
 
-// analyzeBody runs the ownership interpreter over one function body, then
-// over any function literals it contains (each as an independent function).
-func analyzeBody(pass *analysis.Pass, roles map[*types.Func]string, body *ast.BlockStmt) {
-	fa := &fnAnalyzer{
-		pass:       pass,
-		roles:      roles,
-		acquiredAt: map[*types.Var]token.Pos{},
-		reported:   map[token.Pos]bool{},
-	}
-	e := env{}
-	if !fa.block(body, e) {
-		fa.scopeEnd(e, body.Pos(), body.End())
-	}
-	for i := 0; i < len(fa.funcLits); i++ {
-		analyzeBody(pass, roles, fa.funcLits[i].Body)
-	}
-}
-
+// fnAnalyzer is the ownership domain of one function: its states are
+// may-states joined by union.
 type fnAnalyzer struct {
 	pass       *analysis.Pass
 	roles      map[*types.Func]string
+	rep        *analysis.Reports
+	fn         ast.Node // the *ast.FuncDecl or *ast.FuncLit analyzed
 	acquiredAt map[*types.Var]token.Pos
-	// reported dedupes diagnostics by position: loop fixpointing revisits
-	// statements, and merged paths would otherwise repeat findings.
-	reported map[token.Pos]bool
-	funcLits []*ast.FuncLit
 }
 
-func (fa *fnAnalyzer) reportf(pos token.Pos, format string, args ...any) {
-	if fa.reported[pos] {
-		return
+func newFnAnalyzer(pass *analysis.Pass, roles map[*types.Func]string, rep *analysis.Reports, fn ast.Node) *fnAnalyzer {
+	return &fnAnalyzer{pass: pass, roles: roles, rep: rep, fn: fn, acquiredAt: map[*types.Var]token.Pos{}}
+}
+
+func (fa *fnAnalyzer) Clone(e env) env {
+	out := make(env, len(e))
+	for v, s := range e {
+		out[v] = s
 	}
-	fa.reported[pos] = true
-	fa.pass.Reportf(pos, format, args...)
+	return out
 }
 
-// scopeEnd leak-checks and drops every tracked variable declared between
-// lo and hi — called when that region's scope closes.
-func (fa *fnAnalyzer) scopeEnd(e env, lo, hi token.Pos) {
+// Join unions b into a, returning whether a changed.
+func (fa *fnAnalyzer) Join(a, b env) bool {
+	changed := false
+	for v, s := range b {
+		if a[v]|s != a[v] {
+			a[v] |= s
+			changed = true
+		}
+	}
+	return changed
+}
+
+// Literal analyzes a function literal from scratch: it tracks only the
+// values it acquires itself.
+func (fa *fnAnalyzer) Literal(lit *ast.FuncLit) (analysis.Flow[env], env) {
+	return newFnAnalyzer(fa.pass, fa.roles, fa.rep, lit), env{}
+}
+
+// Panic ends a cold path; nothing is leak-checked on it.
+func (fa *fnAnalyzer) Panic(*ast.CallExpr, env) {}
+
+// Return passes the returned values to the caller; every other tracked
+// value still owned on some path leaks.
+func (fa *fnAnalyzer) Return(results []ast.Expr, _ token.Pos, e env) {
+	for _, r := range results {
+		fa.Expr(r, e)
+		fa.escapeVar(r, e)
+	}
+	for v, s := range e {
+		if s&owned != 0 {
+			fa.leak(v)
+		}
+	}
+}
+
+// ScopeEnd leak-checks and drops every tracked variable declared between
+// lo and hi.
+func (fa *fnAnalyzer) ScopeEnd(lo, hi token.Pos, e env) {
 	for v, s := range e {
 		if v.Pos() < lo || v.Pos() >= hi {
 			continue
 		}
 		if s&owned != 0 {
-			fa.reportf(fa.acquiredAt[v], "pooled value %s may leak: not released or transferred on every path", v.Name())
+			fa.leak(v)
 		}
 		delete(e, v)
 	}
 }
 
-// leakAll is the return-time check: every tracked variable still owned on
-// some path leaks.
-func (fa *fnAnalyzer) leakAll(e env) {
-	for v, s := range e {
-		if s&owned != 0 {
-			fa.reportf(fa.acquiredAt[v], "pooled value %s may leak: not released or transferred on every path", v.Name())
-		}
-	}
+func (fa *fnAnalyzer) leak(v *types.Var) {
+	fa.rep.Reportf(fa.acquiredAt[v], "pooled value %s may leak: not released or transferred on every path", v.Name())
 }
 
-// block interprets a block's statements; it returns true if every path
-// through the block terminates (return, panic, branch).
-func (fa *fnAnalyzer) block(b *ast.BlockStmt, e env) bool {
-	for _, st := range b.List {
-		if fa.stmt(st, e) {
-			return true
-		}
-	}
-	fa.scopeEnd(e, b.Pos(), b.End())
-	return false
-}
-
-// stmt interprets one statement; it returns true if the statement
-// terminates the current path.
-func (fa *fnAnalyzer) stmt(st ast.Stmt, e env) bool {
+func (fa *fnAnalyzer) Stmt(st ast.Stmt, e env) {
 	switch st := st.(type) {
 	case *ast.ExprStmt:
-		if call, ok := st.X.(*ast.CallExpr); ok {
-			if isPanic(fa.pass.TypesInfo, call) {
-				return true // cold path; no leak check
-			}
-			fa.expr(st.X, e)
-			// A discarded acquire result can never be released.
-			if fa.roleOf(call) == analysis.DirectiveAcquire {
-				fa.reportf(call.Pos(), "result of %s is pool-owned but discarded: it leaks immediately", callName(call))
-			}
-			return false
+		fa.Expr(st.X, e)
+		// A discarded acquire result can never be released.
+		if call, ok := st.X.(*ast.CallExpr); ok && fa.roleOf(call) == analysis.DirectiveAcquire {
+			fa.rep.Reportf(call.Pos(), "result of %s is pool-owned but discarded: it leaks immediately", callName(call))
 		}
-		fa.expr(st.X, e)
 	case *ast.AssignStmt:
 		fa.assign(st, e)
 	case *ast.DeclStmt:
@@ -210,52 +188,11 @@ func (fa *fnAnalyzer) stmt(st ast.Stmt, e env) bool {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
 					for _, val := range vs.Values {
-						fa.expr(val, e)
+						fa.Expr(val, e)
 					}
 				}
 			}
 		}
-	case *ast.ReturnStmt:
-		for _, r := range st.Results {
-			fa.expr(r, e)
-			fa.escapeVar(r, e) // ownership passes to the caller
-		}
-		fa.leakAll(e)
-		return true
-	case *ast.IfStmt:
-		return fa.ifStmt(st, e)
-	case *ast.ForStmt:
-		if st.Init != nil {
-			fa.stmt(st.Init, e)
-		}
-		if st.Cond != nil {
-			fa.expr(st.Cond, e)
-		}
-		fa.loop(st.Body, e, func(ee env) {
-			if st.Post != nil {
-				fa.stmt(st.Post, ee)
-			}
-		})
-		fa.scopeEnd(e, st.Pos(), st.End())
-	case *ast.RangeStmt:
-		fa.expr(st.X, e)
-		fa.loop(st.Body, e, nil)
-		fa.scopeEnd(e, st.Pos(), st.End())
-	case *ast.SwitchStmt:
-		fa.switchStmt(st.Init, st.Tag, st.Body, st, e)
-		return false
-	case *ast.TypeSwitchStmt:
-		fa.switchStmt(st.Init, nil, st.Body, st, e)
-		return false
-	case *ast.SelectStmt:
-		fa.switchStmt(nil, nil, st.Body, st, e)
-		return false
-	case *ast.BlockStmt:
-		return fa.block(st, e)
-	case *ast.BranchStmt:
-		// break/continue/goto leave the straight-line path; treat as
-		// terminating without a leak check (conservatively quiet).
-		return true
 	case *ast.DeferStmt, *ast.GoStmt:
 		// Deferred/concurrent effects happen later; give up precision and
 		// treat their tracked arguments as escaped.
@@ -265,108 +202,17 @@ func (fa *fnAnalyzer) stmt(st ast.Stmt, e env) bool {
 		} else {
 			call = st.(*ast.GoStmt).Call
 		}
-		fa.expr(call.Fun, e)
+		fa.Expr(call.Fun, e)
 		for _, a := range call.Args {
-			fa.expr(a, e)
+			fa.Expr(a, e)
 			fa.escapeVar(a, e)
 		}
 	case *ast.SendStmt:
-		fa.expr(st.Chan, e)
-		fa.expr(st.Value, e)
+		fa.Expr(st.Chan, e)
+		fa.Expr(st.Value, e)
 		fa.escapeVar(st.Value, e)
 	case *ast.IncDecStmt:
-		fa.expr(st.X, e)
-	case *ast.LabeledStmt:
-		return fa.stmt(st.Stmt, e)
-	}
-	return false
-}
-
-// ifStmt interprets both arms from copies of the incoming state and merges
-// the arms that fall through.
-func (fa *fnAnalyzer) ifStmt(st *ast.IfStmt, e env) bool {
-	if st.Init != nil {
-		fa.stmt(st.Init, e)
-	}
-	fa.expr(st.Cond, e)
-	thenEnv := e.clone()
-	thenDone := fa.block(st.Body, thenEnv)
-	elseEnv := e.clone()
-	elseDone := false
-	if st.Else != nil {
-		elseDone = fa.stmt(st.Else, elseEnv)
-	}
-	switch {
-	case thenDone && elseDone:
-		fa.scopeEnd(e, st.Pos(), st.End())
-		return true
-	case thenDone:
-		replace(e, elseEnv)
-	case elseDone:
-		replace(e, thenEnv)
-	default:
-		replace(e, thenEnv)
-		merge(e, elseEnv)
-	}
-	fa.scopeEnd(e, st.Pos(), st.End())
-	return false
-}
-
-// switchStmt interprets each clause from a copy of the incoming state and
-// merges the survivors; the incoming state itself stays merged in, since a
-// switch without a default may match nothing.
-func (fa *fnAnalyzer) switchStmt(init ast.Stmt, tag ast.Expr, body *ast.BlockStmt, whole ast.Stmt, e env) {
-	if init != nil {
-		fa.stmt(init, e)
-	}
-	if tag != nil {
-		fa.expr(tag, e)
-	}
-	out := e.clone()
-	for _, cl := range body.List {
-		clauseEnv := e.clone()
-		var stmts []ast.Stmt
-		switch cl := cl.(type) {
-		case *ast.CaseClause:
-			for _, x := range cl.List {
-				fa.expr(x, clauseEnv)
-			}
-			stmts = cl.Body
-		case *ast.CommClause:
-			if cl.Comm != nil {
-				fa.stmt(cl.Comm, clauseEnv)
-			}
-			stmts = cl.Body
-		}
-		done := false
-		for _, s := range stmts {
-			if fa.stmt(s, clauseEnv) {
-				done = true
-				break
-			}
-		}
-		if !done {
-			fa.scopeEnd(clauseEnv, cl.Pos(), cl.End())
-			merge(out, clauseEnv)
-		}
-	}
-	replace(e, out)
-	fa.scopeEnd(e, whole.Pos(), whole.End())
-}
-
-// loop runs a body to a fixpoint: with union merging, states only grow, so
-// re-running until stable needs few iterations. Reports are deduped by
-// position, so revisits stay quiet.
-func (fa *fnAnalyzer) loop(body *ast.BlockStmt, e env, post func(env)) {
-	for {
-		iter := e.clone()
-		done := fa.block(body, iter)
-		if !done && post != nil {
-			post(iter)
-		}
-		if !merge(e, iter) {
-			return
-		}
+		fa.Expr(st.X, e)
 	}
 }
 
@@ -382,7 +228,7 @@ func (fa *fnAnalyzer) assign(st *ast.AssignStmt, e env) {
 	// Multi-value form (a, b := f()): no acquire functions return multiple
 	// values; just process uses.
 	for _, r := range st.Rhs {
-		fa.expr(r, e)
+		fa.Expr(r, e)
 	}
 	for _, l := range st.Lhs {
 		fa.lhsUses(l, e)
@@ -392,31 +238,32 @@ func (fa *fnAnalyzer) assign(st *ast.AssignStmt, e env) {
 func (fa *fnAnalyzer) assignOne(lhs, rhs ast.Expr, e env) {
 	// x := acquire(): start tracking x.
 	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok && fa.roleOf(call) == analysis.DirectiveAcquire {
-		fa.expr(rhs, e)
+		fa.Expr(rhs, e)
 		if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
 			if id.Name == "_" {
-				fa.reportf(call.Pos(), "result of %s is pool-owned but discarded: it leaks immediately", callName(call))
+				fa.rep.Reportf(call.Pos(), "result of %s is pool-owned but discarded: it leaks immediately", callName(call))
 				return
 			}
-			if v := fa.defOrUseVar(id); v != nil {
+			if v := fa.localVar(id); v != nil {
 				e[v] = owned
 				fa.acquiredAt[v] = call.Pos()
 				return
 			}
 		}
-		// Acquired straight into a field or slot: immediately escaped.
+		// Acquired straight into a field, a slot or a variable that outlives
+		// the function: immediately escaped.
 		fa.lhsUses(lhs, e)
 		return
 	}
 
-	fa.expr(rhs, e)
+	fa.Expr(rhs, e)
 	switch ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		// y := m: ownership moves to the alias; m stays readable.
 		if v := fa.trackedVar(rhs, e); v != nil {
 			e[v] = e[v]&^owned | escaped
 			if id := ast.Unparen(lhs).(*ast.Ident); id.Name != "_" {
-				if nv := fa.defOrUseVar(id); nv != nil {
+				if nv := fa.localVar(id); nv != nil {
 					e[nv] = owned
 					fa.acquiredAt[nv] = fa.acquiredAt[v]
 				}
@@ -436,24 +283,23 @@ func (fa *fnAnalyzer) assignOne(lhs, rhs ast.Expr, e env) {
 func (fa *fnAnalyzer) lhsUses(lhs ast.Expr, e env) {
 	switch lhs := ast.Unparen(lhs).(type) {
 	case *ast.SelectorExpr:
-		fa.expr(lhs.X, e)
+		fa.Expr(lhs.X, e)
 	case *ast.IndexExpr:
-		fa.expr(lhs.X, e)
-		fa.expr(lhs.Index, e)
+		fa.Expr(lhs.X, e)
+		fa.Expr(lhs.Index, e)
 	case *ast.StarExpr:
-		fa.expr(lhs.X, e)
+		fa.Expr(lhs.X, e)
 	}
 }
 
-// expr walks an expression, flagging uses of released values and applying
+// Expr walks an expression, flagging uses of released values and applying
 // the ownership effects of annotated calls.
-func (fa *fnAnalyzer) expr(x ast.Expr, e env) {
+func (fa *fnAnalyzer) Expr(x ast.Expr, e env) {
 	switch x := x.(type) {
-	case nil:
 	case *ast.Ident:
 		if v := fa.useVar(x); v != nil {
 			if s, ok := e[v]; ok && s&released != 0 {
-				fa.reportf(x.Pos(), "use of %s after release: it may be back in the pool", v.Name())
+				fa.rep.Reportf(x.Pos(), "use of %s after release: it may be back in the pool", v.Name())
 			}
 		}
 	case *ast.CallExpr:
@@ -465,9 +311,9 @@ func (fa *fnAnalyzer) expr(x ast.Expr, e env) {
 			if role == analysis.DirectiveRelease && fa.trackedVar(a, e) != nil {
 				continue
 			}
-			fa.expr(a, e)
+			fa.Expr(a, e)
 		}
-		fa.expr(x.Fun, e)
+		fa.Expr(x.Fun, e)
 		switch role {
 		case analysis.DirectiveRelease:
 			for _, a := range x.Args {
@@ -478,49 +324,9 @@ func (fa *fnAnalyzer) expr(x ast.Expr, e env) {
 				fa.escapeVar(a, e)
 			}
 		}
-	case *ast.SelectorExpr:
-		fa.expr(x.X, e)
-	case *ast.ParenExpr:
-		fa.expr(x.X, e)
-	case *ast.StarExpr:
-		fa.expr(x.X, e)
-	case *ast.UnaryExpr:
-		fa.expr(x.X, e)
-		if x.Op == token.AND {
-			fa.escapeVar(x.X, e) // address taken: aliasing beyond our sight
-		}
-	case *ast.BinaryExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Y, e)
-	case *ast.IndexExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Index, e)
-	case *ast.IndexListExpr:
-		fa.expr(x.X, e)
-		for _, i := range x.Indices {
-			fa.expr(i, e)
-		}
-	case *ast.SliceExpr:
-		fa.expr(x.X, e)
-		fa.expr(x.Low, e)
-		fa.expr(x.High, e)
-		fa.expr(x.Max, e)
-	case *ast.TypeAssertExpr:
-		fa.expr(x.X, e)
-	case *ast.CompositeLit:
-		for _, elt := range x.Elts {
-			if kv, ok := elt.(*ast.KeyValueExpr); ok {
-				elt = kv.Value
-			}
-			fa.expr(elt, e)
-			fa.escapeVar(elt, e) // stored into the composite
-		}
-	case *ast.KeyValueExpr:
-		fa.expr(x.Value, e)
 	case *ast.FuncLit:
-		// The literal runs later with its own env; captured tracked values
-		// escape into the closure.
-		fa.funcLits = append(fa.funcLits, x)
+		// The literal runs later and is analyzed on its own; captured
+		// tracked values escape into the closure.
 		ast.Inspect(x.Body, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
 				if v := fa.useVar(id); v != nil {
@@ -531,6 +337,18 @@ func (fa *fnAnalyzer) expr(x ast.Expr, e env) {
 			}
 			return true
 		})
+	default:
+		analysis.Operands(x, func(y ast.Expr) { fa.Expr(y, e) })
+		switch x := x.(type) {
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				fa.escapeVar(x.X, e) // address taken: aliasing beyond our sight
+			}
+		case *ast.CompositeLit:
+			for _, elt := range x.Elts {
+				fa.escapeVar(analysis.ElemValue(elt), e) // stored into the composite
+			}
+		}
 	}
 }
 
@@ -543,9 +361,9 @@ func (fa *fnAnalyzer) releaseVar(arg ast.Expr, e env) {
 	s := e[v]
 	switch {
 	case s&released != 0:
-		fa.reportf(arg.Pos(), "double release of %s: it may already be back in the pool", v.Name())
+		fa.rep.Reportf(arg.Pos(), "double release of %s: it may already be back in the pool", v.Name())
 	case s&escaped != 0:
-		fa.reportf(arg.Pos(), "release of %s after its ownership was transferred: the new owner will release it", v.Name())
+		fa.rep.Reportf(arg.Pos(), "release of %s after its ownership was transferred: the new owner will release it", v.Name())
 	}
 	e[v] = s&^owned | released
 }
@@ -580,29 +398,23 @@ func (fa *fnAnalyzer) useVar(id *ast.Ident) *types.Var {
 	return v
 }
 
-// defOrUseVar resolves an identifier that may define (:=) or reuse (=) a
-// variable.
-func (fa *fnAnalyzer) defOrUseVar(id *ast.Ident) *types.Var {
-	if v, ok := fa.pass.TypesInfo.Defs[id].(*types.Var); ok {
-		return v
+// localVar resolves an identifier that may define (:=) or reuse (=) a
+// variable of the function analyzed; nil for a package variable or one a
+// function literal captures, which outlive the function.
+func (fa *fnAnalyzer) localVar(id *ast.Ident) *types.Var {
+	v, ok := fa.pass.TypesInfo.Defs[id].(*types.Var)
+	if !ok {
+		v, _ = fa.pass.TypesInfo.Uses[id].(*types.Var)
 	}
-	v, _ := fa.pass.TypesInfo.Uses[id].(*types.Var)
+	if v == nil || v.Pos() < fa.fn.Pos() || v.Pos() >= fa.fn.End() {
+		return nil
+	}
 	return v
 }
 
 // roleOf returns the //stash: role of a call's callee, or "".
 func (fa *fnAnalyzer) roleOf(call *ast.CallExpr) string {
-	var fn *types.Func
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		fn, _ = fa.pass.TypesInfo.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		fn, _ = fa.pass.TypesInfo.Uses[fun.Sel].(*types.Func)
-	}
-	if fn == nil {
-		return ""
-	}
-	return fa.roles[fn.Origin()]
+	return fa.roles[analysis.Callee(fa.pass.TypesInfo, call)]
 }
 
 // callName renders a call target for diagnostics.
@@ -614,24 +426,4 @@ func callName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return "call"
-}
-
-// isPanic reports whether the call is the panic builtin.
-func isPanic(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
-}
-
-// replace overwrites dst's contents with src's.
-func replace(dst, src env) {
-	for v := range dst {
-		delete(dst, v)
-	}
-	for v, s := range src {
-		dst[v] = s
-	}
 }

@@ -388,13 +388,13 @@ func (c *checker) walkBody(info *fnInfo) {
 				c.recordWrite(info, n.Value)
 			}
 		case *ast.GoStmt:
-			if fn := staticCallee(ti, n.Call); fn != nil {
+			if fn := analysis.Callee(ti, n.Call); fn != nil {
 				c.escapes = append(c.escapes, escapeSite{fn: fn, pos: n.Pos(), how: "spawned"})
 			}
 		case *ast.CallExpr:
-			if fn := staticCallee(ti, n); fn != nil {
+			if fn := analysis.Callee(ti, n); fn != nil {
 				info.calls = append(info.calls, callSite{fn: fn, pos: n.Pos()})
-				if id := calleeIdent(n); id != nil {
+				if id := analysis.CalleeIdent(n); id != nil {
 					calleeIdents[id] = true
 				}
 				c.bindCallArgs(n, fn)
@@ -621,37 +621,6 @@ func ifaceOf(t types.Type) *types.Interface {
 		return nil
 	}
 	return iface
-}
-
-// staticCallee resolves a call's target function or method, normalized to
-// its generic origin.
-func staticCallee(ti *types.Info, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if fn, ok := ti.Uses[fun].(*types.Func); ok {
-			return fn.Origin()
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := ti.Uses[fun.Sel].(*types.Func); ok {
-			return fn.Origin()
-		}
-	}
-	return nil
-}
-
-// calleeIdent returns the terminal identifier of a call's Fun, for
-// excluding call positions from the address-taken scan.
-func calleeIdent(call *ast.CallExpr) *ast.Ident {
-	if call == nil {
-		return nil
-	}
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun
-	case *ast.SelectorExpr:
-		return fun.Sel
-	}
-	return nil
 }
 
 // ---- summaries ----

@@ -18,6 +18,9 @@ type Benchmark struct {
 	// Name is the benchmark name with the leading "Benchmark" and any
 	// -cpu suffix kept verbatim (e.g. "BenchmarkEngineAfter1-8").
 	Name string `json:"name"`
+	// Pkg is the import path of the package the benchmark ran in: the
+	// "pkg:" line in effect when its result line was printed.
+	Pkg string `json:"pkg,omitempty"`
 	// Iterations is the b.N the reported averages were taken over.
 	Iterations int64 `json:"iterations"`
 	// Metrics maps unit -> value, e.g. "ns/op": 23.07, "allocs/op": 0,
@@ -31,7 +34,6 @@ type Report struct {
 	GeneratedAt time.Time   `json:"generatedAt"`
 	GoOS        string      `json:"goos,omitempty"`
 	GoArch      string      `json:"goarch,omitempty"`
-	Pkg         string      `json:"pkg,omitempty"`
 	CPU         string      `json:"cpu,omitempty"`
 	Benchmarks  []Benchmark `json:"benchmarks"`
 }
@@ -40,6 +42,7 @@ type Report struct {
 // test logs) are skipped; a stream with no benchmark lines is an error.
 func Parse(r io.Reader) (*Report, error) {
 	rep := &Report{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -50,12 +53,12 @@ func Parse(r io.Reader) (*Report, error) {
 		case strings.HasPrefix(line, "goarch: "):
 			rep.GoArch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
-			b, ok := parseBenchLine(line)
-			if ok {
+			if b, ok := parseBenchLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 			}
 		}

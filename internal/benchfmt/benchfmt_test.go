@@ -21,7 +21,7 @@ func TestParse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.GoOS != "linux" || rep.GoArch != "amd64" || rep.Pkg != "repro/internal/sim" {
+	if rep.GoOS != "linux" || rep.GoArch != "amd64" {
 		t.Fatalf("header = %+v", rep)
 	}
 	if !strings.Contains(rep.CPU, "Xeon") {
@@ -31,7 +31,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("parsed %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	a := rep.Benchmarks[0]
-	if a.Name != "BenchmarkEngineAfter1" || a.Iterations != 100000000 {
+	if a.Name != "BenchmarkEngineAfter1" || a.Iterations != 100000000 || a.Pkg != "repro/internal/sim" {
 		t.Fatalf("bench[0] = %+v", a)
 	}
 	if a.Metrics["ns/op"] != 23.07 || a.Metrics["allocs/op"] != 0 {
@@ -43,6 +43,37 @@ func TestParse(t *testing.T) {
 	}
 	if e2e.Metrics["B/op"] != 15883548 {
 		t.Fatalf("alloc metric lost: %v", e2e.Metrics)
+	}
+}
+
+// A run over several packages prints one header per package; each
+// benchmark keeps the package it ran in.
+func TestParseTwoPackages(t *testing.T) {
+	const out = `goos: linux
+goarch: amd64
+pkg: repro/internal/coherence
+BenchmarkProtocolReadMiss 	 1000000	 1040 ns/op	 0 allocs/op
+PASS
+ok  	repro/internal/coherence	1.2s
+goos: linux
+goarch: amd64
+pkg: repro/internal/core
+BenchmarkDirectoryConflict/stash 	 5000000	 240 ns/op	 0 allocs/op
+PASS
+ok  	repro/internal/core	1.5s
+`
+	rep, err := Parse(strings.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"repro/internal/coherence", "repro/internal/core"}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for i, b := range rep.Benchmarks {
+		if b.Pkg != want[i] {
+			t.Errorf("%s: pkg %q, want %q", b.Name, b.Pkg, want[i])
+		}
 	}
 }
 

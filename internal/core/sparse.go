@@ -11,6 +11,9 @@ import "repro/internal/mem"
 type Sparse struct {
 	store *assocStore
 	st    DirStats
+	// stashable, non-nil only in a stash directory, picks the entries
+	// Allocate may drop silently.
+	stashable func(*Entry) bool
 }
 
 var _ Directory = (*Sparse)(nil)
@@ -49,18 +52,32 @@ func (d *Sparse) Lookup(b mem.Block) *Entry {
 //stash:hotpath
 func (d *Sparse) Probe(b mem.Block) *Entry { return d.store.find(b) }
 
-// Allocate implements Directory. On a full set it demands a recall of the
-// replacement victim; inclusion forbids anything cheaper.
+// Allocate implements Directory. Victim preference: a free slot; in a
+// stash directory, the least-recently-used stashable entry, dropped
+// silently; then the least-recently-used entry overall, whose recall the
+// caller performs — strict inclusion forbids anything cheaper.
 //
 //stash:hotpath
 func (d *Sparse) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
 	if d.store.find(b) != nil {
-		panic("core: sparse Allocate for already-tracked block")
+		panic("core: Allocate for already-tracked block")
 	}
 	if e := d.store.freeSlot(b); e != nil {
 		d.store.install(e, b)
 		d.st.Allocations.Inc()
 		return AllocResult{Outcome: AllocOK, Entry: e}
+	}
+	if d.stashable != nil {
+		if v := d.store.victim(b, busy, true, d.stashable); v != nil {
+			stashed := Stashed{Block: v.Block, Owner: v.Sharers.Only()}
+			v.valid = false
+			v.Sharers.Clear()
+			v.Owned = false
+			d.store.install(v, b)
+			d.st.StashEvictions.Inc()
+			d.st.Allocations.Inc()
+			return AllocResult{Outcome: AllocStashed, Entry: v, Stashed: stashed}
+		}
 	}
 	v := d.store.victim(b, busy, false, nil)
 	if v == nil {

@@ -2,8 +2,13 @@ package system
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
+
+	"repro/internal/trace"
+	"repro/internal/workloads"
 )
 
 // buildShape returns the machine of one perfbench simulation workload,
@@ -40,6 +45,38 @@ func buildShape(tb testing.TB, cores int) Config {
 	}
 	tb.Fatalf("no build shape for %d cores", cores)
 	return Config{}
+}
+
+// benchScalingFiles writes one binary canneal trace per core for an N-core
+// machine, the inputs of the scale-256 build shape.
+func benchScalingFiles(b testing.TB, cores, accesses int) []string {
+	b.Helper()
+	dir := b.TempDir()
+	mix, err := workloads.Get("canneal")
+	if err != nil {
+		b.Fatal(err)
+	}
+	mix = mix.Scaled(0.25)
+	files := make([]string, cores)
+	for c := range files {
+		s, err := trace.NewStream(mix, c, cores, accesses, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p := filepath.Join(dir, fmt.Sprintf("core%03d.btrace", c))
+		f, err := os.Create(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := trace.WriteBinarySource(f, s); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		files[c] = p
+	}
+	return files
 }
 
 // TestBuildBytes bounds the heap one Build allocates at the two shapes of

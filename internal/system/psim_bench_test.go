@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// psimBenchConfig is the 16-core sweep point the engine-throughput
-// benchmark uses (mirrors BenchmarkEngineThroughput in internal/sim), so
-// serial-vs-parallel events/sec ratios in BENCH_psim.json compare like
-// with like.
+// psimBenchConfig is one 16-core sweep point (blackscholes at a quarter
+// footprint, 5,000 accesses per core, checker off), run at every shard
+// count so serial-vs-parallel events/sec ratios in BENCH_psim.json compare
+// like with like.
 func psimBenchConfig(shards int) Config {
 	cfg := QuickConfig("blackscholes")
 	cfg.Cores = 16
