@@ -65,10 +65,16 @@ mcheck:
 # organization), both over all organizations (~0.2s and ~5s in all on a
 # 2-CPU Xeon host). The depth-5 run is the only place fullmap, cuckoo and
 # stash-ss reach the conflict slice that deep; proto-table-check covers
-# sparse and stash at depth 4.
+# sparse and stash at depth 4. The two protocol modes the default leaves
+# off get the same treatment: three-hop forwarding on the exhaustive 2x1
+# sweep and the depth-4 conflict slice (~1s and ~2s), and silent clean
+# evictions on the 2x1 sweep (~0.1s), all over every organization.
 mcheck-smoke:
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all
 	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 5 -kind all
+	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all -threehop
+	$(GO) run ./cmd/stashmc -cores 2 -addrs 1 -kind all -silent
+	$(GO) run ./cmd/stashmc -cores 2 -addrs 2 -depth 4 -kind all -threehop
 
 # fuzz-smoke runs the binary-trace decoder fuzzer for a few seconds so CI
 # keeps the fuzz target compiling and covers the seeded corruption corpus

@@ -141,12 +141,24 @@ func (fa *fnAnalyzer) Literal(lit *ast.FuncLit) (analysis.Flow[env], env) {
 // Panic ends a cold path; nothing is leak-checked on it.
 func (fa *fnAnalyzer) Panic(*ast.CallExpr, env) {}
 
-// Return passes the returned values to the caller; every other tracked
-// value still owned on some path leaks.
+// Return passes the returned values to the caller — the named results,
+// for a bare return — and every other tracked value still owned on some
+// path leaks.
 func (fa *fnAnalyzer) Return(results []ast.Expr, _ token.Pos, e env) {
 	for _, r := range results {
 		fa.Expr(r, e)
 		fa.escapeVar(r, e)
+	}
+	if ft := fa.funcType(); len(results) == 0 && ft.Results != nil {
+		for _, field := range ft.Results.List {
+			for _, name := range field.Names {
+				if v, ok := fa.pass.TypesInfo.Defs[name].(*types.Var); ok {
+					if s, tracked := e[v]; tracked {
+						e[v] = s&^owned | escaped
+					}
+				}
+			}
+		}
 	}
 	for v, s := range e {
 		if s&owned != 0 {
@@ -184,12 +196,21 @@ func (fa *fnAnalyzer) Stmt(st ast.Stmt, e env) {
 	case *ast.AssignStmt:
 		fa.assign(st, e)
 	case *ast.DeclStmt:
+		// var x = acquire() tracks x exactly as x := acquire() does.
 		if gd, ok := st.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, val := range vs.Values {
-						fa.Expr(val, e)
+				vs, ok := spec.(*ast.ValueSpec)
+				if !ok {
+					continue
+				}
+				if len(vs.Names) == len(vs.Values) {
+					for i, val := range vs.Values {
+						fa.assignOne(vs.Names[i], val, e)
 					}
+					continue
+				}
+				for _, val := range vs.Values {
+					fa.Expr(val, e)
 				}
 			}
 		}
@@ -410,6 +431,14 @@ func (fa *fnAnalyzer) localVar(id *ast.Ident) *types.Var {
 		return nil
 	}
 	return v
+}
+
+// funcType returns the signature of the function analyzed.
+func (fa *fnAnalyzer) funcType() *ast.FuncType {
+	if fd, ok := fa.fn.(*ast.FuncDecl); ok {
+		return fd.Type
+	}
+	return fa.fn.(*ast.FuncLit).Type
 }
 
 // roleOf returns the //stash: role of a call's callee, or "".

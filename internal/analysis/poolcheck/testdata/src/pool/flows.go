@@ -44,6 +44,11 @@ func releaseAfterTransfer(p *Pool) {
 	p.Put(m) // want `release of m after its ownership was transferred`
 }
 
+func varDeclaredLeak(p *Pool) int {
+	var m = p.Get() // want `pooled value m may leak`
+	return m.ID
+}
+
 // --- sanctioned flows: no diagnostics ---
 
 func acquireRelease(p *Pool) {
@@ -76,6 +81,17 @@ func branchesCovered(p *Pool, cond bool) {
 		p.Send(m)
 		return
 	}
+	p.Put(m)
+}
+
+func bareReturnEscapes(p *Pool) (m *Msg) {
+	m = p.Get()
+	return // the named result passes to the caller
+}
+
+func varDeclaredRelease(p *Pool) {
+	var m *Msg = p.Get()
+	m.ID = 7
 	p.Put(m)
 }
 

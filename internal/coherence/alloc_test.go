@@ -36,6 +36,10 @@ func (d *driveAccess) do(t *testing.T, core int, a mem.Access) {
 	}
 }
 
+// assertZeroAllocs runs fn, one whole lap of a closed loop, as the
+// measured op. A lap rather than a step, because AllocsPerRun rounds its
+// average down: one allocation in one step of a two-step lap would read
+// as 0.5 allocs/op, then 0.
 func assertZeroAllocs(t *testing.T, name string, fn func()) {
 	t.Helper()
 	if avg := testing.AllocsPerRun(100, fn); avg != 0 {
@@ -66,10 +70,9 @@ func TestAllocFreeTwoHopMiss(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		d.do(t, i%2, wr)
 	}
-	i := 0
 	assertZeroAllocs(t, "two-hop-miss", func() {
-		d.do(t, i%2, wr)
-		i++
+		d.do(t, 0, wr)
+		d.do(t, 1, wr)
 	})
 }
 
@@ -101,10 +104,119 @@ func TestAllocFreeDiscovery(t *testing.T) {
 	if f.Banks[0].Directory().Stats().StashEvictions.Value() == 0 {
 		t.Fatal("scenario broken: no stash evictions, so no discovery traffic")
 	}
-	i := 0
 	assertZeroAllocs(t, "discovery", func() {
-		p := phases[i%len(phases)]
-		d.do(t, p.core, p.a)
-		i++
+		for _, p := range phases {
+			d.do(t, p.core, p.a)
+		}
 	})
+}
+
+// loopStep is one access of a closed-loop scenario.
+type loopStep struct {
+	core int
+	a    mem.Access
+}
+
+func rdStep(core int, b mem.Block) loopStep {
+	return loopStep{core, mem.Access{Addr: mem.AddrOf(b)}}
+}
+
+func wrStep(core int, b mem.Block) loopStep {
+	return loopStep{core, mem.Access{Addr: mem.AddrOf(b), Write: true}}
+}
+
+// TestAllocFreeProtocolVariants pins 0 allocs/op on the paths that only
+// the protocol options reach: three-hop forwards, a private L2, entry
+// recalls and limited-pointer broadcasts. Each loop returns the machine to
+// its starting state; 40 warm-up laps grow every pool and table first, and
+// exercised confirms the loop really takes the path it names.
+func TestAllocFreeProtocolVariants(t *testing.T) {
+	cases := []struct {
+		name      string
+		f         func(t *testing.T) *Fabric
+		loop      []loopStep
+		exercised func(f *Fabric) bool
+	}{
+		{
+			// Every store is a GetM on an entry another core owns: a
+			// FwdGetM, a forwarded DataM and the requester's Unblock.
+			name: "threehop-getm-pingpong",
+			f:    func(t *testing.T) *Fabric { return testFabric(t, 4, fullMapFactory(), withThreeHop()) },
+			loop: []loopStep{wrStep(0, 3), wrStep(1, 3)},
+			exercised: func(f *Fabric) bool {
+				return f.Banks[3].stats.InvsSent[ReasonDemand].Value() > 0
+			},
+		},
+		{
+			// Core 0 upgrades its Shared copy to Modified, then core 1's
+			// load is a FwdGetS to a Modified owner, leaving both Shared.
+			name: "threehop-gets-from-modified",
+			f:    func(t *testing.T) *Fabric { return testFabric(t, 4, fullMapFactory(), withThreeHop()) },
+			loop: []loopStep{wrStep(0, 3), rdStep(1, 3)},
+			exercised: func(f *Fabric) bool {
+				return f.L1s[0].stats.Misses.Value() > 0 && l1State(f, 1, 3) == mem.Shared
+			},
+		},
+		{
+			// The two-hop GetM ping-pong with a private L2 behind each L1:
+			// every Inv searches and clears both levels.
+			name: "l2-getm-pingpong",
+			f:    func(t *testing.T) *Fabric { return testFabric(t, 4, fullMapFactory(), withL2(8, 4)) },
+			loop: []loopStep{wrStep(0, 3), wrStep(1, 3)},
+			exercised: func(f *Fabric) bool {
+				return f.Banks[3].stats.InvsSent[ReasonDemand].Value() > 0
+			},
+		},
+		{
+			// A one-line L1 over an L2: each load evicts the other block
+			// into the L2 and fills from it locally, with no coherence
+			// traffic.
+			name: "l2-local-fill",
+			f: func(t *testing.T) *Fabric {
+				return testFabric(t, 4, fullMapFactory(), withL1(1, 1), withL2(8, 4))
+			},
+			loop:      []loopStep{rdStep(0, 0), rdStep(0, 1)},
+			exercised: func(f *Fabric) bool { return f.L1s[0].stats.L2Hits.Value() > 0 },
+		},
+		{
+			// One-entry sparse slices, two blocks homed at bank 0: each
+			// miss recalls the other block's entry from its holder.
+			name: "sparse-recall",
+			f:    func(t *testing.T) *Fabric { return testFabric(t, 4, sparseFactory(1, 1, 0)) },
+			loop: []loopStep{rdStep(0, 0), rdStep(1, 4)},
+			exercised: func(f *Fabric) bool {
+				return f.Banks[0].stats.InvsSent[ReasonRecall].Value() > 0
+			},
+		},
+		{
+			// Dir_1-B: two readers overflow the single pointer, so the
+			// third core's store invalidates by broadcast.
+			name: "ptr1-broadcast-inv",
+			f:    func(t *testing.T) *Fabric { return testFabric(t, 4, fullMapFactory(), withPointerLimit(1)) },
+			loop: []loopStep{rdStep(0, 5), rdStep(1, 5), wrStep(2, 5)},
+			exercised: func(f *Fabric) bool {
+				return f.Banks[1].stats.BroadcastInvalidations.Value() > 0
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			f := tc.f(t)
+			f.Checker.SetEnabled(false)
+			d := newDriveAccess(f)
+			for lap := 0; lap < 40; lap++ {
+				for _, s := range tc.loop {
+					d.do(t, s.core, s.a)
+				}
+			}
+			if !tc.exercised(f) {
+				t.Fatal("scenario broken: the loop does not take the path it names")
+			}
+			assertZeroAllocs(t, tc.name, func() {
+				for _, s := range tc.loop {
+					d.do(t, s.core, s.a)
+				}
+			})
+		})
+	}
 }

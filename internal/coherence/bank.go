@@ -28,8 +28,7 @@ const (
 	contNone        tbeCont = iota
 	contFwdGetS             // 3-hop GetS: owner answered the forward
 	contFetch               // 2-hop GetS: owner answered the fetch
-	contFwdGetM             // 3-hop GetM: owner answered the forward
-	contInvOwner            // 2-hop GetM: owner acknowledged the Inv
+	contFwdGetM             // GetM on an owned entry: owner answered the FwdGetM or Inv
 	contInvSharers          // GetM on a shared entry: sharer Invs acked
 	contHidden              // demand discovery broadcast completed
 	contRecall              // directory-entry recall (allocEntry) completed
@@ -116,23 +115,25 @@ type Bank struct {
 }
 
 // BankStats counts one home bank's directory-controller activity.
+//
+// Every counter has a reader: system.collect, a test or an example. A
+// count nothing reads is left out rather than kept up to date on the hot
+// path.
 type BankStats struct {
-	GetS, GetM, Puts stats.Counter // requests handled, by kind
-	// InvsSent counts invalidations sent, by reason.
+	GetS, GetM stats.Counter // requests handled, by kind
+	// InvsSent counts invalidations sent, by reason; a three-hop FwdGetM
+	// invalidates the owner, so it counts as a demand Inv.
 	InvsSent               [ReasonLLCEvict + 1]stats.Counter
-	FetchesSent            stats.Counter // owner fetches (three-hop forwards included)
 	DiscoveryBroadcasts    stats.Counter // hidden-block discovery rounds
 	DiscoveryProbesSent    stats.Counter
 	DiscoveryFound         stats.Counter // rounds that found a private copy
 	DiscoveryStale         stats.Counter // rounds that found none
 	HiddenSet              stats.Counter // LLC hidden bits set by stash evictions
 	HiddenCleared          stats.Counter
-	LLCEvictRecall         stats.Counter   // LLC victims with a directory entry
-	LLCEvictHidden         stats.Counter   // LLC victims with the hidden bit set
-	LLCEvictUntracked      stats.Counter   // LLC victims neither tracked nor hidden
-	AllocRetries           stats.Counter   // blocked LLC-victim or entry allocations retried
-	BroadcastInvalidations stats.Counter   // overflowed entries invalidated by broadcast
-	QueueDepth             stats.Histogram // queue length behind a busy block, per queued request
+	LLCEvictRecall         stats.Counter // LLC victims with a directory entry
+	LLCEvictHidden         stats.Counter // LLC victims with the hidden bit set
+	LLCEvictUntracked      stats.Counter // LLC victims neither tracked nor hidden
+	BroadcastInvalidations stats.Counter // overflowed entries invalidated by broadcast
 }
 
 // NewBank builds bank id with its directory slice and LLC bank. Its
@@ -236,6 +237,16 @@ func (bk *Bank) addSharer(e *core.Entry, c int) {
 	e.AddSharer(c, bk.fab.Params.PointerLimit)
 }
 
+// sendInv sends core c an Inv for block b and counts it under reason.
+//
+//stash:hotpath
+func (bk *Bank) sendInv(c int, b mem.Block, reason InvReason) {
+	bk.stats.InvsSent[reason].Inc()
+	inv := bk.fab.newMsg(MsgInv, b)
+	inv.Reason = reason
+	bk.sendCore(c, inv)
+}
+
 // sendEntryInvs invalidates every copy entry may cover: the exact sharers
 // for a precise entry, or a broadcast to every core (except skip, -1 for
 // none) when the entry overflowed its pointers. It returns the number of
@@ -243,34 +254,58 @@ func (bk *Bank) addSharer(e *core.Entry, c int) {
 //
 //stash:hotpath
 func (bk *Bank) sendEntryInvs(entry *core.Entry, b mem.Block, reason InvReason, skip int) int {
+	n := 0
 	if entry.Overflowed {
 		bk.stats.BroadcastInvalidations.Inc()
-		n := 0
 		for c := 0; c < bk.fab.Params.Cores; c++ {
-			if c == skip {
-				continue
+			if c != skip {
+				bk.sendInv(c, b, reason)
+				n++
 			}
-			bk.stats.InvsSent[reason].Inc()
-			inv := bk.fab.newMsg(MsgInv, b)
-			inv.Reason = reason
-			bk.sendCore(c, inv)
-			n++
 		}
 		return n
 	}
-	n := 0
 	//stash:ignore hotpath ForEach does not retain the closure; it stays on the stack
 	entry.Sharers.ForEach(func(c int) {
-		if c == skip {
-			return
+		if c != skip {
+			bk.sendInv(c, b, reason)
+			n++
 		}
-		bk.stats.InvsSent[reason].Inc()
-		inv := bk.fab.newMsg(MsgInv, b)
-		inv.Reason = reason
-		bk.sendCore(c, inv)
-		n++
 	})
 	return n
+}
+
+// grant sends the requester a t grant carrying the LLC line's data.
+//
+//stash:hotpath
+func (bk *Bank) grant(tbe *dirTBE, t MsgType) {
+	g := bk.fab.newMsg(t, tbe.block)
+	g.Data, g.HasData = tbe.line.Data, true
+	bk.sendCore(tbe.reqFrom, g)
+}
+
+// absorb folds the dirty data tbe's responses returned into LLC line.
+//
+//stash:hotpath
+func absorb(tbe *dirTBE, line *cacheLine) {
+	if tbe.gotDirty {
+		line.Data = tbe.dirtyData
+		line.State = mem.Modified
+	}
+}
+
+// tallyDiscovery counts a discovery round that cleared a hidden bit, by
+// whether it found the hidden copy.
+//
+//stash:hotpath
+func (bk *Bank) tallyDiscovery(tbe *dirTBE) {
+	if tbe.anyFound {
+		bk.stats.DiscoveryFound.Inc()
+	} else {
+		// The hidden copy was silently gone; the bit was stale.
+		bk.stats.DiscoveryStale.Inc()
+	}
+	bk.stats.HiddenCleared.Inc()
 }
 
 // deliver accepts a message from the network. Requests serialize per block;
@@ -296,7 +331,6 @@ func (bk *Bank) deliver(m *Msg) {
 			}
 			tbe.qtail = m
 			tbe.qlen++
-			bk.stats.QueueDepth.Observe(int64(tbe.qlen))
 			return
 		}
 		bk.start(m)
@@ -468,8 +502,6 @@ func (bk *Bank) runCont(tbe *dirTBE) {
 		bk.fetchDone(tbe)
 	case contFwdGetM:
 		bk.fwdGetMDone(tbe)
-	case contInvOwner:
-		bk.invOwnerDone(tbe)
 	case contInvSharers:
 		bk.invSharersDone(tbe)
 	case contHidden:
@@ -512,7 +544,6 @@ func (bk *Bank) fillFromMemory(tbe *dirTBE) {
 	victim := bk.llc.Victim(tbe.block, bk.llcSkipFn)
 	if victim == nil {
 		// Every candidate way has an in-flight transaction; retry.
-		bk.stats.AllocRetries.Inc()
 		if bk.fab.retryHook != nil {
 			bk.fab.retryHook(ParkedRetry{bank: bk, kind: RetryLLCVictim, tbe: tbe})
 			return
@@ -579,10 +610,7 @@ func (bk *Bank) evictLLCVictim(tbe *dirTBE, victim *cacheLine) {
 //stash:hotpath
 func (bk *Bank) finishEvict(sub *dirTBE) {
 	victim := sub.line
-	if sub.gotDirty {
-		victim.Data = sub.dirtyData
-		victim.State = mem.Modified
-	}
+	absorb(sub, victim)
 	if victim.State == mem.Modified {
 		bk.fab.Memory.Write(sub.block, victim.Data)
 	}
@@ -599,12 +627,7 @@ func (bk *Bank) evictRecallDone(sub *dirTBE) {
 
 //stash:hotpath
 func (bk *Bank) evictHiddenDone(sub *dirTBE) {
-	if sub.anyFound {
-		bk.stats.DiscoveryFound.Inc()
-	} else {
-		bk.stats.DiscoveryStale.Inc()
-	}
-	bk.stats.HiddenCleared.Inc()
+	bk.tallyDiscovery(sub)
 	bk.finishEvict(sub)
 	parent := sub.parent
 	bk.finish(sub)
@@ -635,7 +658,7 @@ func (bk *Bank) discover(b mem.Block, kind DiscoverKind, reason InvReason, skip 
 func (bk *Bank) dirPhase(tbe *dirTBE, line *cacheLine) {
 	tbe.line = line
 	if entry := bk.dir.Lookup(tbe.block); entry != nil {
-		bk.serveTracked(tbe, line, entry)
+		bk.serveTracked(tbe, entry)
 		return
 	}
 	if line.Flags&flagHidden != 0 {
@@ -664,19 +687,9 @@ func (bk *Bank) serveHidden(tbe *dirTBE) {
 
 //stash:hotpath
 func (bk *Bank) hiddenDone(tbe *dirTBE) {
-	line := tbe.line
-	line.Flags &^= flagHidden
-	bk.stats.HiddenCleared.Inc()
-	if tbe.anyFound {
-		bk.stats.DiscoveryFound.Inc()
-	} else {
-		// The hidden copy was silently gone; the bit was stale.
-		bk.stats.DiscoveryStale.Inc()
-	}
-	if tbe.gotDirty {
-		line.Data = tbe.dirtyData
-		line.State = mem.Modified
-	}
+	tbe.line.Flags &^= flagHidden
+	bk.tallyDiscovery(tbe)
+	absorb(tbe, tbe.line)
 	tbe.alloc = allocHidden
 	bk.allocEntry(tbe)
 }
@@ -690,9 +703,7 @@ func (bk *Bank) allocDone(tbe *dirTBE, entry *core.Entry) {
 		bk.addSharer(entry, tbe.retained)
 		bk.addSharer(entry, tbe.reqFrom)
 		entry.Owned = false
-		g := bk.fab.newMsg(MsgDataS, tbe.block)
-		g.Data, g.HasData = tbe.line.Data, true
-		bk.sendCore(tbe.reqFrom, g)
+		bk.grant(tbe, MsgDataS)
 	} else {
 		bk.grantFresh(tbe, entry)
 	}
@@ -710,72 +721,54 @@ func (bk *Bank) grantFresh(tbe *dirTBE, entry *core.Entry) {
 	if tbe.reqType == MsgGetM {
 		t = MsgDataM
 	}
-	g := bk.fab.newMsg(t, tbe.block)
-	g.Data, g.HasData = tbe.line.Data, true
-	bk.sendCore(tbe.reqFrom, g)
+	bk.grant(tbe, t)
 }
 
 // serveTracked serves a request for a block with a live directory entry.
 //
 //stash:hotpath
-func (bk *Bank) serveTracked(tbe *dirTBE, line *cacheLine, entry *core.Entry) {
+func (bk *Bank) serveTracked(tbe *dirTBE, entry *core.Entry) {
 	r := tbe.reqFrom
 	tbe.entry = entry
+	if entry.Owned && entry.Owner() == r {
+		// Only reachable with silent clean evictions: the owner silently
+		// dropped its Exclusive copy and asks again.
+		bk.grantFresh(tbe, entry)
+		bk.finish(tbe)
+		return
+	}
 	switch {
 	case tbe.reqType == MsgGetS && entry.Owned:
 		owner := entry.Owner()
-		if owner == r {
-			// Only reachable with silent clean evictions: the owner
-			// silently dropped its Exclusive copy and re-reads.
-			g := bk.fab.newMsg(MsgDataE, tbe.block)
-			g.Data, g.HasData = line.Data, true
-			bk.sendCore(r, g)
-			bk.finish(tbe)
-			return
-		}
 		tbe.owner = owner
 		if bk.fab.Params.ThreeHopForwarding {
-			bk.stats.FetchesSent.Inc()
 			fw := bk.fab.newMsg(MsgFwdGetS, tbe.block)
 			fw.Requester = r
 			bk.sendCore(owner, fw)
 			bk.wait(tbe, 1, contFwdGetS)
 			return
 		}
-		bk.stats.FetchesSent.Inc()
 		bk.sendCore(owner, bk.fab.newMsg(MsgFetch, tbe.block))
 		bk.wait(tbe, 1, contFetch)
 
 	case tbe.reqType == MsgGetS: // shared entry
 		bk.addSharer(entry, r)
-		g := bk.fab.newMsg(MsgDataS, tbe.block)
-		g.Data, g.HasData = line.Data, true
-		bk.sendCore(r, g)
+		bk.grant(tbe, MsgDataS)
 		bk.finish(tbe)
 
 	case entry.Owned: // GetM
 		owner := entry.Owner()
-		if owner == r {
-			// Silent clean evictions only: re-acquire for writing.
-			g := bk.fab.newMsg(MsgDataM, tbe.block)
-			g.Data, g.HasData = line.Data, true
-			bk.sendCore(r, g)
-			bk.finish(tbe)
-			return
-		}
 		tbe.owner = owner
-		bk.stats.InvsSent[ReasonDemand].Inc()
 		if bk.fab.Params.ThreeHopForwarding {
+			// A FwdGetM invalidates the owner, so it counts as an Inv.
+			bk.stats.InvsSent[ReasonDemand].Inc()
 			fw := bk.fab.newMsg(MsgFwdGetM, tbe.block)
 			fw.Requester = r
 			bk.sendCore(owner, fw)
-			bk.wait(tbe, 1, contFwdGetM)
-			return
+		} else {
+			bk.sendInv(owner, tbe.block, ReasonDemand)
 		}
-		inv := bk.fab.newMsg(MsgInv, tbe.block)
-		inv.Reason = ReasonDemand
-		bk.sendCore(owner, inv)
-		bk.wait(tbe, 1, contInvOwner)
+		bk.wait(tbe, 1, contFwdGetM)
 
 	default: // GetM on a shared entry
 		tbe.wasSharer = !entry.Overflowed && entry.Sharers.Has(r)
@@ -788,11 +781,8 @@ func (bk *Bank) serveTracked(tbe *dirTBE, line *cacheLine, entry *core.Entry) {
 //
 //stash:hotpath
 func (bk *Bank) fwdGetSDone(tbe *dirTBE) {
-	line, entry, owner, r := tbe.line, tbe.entry, tbe.owner, tbe.reqFrom
-	if tbe.gotDirty {
-		line.Data = tbe.dirtyData
-		line.State = mem.Modified
-	}
+	entry, owner, r := tbe.entry, tbe.owner, tbe.reqFrom
+	absorb(tbe, tbe.line)
 	bk.addSharer(entry, r)
 	if tbe.forwarded {
 		// The owner granted a Shared copy directly; it keeps its own copy
@@ -808,9 +798,7 @@ func (bk *Bank) fwdGetSDone(tbe *dirTBE) {
 		// the two-hop flow.
 		entry.Sharers.Remove(owner)
 		entry.Owned = true
-		g := bk.fab.newMsg(MsgDataE, tbe.block)
-		g.Data, g.HasData = line.Data, true
-		bk.sendCore(r, g)
+		bk.grant(tbe, MsgDataE)
 		bk.finish(tbe)
 	}
 }
@@ -819,68 +807,42 @@ func (bk *Bank) fwdGetSDone(tbe *dirTBE) {
 //
 //stash:hotpath
 func (bk *Bank) fetchDone(tbe *dirTBE) {
-	line, entry, owner, r := tbe.line, tbe.entry, tbe.owner, tbe.reqFrom
-	if tbe.gotDirty {
-		line.Data = tbe.dirtyData
-		line.State = mem.Modified
-	}
+	entry, owner, r := tbe.entry, tbe.owner, tbe.reqFrom
+	absorb(tbe, tbe.line)
 	if tbe.retained == owner {
 		entry.Owned = false
 		bk.addSharer(entry, r)
-		g := bk.fab.newMsg(MsgDataS, tbe.block)
-		g.Data, g.HasData = line.Data, true
-		bk.sendCore(r, g)
+		bk.grant(tbe, MsgDataS)
 	} else {
 		// The owner's copy was already on its way out: the requester
 		// becomes the sole, exclusive holder.
 		entry.Sharers.Remove(owner)
 		entry.Sharers.Add(r)
 		entry.Owned = true
-		g := bk.fab.newMsg(MsgDataE, tbe.block)
-		g.Data, g.HasData = line.Data, true
-		bk.sendCore(r, g)
+		bk.grant(tbe, MsgDataE)
 	}
 	bk.finish(tbe)
 }
 
-// fwdGetMDone finishes a three-hop GetM once the owner answered.
+// fwdGetMDone finishes a GetM on an owned entry once the owner answered.
+// A three-hop owner that still had the block granted it directly
+// (Forwarded); otherwise — a two-hop Inv, whose InvAck never sets
+// Forwarded, or a forward that found nothing — the bank grants from the
+// LLC.
 //
 //stash:hotpath
 func (bk *Bank) fwdGetMDone(tbe *dirTBE) {
-	line, entry, r := tbe.line, tbe.entry, tbe.reqFrom
-	if tbe.gotDirty {
-		line.Data = tbe.dirtyData
-		line.State = mem.Modified
-	}
+	entry, r := tbe.entry, tbe.reqFrom
+	absorb(tbe, tbe.line)
 	entry.Sharers.Clear()
 	entry.Sharers.Add(r)
 	entry.Owned = true
 	if tbe.forwarded {
 		bk.finishOnUnblock(tbe)
 	} else {
-		g := bk.fab.newMsg(MsgDataM, tbe.block)
-		g.Data, g.HasData = line.Data, true
-		bk.sendCore(r, g)
+		bk.grant(tbe, MsgDataM)
 		bk.finish(tbe)
 	}
-}
-
-// invOwnerDone finishes a two-hop GetM once the owner acknowledged.
-//
-//stash:hotpath
-func (bk *Bank) invOwnerDone(tbe *dirTBE) {
-	line, entry, r := tbe.line, tbe.entry, tbe.reqFrom
-	if tbe.gotDirty {
-		line.Data = tbe.dirtyData
-		line.State = mem.Modified
-	}
-	entry.Sharers.Clear()
-	entry.Sharers.Add(r)
-	entry.Owned = true
-	g := bk.fab.newMsg(MsgDataM, tbe.block)
-	g.Data, g.HasData = line.Data, true
-	bk.sendCore(r, g)
-	bk.finish(tbe)
 }
 
 // invSharersDone finishes a GetM on a shared entry once every sharer acked.
@@ -930,7 +892,6 @@ func (bk *Bank) allocEntry(tbe *dirTBE) {
 		bk.wait(sub, n, contRecall)
 
 	case core.AllocBlocked:
-		bk.stats.AllocRetries.Inc()
 		if bk.fab.retryHook != nil {
 			bk.fab.retryHook(ParkedRetry{bank: bk, kind: RetryAlloc, tbe: tbe})
 			return
@@ -950,8 +911,7 @@ func (bk *Bank) recallDone(sub *dirTBE) {
 		if vline == nil {
 			panic(fmt.Sprintf("coherence: bank %d recalled block %#x that is not LLC-resident", bk.id, uint64(vb)))
 		}
-		vline.Data = sub.dirtyData
-		vline.State = mem.Modified
+		absorb(sub, vline)
 	}
 	bk.dir.Remove(vb)
 	parent := sub.parent
@@ -969,7 +929,6 @@ func (bk *Bank) recallDone(sub *dirTBE) {
 //
 //stash:hotpath
 func (bk *Bank) handlePut(tbe *dirTBE) {
-	bk.stats.Puts.Inc()
 	b := tbe.block
 	r := tbe.reqFrom
 	entry := bk.dir.Probe(b)

@@ -157,11 +157,7 @@ func (bk *Bank) TBEPoolUse() (inUse, highWater int) { return bk.tbeUse, bk.tbeHi
 // by an in-flight fill, has no open miss, and no eviction already in
 // flight.
 func (l *L1) CanForceEvict(b mem.Block) bool {
-	outer := l.cache
-	if l.l2 != nil {
-		outer = l.l2
-	}
-	ln := outer.Probe(b)
+	ln := l.outer().Probe(b)
 	if ln == nil || ln.Flags&flagReserved != 0 {
 		return false
 	}
@@ -197,12 +193,8 @@ func (l *L1) ForceEvict(b mem.Block) bool {
 // uses these tokens as the row labels of the generated transition tables.
 func (f *Fabric) L1BlockState(core int, b mem.Block) string {
 	l1 := f.L1s[core]
-	outer := l1.cache
-	if l1.l2 != nil {
-		outer = l1.l2
-	}
 	st := "I"
-	if ln := outer.Probe(b); ln != nil {
+	if ln := l1.outer().Probe(b); ln != nil {
 		st = ln.State.String()
 	}
 	if l1.tbes.has(b) {

@@ -89,26 +89,24 @@ type L1 struct {
 	stats L1Stats
 }
 
-// L1Stats counts one private-cache controller's activity.
+// L1Stats counts one private-cache controller's activity. Every counter
+// has a reader: system.collect, a test or an example.
 type L1Stats struct {
 	Loads, Stores stats.Counter
 	// Hits and Misses classify accesses: a private-L2 hit is a hit, an
 	// upgrade of a Shared copy a miss.
 	Hits, Misses   stats.Counter
-	Upgrades       stats.Counter // stores that found a Shared copy
 	CoverageMisses stats.Counter // misses on blocks lost to a recall or LLC eviction
 	// Invalidations counts Invs (and three-hop FwdGetMs) that found a
 	// copy or an eviction-buffer entry, by reason.
-	Invalidations  [ReasonLLCEvict + 1]stats.Counter
-	SpuriousInvs   stats.Counter // Invs that found no copy
-	DiscoverProbes stats.Counter
-	DiscoverHits   stats.Counter // probes that found the block, eviction buffer included
-	Writebacks     stats.Counter
-	MSHRCoalesced  stats.Counter // accesses merged into an in-flight miss
-	MSHRStalls     stats.Counter // accesses parked because every way of their set was busy
-	L2Hits         stats.Counter // private-L2 hits on an L1 miss
-	L2Misses       stats.Counter
-	MissLatency    stats.Histogram // cycles from issue to fill, per coherence miss
+	Invalidations [ReasonLLCEvict + 1]stats.Counter
+	SpuriousInvs  stats.Counter // Invs that found no copy
+	Writebacks    stats.Counter
+	MSHRCoalesced stats.Counter // accesses merged into an in-flight miss
+	MSHRStalls    stats.Counter // accesses parked because every way of their set was busy
+	L2Hits        stats.Counter // private-L2 hits on an L1 miss
+	L2Misses      stats.Counter
+	MissLatency   stats.Histogram // cycles from issue to fill, per coherence miss
 }
 
 // NewL1 builds the private-cache controller for core id: the L1 tag array
@@ -196,6 +194,17 @@ func (l *L1) L2() *cache.Cache { return l.l2 }
 //stash:hotpath
 func (l *L1) node() noc.NodeID { return noc.NodeID(l.id) }
 
+// outer returns the private level the directory tracks: the L2 when the
+// hierarchy has one, else the L1.
+//
+//stash:hotpath
+func (l *L1) outer() *cache.Cache {
+	if l.l2 != nil {
+		return l.l2
+	}
+	return l.cache
+}
+
 // newTBE claims a pooled TBE for block b and registers it. The caller must
 // hand the TBE to a sink — an engine park (AfterArg) or l.freeTBE — on
 // every path.
@@ -279,7 +288,6 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 			l.commitStore(ln, done)
 			return
 		default: // Shared: upgrade via GetM
-			l.stats.Upgrades.Inc()
 			l.stats.Misses.Inc()
 			var l2way *cacheLine
 			if l.l2 != nil {
@@ -288,11 +296,7 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 					panic(fmt.Sprintf("coherence: core %d upgrading block %#x missing from L2", l.id, uint64(b)))
 				}
 			}
-			tbe := l.newTBE(b)
-			tbe.write, tbe.upgrade = true, true
-			tbe.way, tbe.l2way = ln, l2way
-			tbe.done = done
-			l.fab.Engine.AfterArg(l.fab.Params.L1HitLatency, "l1.request", l.requestFn, tbe)
+			l.request(b, true, true, ln, l2way, done)
 			return
 		}
 	}
@@ -336,17 +340,12 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 			default:
 				// Shared in L2, store: upgrade through the directory.
 				l.stats.L2Hits.Inc()
-				l.stats.Upgrades.Inc()
 				l.stats.Misses.Inc()
 				if way.Valid() {
 					l.foldIntoL2(way)
 				}
 				way.Flags |= flagReserved
-				tbe := l.newTBE(b)
-				tbe.write, tbe.upgrade = true, true
-				tbe.way, tbe.l2way = way, l2ln
-				tbe.done = done
-				l.fab.Engine.AfterArg(l.fab.Params.L1HitLatency, "l1.request", l.requestFn, tbe)
+				l.request(b, true, true, way, l2ln, done)
 				return
 			}
 		}
@@ -377,8 +376,16 @@ func (l *L1) lookupAndService(a mem.Access, done func()) {
 		l.evictLine(way)
 	}
 	way.Flags |= flagReserved
+	l.request(b, a.Write, false, way, l2way, done)
+}
+
+// request opens a miss on b: a TBE holding the reserved fill ways, whose
+// GetS (or, for a write, GetM) leaves after the L1 lookup latency.
+//
+//stash:hotpath
+func (l *L1) request(b mem.Block, write, upgrade bool, way, l2way *cacheLine, done func()) {
 	tbe := l.newTBE(b)
-	tbe.write = a.Write
+	tbe.write, tbe.upgrade = write, upgrade
 	tbe.way, tbe.l2way = way, l2way
 	tbe.done = done
 	l.fab.Engine.AfterArg(l.fab.Params.L1HitLatency, "l1.request", l.requestFn, tbe)
@@ -451,38 +458,14 @@ func (l *L1) foldIntoL2(ln *cacheLine) {
 //stash:hotpath
 func (l *L1) evictL2Line(l2ln *cacheLine) {
 	b := l2ln.Block
-	data := l2ln.Data
-	state := l2ln.State
+	data, state := l2ln.Data, l2ln.State
 	if l1ln := l.cache.Probe(b); l1ln != nil {
 		if l1ln.State == mem.Modified {
-			data = l1ln.Data
-			state = mem.Modified
+			data, state = l1ln.Data, mem.Modified
 		}
 		l.cache.Evict(l1ln)
 	}
-	switch state {
-	case mem.Modified:
-		l.stats.Writebacks.Inc()
-		l.evict.put(b, evictBuf{data: data, dirty: true})
-		wb := l.fab.newMsg(MsgPutM, b)
-		wb.From = l.id
-		wb.Data, wb.HasData, wb.Dirty = data, true, true
-		l.send(wb)
-	case mem.Exclusive:
-		if !l.fab.Params.SilentCleanEvictions {
-			l.evict.put(b, evictBuf{data: data})
-			wb := l.fab.newMsg(MsgPutE, b)
-			wb.From = l.id
-			l.send(wb)
-		}
-	case mem.Shared:
-		if !l.fab.Params.SilentCleanEvictions {
-			l.evict.put(b, evictBuf{data: data})
-			wb := l.fab.newMsg(MsgPutS, b)
-			wb.From = l.id
-			l.send(wb)
-		}
-	}
+	l.retire(b, state, data)
 	l.l2.Evict(l2ln)
 }
 
@@ -507,36 +490,42 @@ func (l *L1) commitStore(ln *cacheLine, done func()) {
 	l.fab.Engine.After(l.fab.Params.L1HitLatency, "l1.store", done)
 }
 
-// evictLine retires a victim: Modified lines always write back; clean lines
-// notify the directory unless silent clean evictions are configured.
+// evictLine retires a single-level victim out of the hierarchy.
 //
 //stash:hotpath
 func (l *L1) evictLine(ln *cacheLine) {
-	b := ln.Block
-	switch ln.State {
-	case mem.Modified:
-		l.stats.Writebacks.Inc()
-		l.evict.put(b, evictBuf{data: ln.Data, dirty: true})
-		wb := l.fab.newMsg(MsgPutM, b)
-		wb.From = l.id
-		wb.Data, wb.HasData, wb.Dirty = ln.Data, true, true
-		l.send(wb)
-	case mem.Exclusive:
-		if !l.fab.Params.SilentCleanEvictions {
-			l.evict.put(b, evictBuf{data: ln.Data})
-			wb := l.fab.newMsg(MsgPutE, b)
-			wb.From = l.id
-			l.send(wb)
-		}
-	case mem.Shared:
-		if !l.fab.Params.SilentCleanEvictions {
-			l.evict.put(b, evictBuf{data: ln.Data})
-			wb := l.fab.newMsg(MsgPutS, b)
-			wb.From = l.id
-			l.send(wb)
-		}
-	}
+	l.retire(ln.Block, ln.State, ln.Data)
 	l.cache.Evict(ln)
+}
+
+// retire tells the directory that the hierarchy dropped its copy of b: a
+// Modified copy writes back with PutM, a clean one sends PutE or PutS
+// unless silent clean evictions are configured, and an Invalid one sends
+// nothing. The eviction buffer, filled before the Put leaves, keeps the
+// payload until the PutAck, so a snoop that races the Put still finds it.
+//
+//stash:hotpath
+func (l *L1) retire(b mem.Block, state mem.State, data uint64) {
+	var t MsgType
+	switch {
+	case state == mem.Modified:
+		l.stats.Writebacks.Inc()
+		t = MsgPutM
+	case state == mem.Invalid || l.fab.Params.SilentCleanEvictions:
+		return
+	case state == mem.Exclusive:
+		t = MsgPutE
+	default:
+		t = MsgPutS
+	}
+	dirty := t == MsgPutM
+	l.evict.put(b, evictBuf{data: data, dirty: dirty})
+	wb := l.fab.newMsg(t, b)
+	wb.From = l.id
+	if dirty {
+		wb.Data, wb.HasData, wb.Dirty = data, true, true
+	}
+	l.send(wb)
 }
 
 // send routes m to its block's home bank; the mesh takes ownership.
@@ -581,28 +570,13 @@ func (l *L1) deliver(m *Msg) {
 func (l *L1) onFwdGetS(m *Msg) {
 	resp := l.fab.newMsg(MsgFetchResp, m.Block)
 	resp.From = l.id
-	if l1ln, l2ln := l.probeHier(m.Block); l1ln != nil || l2ln != nil {
-		grantData := hierData(l1ln, l2ln)
-		if data, dirty := hierDirty(l1ln, l2ln); dirty {
-			resp.Data, resp.HasData, resp.Dirty = data, true, true
-			grantData = data
-		}
-		grant := l.fab.newMsg(MsgDataS, m.Block)
-		grant.From = l.id
-		grant.Data, grant.HasData = grantData, true
-		downgradeHier(l1ln, l2ln)
-		resp.Retained = true
-		resp.Forwarded = true
-		l.fab.sendToCore(l.node(), m.Requester, grant)
-	} else if buf, ok := l.evict.get(m.Block); ok {
-		if buf.dirty {
-			resp.Data, resp.HasData, resp.Dirty = buf.data, true, true
+	if l1ln, l2ln, data, found := l.snoop(m.Block, resp); found {
+		if l1ln != nil || l2ln != nil {
+			downgradeHier(l1ln, l2ln)
+			resp.Retained = true
 		}
 		resp.Forwarded = true
-		grant := l.fab.newMsg(MsgDataS, m.Block)
-		grant.From = l.id
-		grant.Data, grant.HasData = buf.data, true
-		l.fab.sendToCore(l.node(), m.Requester, grant)
+		l.forward(m, MsgDataS, data)
 	}
 	l.send(resp)
 }
@@ -614,31 +588,26 @@ func (l *L1) onFwdGetS(m *Msg) {
 func (l *L1) onFwdGetM(m *Msg) {
 	resp := l.fab.newMsg(MsgInvAck, m.Block)
 	resp.From = l.id
-	if l1ln, l2ln := l.probeHier(m.Block); l1ln != nil || l2ln != nil {
-		l.stats.Invalidations[ReasonDemand].Inc()
-		grantData := hierData(l1ln, l2ln)
-		if data, dirty := hierDirty(l1ln, l2ln); dirty {
-			resp.Data, resp.HasData, resp.Dirty = data, true, true
-			grantData = data
-		}
+	if l1ln, l2ln, data, found := l.snoop(m.Block, resp); found {
 		resp.Forwarded = true
-		grant := l.fab.newMsg(MsgDataM, m.Block)
-		grant.From = l.id
-		grant.Data, grant.HasData = grantData, true
-		l.fab.sendToCore(l.node(), m.Requester, grant)
-		l.invalidateHier(l1ln, l2ln)
-		l.markUpgradeInvalidated(m.Block)
-	} else if buf, ok := l.evict.get(m.Block); ok {
-		if buf.dirty {
-			resp.Data, resp.HasData, resp.Dirty = buf.data, true, true
+		l.forward(m, MsgDataM, data)
+		if l1ln != nil || l2ln != nil {
+			l.stats.Invalidations[ReasonDemand].Inc()
+			l.invalidateHier(l1ln, l2ln)
+			l.markUpgradeInvalidated(m.Block)
 		}
-		resp.Forwarded = true
-		grant := l.fab.newMsg(MsgDataM, m.Block)
-		grant.From = l.id
-		grant.Data, grant.HasData = buf.data, true
-		l.fab.sendToCore(l.node(), m.Requester, grant)
 	}
 	l.send(resp)
+}
+
+// forward sends m's three-hop requester a t grant carrying data.
+//
+//stash:hotpath
+func (l *L1) forward(m *Msg, t MsgType, data uint64) {
+	g := l.fab.newMsg(t, m.Block)
+	g.From = l.id
+	g.Data, g.HasData = data, true
+	l.fab.sendToCore(l.node(), m.Requester, g)
 }
 
 // onData completes an outstanding miss, then replays any accesses that
@@ -653,6 +622,7 @@ func (l *L1) onData(m *Msg) {
 	l.tbes.del(m.Block)
 	tbe.way.Flags &^= flagReserved
 
+	// The grant's state, which both levels take.
 	var st mem.State
 	switch m.Type {
 	case MsgDataS:
@@ -667,18 +637,11 @@ func (l *L1) onData(m *Msg) {
 	if l.l2 != nil {
 		l2ln := tbe.l2way
 		l2ln.Flags &^= flagReserved
-		st2 := mem.Shared
-		switch m.Type {
-		case MsgDataE:
-			st2 = mem.Exclusive
-		case MsgDataM:
-			st2 = mem.Modified
-		}
 		if l2ln.Valid() {
 			if l2ln.Block != m.Block {
 				panic(fmt.Sprintf("coherence: core %d reserved L2 way is occupied by %#x", l.id, uint64(l2ln.Block)))
 			}
-			l2ln.State = st2
+			l2ln.State = st
 			if m.HasData {
 				l2ln.Data = m.Data
 			}
@@ -691,7 +654,7 @@ func (l *L1) onData(m *Msg) {
 				// selection skips blocks with transactions.
 				panic(fmt.Sprintf("coherence: core %d L2 upgrade target vanished for %#x", l.id, uint64(m.Block)))
 			}
-			l.l2.Install(l2ln, m.Block, st2, data)
+			l.l2.Install(l2ln, m.Block, st, data)
 		}
 	}
 
@@ -760,40 +723,40 @@ func (l *L1) onData(m *Msg) {
 	l.freeTBE(tbe)
 }
 
-// probeHier returns the hierarchy's copy of b: the L1 line and (when an L2
-// exists) the L2 line.
+// snoop finds the hierarchy's copy of b for a directory-initiated message:
+// its L1 and L2 lines (nil where a level lacks it) or, when neither level
+// has it, the eviction buffer of a copy whose Put is in flight. It reports
+// whether any copy was found, returns the freshest payload and puts a
+// dirty one into resp. A Modified L1 payload beats the L2's, and a clean
+// L1 copy over a Modified L2 copy takes the L2's payload.
 //
 //stash:hotpath
-func (l *L1) probeHier(b mem.Block) (l1ln, l2ln *cacheLine) {
+func (l *L1) snoop(b mem.Block, resp *Msg) (l1ln, l2ln *cacheLine, data uint64, found bool) {
 	l1ln = l.cache.Probe(b)
 	if l.l2 != nil {
 		l2ln = l.l2.Probe(b)
 	}
-	return l1ln, l2ln
-}
-
-// hierDirty extracts the modified payload of a hierarchy copy, if any; the
-// L1's copy is the freshest.
-//
-//stash:hotpath
-func hierDirty(l1ln, l2ln *cacheLine) (data uint64, dirty bool) {
-	if l1ln != nil && l1ln.State == mem.Modified {
-		return l1ln.Data, true
+	dirty := false
+	switch {
+	case l1ln != nil && l1ln.State == mem.Modified:
+		data, dirty = l1ln.Data, true
+	case l2ln != nil && l2ln.State == mem.Modified:
+		data, dirty = l2ln.Data, true
+	case l1ln != nil:
+		data = l1ln.Data
+	case l2ln != nil:
+		data = l2ln.Data
+	default:
+		buf, ok := l.evict.get(b)
+		if !ok {
+			return nil, nil, 0, false
+		}
+		data, dirty = buf.data, buf.dirty
 	}
-	if l2ln != nil && l2ln.State == mem.Modified {
-		return l2ln.Data, true
+	if dirty {
+		resp.Data, resp.HasData, resp.Dirty = data, true, true
 	}
-	return 0, false
-}
-
-// hierData returns the hierarchy's current payload (L1 first).
-//
-//stash:hotpath
-func hierData(l1ln, l2ln *cacheLine) uint64 {
-	if l1ln != nil {
-		return l1ln.Data
-	}
-	return l2ln.Data
+	return l1ln, l2ln, data, true
 }
 
 // invalidateHier removes the copy from both levels.
@@ -841,31 +804,25 @@ func (l *L1) markUpgradeInvalidated(b mem.Block) {
 }
 
 // onInv invalidates a copy (or records that there is nothing to
-// invalidate) and always acknowledges immediately.
+// invalidate) and always acknowledges immediately. A copy caught in the
+// eviction buffer is answered from there.
 //
 //stash:hotpath
 func (l *L1) onInv(m *Msg) {
 	ack := l.fab.newMsg(MsgInvAck, m.Block)
 	ack.From = l.id
-	l1ln, l2ln := l.probeHier(m.Block)
-	if l1ln != nil || l2ln != nil {
-		l.stats.Invalidations[m.Reason].Inc()
-		if m.Reason != ReasonDemand {
-			l.invalidatedBy.put(m.Block, m.Reason)
-		}
-		if data, dirty := hierDirty(l1ln, l2ln); dirty {
-			ack.Data, ack.HasData, ack.Dirty = data, true, true
-		}
-		l.invalidateHier(l1ln, l2ln)
-		l.markUpgradeInvalidated(m.Block)
-	} else if buf, ok := l.evict.get(m.Block); ok {
-		// The line is on its way out; answer from the eviction buffer.
-		l.stats.Invalidations[m.Reason].Inc()
-		if buf.dirty {
-			ack.Data, ack.HasData, ack.Dirty = buf.data, true, true
-		}
-	} else {
+	l1ln, l2ln, _, found := l.snoop(m.Block, ack)
+	if !found {
 		l.stats.SpuriousInvs.Inc()
+	} else {
+		l.stats.Invalidations[m.Reason].Inc()
+		if l1ln != nil || l2ln != nil {
+			if m.Reason != ReasonDemand {
+				l.invalidatedBy.put(m.Block, m.Reason)
+			}
+			l.invalidateHier(l1ln, l2ln)
+			l.markUpgradeInvalidated(m.Block)
+		}
 	}
 	l.send(ack)
 }
@@ -877,35 +834,24 @@ func (l *L1) onInv(m *Msg) {
 func (l *L1) onFetch(m *Msg) {
 	resp := l.fab.newMsg(MsgFetchResp, m.Block)
 	resp.From = l.id
-	l1ln, l2ln := l.probeHier(m.Block)
-	if l1ln != nil || l2ln != nil {
-		if data, dirty := hierDirty(l1ln, l2ln); dirty {
-			resp.Data, resp.HasData, resp.Dirty = data, true, true
-		}
+	if l1ln, l2ln, _, _ := l.snoop(m.Block, resp); l1ln != nil || l2ln != nil {
 		downgradeHier(l1ln, l2ln)
 		resp.Retained = true
-	} else if buf, ok := l.evict.get(m.Block); ok {
-		if buf.dirty {
-			resp.Data, resp.HasData, resp.Dirty = buf.data, true, true
-		}
 	}
 	l.send(resp)
 }
 
 // onDiscover answers a stash discovery probe, applying the requested
-// action (downgrade or invalidate) to a found copy.
+// action (downgrade or invalidate) to a found copy. A hidden block caught
+// mid-writeback reports its data but no retained copy.
 //
 //stash:hotpath
 func (l *L1) onDiscover(m *Msg) {
-	l.stats.DiscoverProbes.Inc()
 	resp := l.fab.newMsg(MsgDiscoverResp, m.Block)
 	resp.From = l.id
-	if l1ln, l2ln := l.probeHier(m.Block); l1ln != nil || l2ln != nil {
-		l.stats.DiscoverHits.Inc()
-		resp.Found = true
-		if data, dirty := hierDirty(l1ln, l2ln); dirty {
-			resp.Data, resp.HasData, resp.Dirty = data, true, true
-		}
+	l1ln, l2ln, _, found := l.snoop(m.Block, resp)
+	resp.Found = found
+	if l1ln != nil || l2ln != nil {
 		switch m.Kind {
 		case DiscoverDowngrade:
 			downgradeHier(l1ln, l2ln)
@@ -916,14 +862,6 @@ func (l *L1) onDiscover(m *Msg) {
 			}
 			l.invalidateHier(l1ln, l2ln)
 			l.markUpgradeInvalidated(m.Block)
-		}
-	} else if buf, ok := l.evict.get(m.Block); ok {
-		// A hidden block caught mid-writeback: report its data but no
-		// retained copy.
-		l.stats.DiscoverHits.Inc()
-		resp.Found = true
-		if buf.dirty {
-			resp.Data, resp.HasData, resp.Dirty = buf.data, true, true
 		}
 	}
 	l.send(resp)

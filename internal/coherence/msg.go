@@ -63,70 +63,63 @@ const (
 	MsgUnblock
 )
 
+// msgInfo describes one message type.
+type msgInfo struct {
+	name    string
+	class   noc.Class // the NoC traffic class it is accounted under
+	request bool      // an L1→directory request (see Request)
+	toBank  bool      // delivered to the tile's bank (see ToBank)
+}
+
+// msgTypes describes every message type, indexed by type, so each
+// per-message lookup is one load.
+var msgTypes = [MsgUnblock + 1]msgInfo{
+	MsgGetS:         {"GetS", noc.ClassRequest, true, true},
+	MsgGetM:         {"GetM", noc.ClassRequest, true, true},
+	MsgPutS:         {"PutS", noc.ClassWriteback, true, true},
+	MsgPutE:         {"PutE", noc.ClassWriteback, true, true},
+	MsgPutM:         {"PutM", noc.ClassWriteback, true, true},
+	MsgDataS:        {"DataS", noc.ClassResponse, false, false},
+	MsgDataE:        {"DataE", noc.ClassResponse, false, false},
+	MsgDataM:        {"DataM", noc.ClassResponse, false, false},
+	MsgInv:          {"Inv", noc.ClassInvalidation, false, false},
+	MsgFetch:        {"Fetch", noc.ClassInvalidation, false, false},
+	MsgPutAck:       {"PutAck", noc.ClassAck, false, false},
+	MsgInvAck:       {"InvAck", noc.ClassAck, false, true},
+	MsgFetchResp:    {"FetchResp", noc.ClassAck, false, true},
+	MsgDiscover:     {"Discover", noc.ClassDiscovery, false, false},
+	MsgDiscoverResp: {"DiscoverResp", noc.ClassDiscoveryResp, false, true},
+	MsgFwdGetS:      {"FwdGetS", noc.ClassInvalidation, false, false},
+	MsgFwdGetM:      {"FwdGetM", noc.ClassInvalidation, false, false},
+	MsgUnblock:      {"Unblock", noc.ClassAck, false, true},
+}
+
+// info returns t's description. An out-of-range type gets the zero one:
+// no request, delivered to an L1, in the request class.
+func (t MsgType) info() msgInfo {
+	if int(t) < len(msgTypes) {
+		return msgTypes[t]
+	}
+	return msgInfo{}
+}
+
 // String names the message type.
 func (t MsgType) String() string {
-	switch t {
-	case MsgGetS:
-		return "GetS"
-	case MsgGetM:
-		return "GetM"
-	case MsgPutS:
-		return "PutS"
-	case MsgPutE:
-		return "PutE"
-	case MsgPutM:
-		return "PutM"
-	case MsgDataS:
-		return "DataS"
-	case MsgDataE:
-		return "DataE"
-	case MsgDataM:
-		return "DataM"
-	case MsgInv:
-		return "Inv"
-	case MsgFetch:
-		return "Fetch"
-	case MsgPutAck:
-		return "PutAck"
-	case MsgInvAck:
-		return "InvAck"
-	case MsgFetchResp:
-		return "FetchResp"
-	case MsgDiscover:
-		return "Discover"
-	case MsgDiscoverResp:
-		return "DiscoverResp"
-	case MsgFwdGetS:
-		return "FwdGetS"
-	case MsgFwdGetM:
-		return "FwdGetM"
-	case MsgUnblock:
-		return "Unblock"
+	if int(t) < len(msgTypes) {
+		return msgTypes[t].name
 	}
 	return fmt.Sprintf("MsgType(%d)", uint8(t))
 }
 
 // Request reports whether the type is an L1→directory request, which is
 // subject to per-block serialization (responses bypass the queue).
-func (t MsgType) Request() bool {
-	switch t {
-	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM:
-		return true
-	}
-	return false
-}
+func (t MsgType) Request() bool { return t.info().request }
 
 // ToBank reports whether the type is delivered to a tile's directory/LLC
 // bank: the requests plus the L1 responses and the three-hop unblock.
 // Every other type goes to the tile's L1, which panics on a type it does
 // not handle.
-func (t MsgType) ToBank() bool {
-	switch t {
-	case MsgGetS, MsgGetM, MsgPutS, MsgPutE, MsgPutM, MsgInvAck, MsgFetchResp, MsgDiscoverResp, MsgUnblock:
-		return true
-	}
-	return false
-}
+func (t MsgType) ToBank() bool { return t.info().toBank }
 
 // InvReason says why an invalidation (or discovery-invalidate) was sent;
 // the experiments separate demand invalidations (a writer wants the block)
@@ -277,38 +270,9 @@ func (m *Msg) flits() int {
 	return 1
 }
 
-// msgClass maps each message type onto its NoC traffic class; a flat
-// indexed array keeps the per-send classification branch-free, the same
-// way the mesh indexes its per-class counters.
-var msgClass = [MsgUnblock + 1]noc.Class{
-	MsgGetS:         noc.ClassRequest,
-	MsgGetM:         noc.ClassRequest,
-	MsgPutS:         noc.ClassWriteback,
-	MsgPutE:         noc.ClassWriteback,
-	MsgPutM:         noc.ClassWriteback,
-	MsgDataS:        noc.ClassResponse,
-	MsgDataE:        noc.ClassResponse,
-	MsgDataM:        noc.ClassResponse,
-	MsgInv:          noc.ClassInvalidation,
-	MsgFetch:        noc.ClassInvalidation,
-	MsgPutAck:       noc.ClassAck,
-	MsgInvAck:       noc.ClassAck,
-	MsgFetchResp:    noc.ClassAck,
-	MsgDiscover:     noc.ClassDiscovery,
-	MsgDiscoverResp: noc.ClassDiscoveryResp,
-	MsgFwdGetS:      noc.ClassInvalidation,
-	MsgFwdGetM:      noc.ClassInvalidation,
-	MsgUnblock:      noc.ClassAck,
-}
-
 // class maps the message onto a NoC traffic class for the traffic-breakdown
 // accounting.
-func (m *Msg) class() noc.Class {
-	if int(m.Type) < len(msgClass) {
-		return msgClass[m.Type]
-	}
-	return noc.ClassRequest
-}
+func (m *Msg) class() noc.Class { return m.Type.info().class }
 
 func (m *Msg) String() string {
 	return fmt.Sprintf("%s blk=%#x from=%d", m.Type, uint64(m.Block), m.From)

@@ -75,7 +75,6 @@ func (tl *tileLocal) getEnv() *noc.Message {
 //stash:hotpath
 func (tl *tileLocal) deliver(arg any) {
 	m := arg.(*noc.Message)
-	tl.traffic.Delivered++
 	tl.ep.Deliver(m)
 	m.Payload = nil
 	tl.env = append(tl.env, m)

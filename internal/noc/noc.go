@@ -158,7 +158,6 @@ func New(engine *sim.Engine, cfg Config) (*Mesh, error) {
 //stash:hotpath
 func (m *Mesh) deliver(arg any) {
 	msg := arg.(*Message)
-	m.stats.Delivered.Inc()
 	m.endpoints[msg.Dst].Deliver(msg)
 	if msg.pooled {
 		m.putMessage(msg)
@@ -201,12 +200,12 @@ func (m *Mesh) Reset() {
 // Nodes returns the number of mesh nodes.
 func (m *Mesh) Nodes() int { return m.cfg.Width * m.cfg.Height }
 
-// Stats counts the mesh's traffic.
+// Stats counts the mesh's traffic. Both counters feed the traffic
+// breakdown and the energy model; per-message latency is not recorded,
+// since nothing read it.
 type Stats struct {
-	Messages  [NumClasses]stats.Counter // messages sent, by class
-	FlitHops  [NumClasses]stats.Counter // flits × links crossed, by class
-	Latency   stats.Histogram           // send-to-arrival cycles per message
-	Delivered stats.Counter             // serial-engine deliveries plus folded local ones
+	Messages [NumClasses]stats.Counter // messages sent, by class
+	FlitHops [NumClasses]stats.Counter // flits × links crossed, by class
 }
 
 // Stats returns the mesh's counters.
@@ -260,8 +259,8 @@ func abs(v int) int {
 }
 
 // route reserves the XY path's links for a message of the given class and
-// size injected at cycle now, records flit-hop and latency statistics, and
-// returns the arrival cycle. It is the timing core shared by Send (serial,
+// size injected at cycle now, records its flit-hops, and returns the
+// arrival cycle. It is the timing core shared by Send (serial,
 // at send time) and ReserveRoute (parallel, replayed at the epoch merge):
 // both produce identical link reservations and arrival cycles for the same
 // (src, dst, flits, now) inputs, which is what makes the parallel engine's
@@ -302,7 +301,6 @@ func (m *Mesh) route(src, dst NodeID, class Class, flits int, now sim.Cycle) sim
 		}
 		m.stats.FlitHops[class].Add(int64(flits * hops))
 	}
-	m.stats.Latency.Observe(int64(t - now))
 	return t
 }
 
@@ -361,29 +359,22 @@ func (m *Mesh) MinHopLatency() sim.Cycle { return m.cfg.MinHopLatency() }
 // LocalTraffic accumulates one tile's self-addressed traffic (messages a
 // tile sends to itself never touch links and, in the parallel engine, are
 // delivered tile-locally without crossing the epoch merge). FoldLocal
-// folds it into the mesh statistics at end of run; every self delivery has
-// the same latency (the router turnaround), so a count is a sufficient
-// statistic for the latency histogram.
+// folds it into the mesh statistics at end of run.
 //
 //stash:tileowned
 type LocalTraffic struct {
-	Msgs      [NumClasses]int64
-	Delivered int64
+	Msgs [NumClasses]int64
 }
 
 // FoldLocal merges a tile's local-traffic accumulator into the mesh
 // statistics. The parallel driver calls it once per tile, in tile order,
-// after the run completes; counter sums and same-valued histogram batches
-// commute, so the folded totals equal what inline accounting would have
-// produced regardless of shard layout.
+// after the run completes; counter sums commute, so the folded totals
+// equal what inline accounting would have produced regardless of shard
+// layout.
 func (m *Mesh) FoldLocal(l *LocalTraffic) {
-	var self int64
 	for c := Class(0); c < NumClasses; c++ {
 		m.stats.Messages[c].Add(l.Msgs[c])
-		self += l.Msgs[c]
 	}
-	m.stats.Latency.ObserveN(int64(m.cfg.RouterLatency), self)
-	m.stats.Delivered.Add(l.Delivered)
 }
 
 // Post sends a pooled message: the transfer envelope is recycled after

@@ -56,27 +56,6 @@ func (h *Histogram) Observe(v int64) {
 	h.sumSq += float64(v) * float64(v)
 }
 
-// ObserveN records n identical samples of value v in one update. It is
-// how the parallel engine folds per-shard accumulators back into shared
-// histograms deterministically: a batch of equal samples updates count,
-// sum, min and max exactly as n Observe calls would, and contributes
-// n·v² to the squared sum in one multiply, so fold order cannot perturb
-// the result.
-func (h *Histogram) ObserveN(v, n int64) {
-	if n <= 0 {
-		return
-	}
-	if h.count == 0 || v < h.min {
-		h.min = v
-	}
-	if h.count == 0 || v > h.max {
-		h.max = v
-	}
-	h.count += n
-	h.sum += v * n
-	h.sumSq += float64(v) * float64(v) * float64(n)
-}
-
 // Count returns the number of samples observed.
 func (h *Histogram) Count() int64 { return h.count }
 

@@ -68,25 +68,77 @@ func TestGoldenResults(t *testing.T) {
 					t.Fatal(err)
 				}
 				got = append(got, '\n')
-				path := filepath.Join("testdata", "golden_"+name+".json")
-				if *updateGolden {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, got, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing golden fixture (run with -update): %v", err)
-				}
-				if string(got) != string(want) {
-					t.Errorf("results diverged from golden fixture %s\n(run with -update only if the model intentionally changed)", path)
-				}
+				matchGolden(t, "golden_"+name+".json", got)
 			})
 		}
+	}
+}
+
+// goldenVariants are the protocol options goldenConfig leaves at their
+// defaults: three-hop forwarding, a private L2, limited-pointer entries,
+// silent clean evictions and multiple outstanding misses. Each gets its
+// own fixture for the two organizations whose conflicts the controllers
+// handle differently (recall versus stash), at shuffle seed 0.
+var goldenVariants = []struct {
+	name string
+	set  func(*Config)
+}{
+	{"threehop", func(c *Config) { c.ThreeHopForwarding = true }},
+	{"l2", func(c *Config) { c.L2Sets, c.L2Ways = 32, 4 }},
+	{"ptr1", func(c *Config) { c.PointerLimit = 1 }},
+	{"silent", func(c *Config) { c.SilentCleanEvictions = true }},
+	{"mshr4", func(c *Config) { c.MSHRs = 4 }},
+}
+
+// goldenVariantKinds are the organizations each variant is pinned for.
+var goldenVariantKinds = []string{DirSparse, DirStash}
+
+// variantGoldenName names a variant fixture.
+func variantGoldenName(variant, kind string) string {
+	return "golden_" + variant + "_" + golName(kind, 0) + ".json"
+}
+
+// TestVariantGoldenResults pins the byte-exact output of every protocol
+// variant, so a controller change that only those options reach cannot
+// slip past TestGoldenResults' default-protocol fixtures. Regenerate with
+// -update only for intentional model changes.
+func TestVariantGoldenResults(t *testing.T) {
+	for _, v := range goldenVariants {
+		for _, kind := range goldenVariantKinds {
+			name := variantGoldenName(v.name, kind)
+			t.Run(name, func(t *testing.T) {
+				cfg := goldenConfig(kind)
+				v.set(&cfg)
+				got, err := json.MarshalIndent(runGolden(t, cfg, 0), "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchGolden(t, name, append(got, '\n'))
+			})
+		}
+	}
+}
+
+// matchGolden compares got with the fixture testdata/name, or rewrites the
+// fixture under -update.
+func matchGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update): %v", err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("results diverged from golden fixture %s\n(run with -update only if the model intentionally changed)", path)
 	}
 }
 

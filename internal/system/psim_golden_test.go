@@ -2,8 +2,6 @@ package system
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/sim"
@@ -81,23 +79,7 @@ func TestPsimGoldenResults(t *testing.T) {
 						t.Fatalf("shards=%d diverged from shards=%d", shards, psimShardCounts[0])
 					}
 				}
-				path := filepath.Join("testdata", "psim_golden_"+name+".json")
-				if *updateGolden {
-					if err := os.MkdirAll("testdata", 0o755); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(path, ref, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					return
-				}
-				want, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatalf("missing psim golden fixture (run with -update): %v", err)
-				}
-				if string(ref) != string(want) {
-					t.Errorf("results diverged from psim golden fixture %s\n(run with -update only if the model intentionally changed)", path)
-				}
+				matchGolden(t, "psim_golden_"+name+".json", ref)
 			})
 		}
 	}
