@@ -2,14 +2,12 @@
 // behind the private L1 caches and the shared LLC banks. It provides tag
 // lookup, victim selection through pluggable replacement policies (LRU,
 // tree-PLRU, NRU, random), and per-structure hit and miss accounting. The
-// directory organizations in internal/core keep their own entry arrays and
-// share only the replacement policies (cache.Policy), through core's
-// assocStore.
+// set-associative directory organizations in internal/core keep their
+// entries in the same lazily filled store as a Cache's lines, a SetArena.
 package cache
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/mem"
 	"repro/internal/stats"
@@ -62,23 +60,14 @@ type Config struct {
 // Cache is a set-associative tag array. It is purely a storage structure:
 // all coherence semantics live in the controllers that own it.
 //
-// A set gets storage on its first fill, so a job pays for the sets it
-// touches rather than for the capacity it models: a slot map sends each
-// set to its slot in an arena of line chunks, and the replacement policy's
-// per-set state is indexed by slot and grows a chunk at a time. A set that
-// was never filled holds nothing, so a lookup there misses without
-// allocating. A cache of at most one chunk is filled whole at New.
+// Its lines live in a SetArena, so a set gets storage on its first fill
+// and a job pays for the sets it touches rather than for the capacity it
+// models. A set that was never filled holds nothing, so a lookup there
+// misses without allocating. A one-set cache is filled at New.
 //
 //stash:tileowned
 type Cache struct {
-	// slots maps a set to 1 + its slot, or to 0 while the set was never
-	// filled. Every cache of at most one chunk shares identitySlots.
-	slots []int32
-	// chunks is the line arena: chunk k holds the ways of slots
-	// k*chunkSets up to (k+1)*chunkSets, slot-major. A chunk never moves
-	// once allocated, because controllers hold a *Line across events.
-	chunks [][]Line
-	policy slotPolicy
+	sets SetArena[Line]
 
 	stats Stats
 
@@ -91,43 +80,16 @@ type Cache struct {
 	victimSkip func(*Line) bool
 	victimSlot int32
 
-	ways  int32
-	used  int32 // slots handed out
 	shift uint8 // Config.IndexShift
 }
 
-// chunkSets is how many sets one chunk of the line arena holds.
-const chunkSets = 16
-
-// identitySlots is the slot map of a cache of at most one chunk: set i in
-// slot i. No entry is 0, so it is never written and every such cache
-// shares it.
-var identitySlots = [chunkSets]int32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-
 // New returns an empty cache described by cfg.
 func New(cfg Config) (*Cache, error) {
-	if cfg.Sets <= 0 || cfg.Sets&(cfg.Sets-1) != 0 || cfg.Sets > math.MaxInt32 {
-		return nil, fmt.Errorf("cache %s: sets must be a positive power of two below 2^31, got %d", cfg.Name, cfg.Sets)
-	}
-	if cfg.Ways < 1 || cfg.Ways > math.MaxInt32 {
-		return nil, fmt.Errorf("cache %s: ways must be in [1, 2^31), got %d", cfg.Name, cfg.Ways)
-	}
-	c := &Cache{ways: int32(cfg.Ways), shift: uint8(cfg.IndexShift)}
-	filled := 0
-	if cfg.Sets <= chunkSets {
-		filled = cfg.Sets
-		c.slots = identitySlots[:filled:filled]
-		c.chunks = [][]Line{make([]Line, filled*cfg.Ways)}
-		c.used = int32(filled)
-	} else {
-		c.slots = make([]int32, cfg.Sets)
-	}
-	pol, err := newPolicy(cfg.Policy, filled, cfg.Ways, cfg.Seed)
+	sets, err := NewSetArena[Line](cfg.Sets, cfg.Ways, cfg.Policy, cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("cache %s: %w", cfg.Name, err)
 	}
-	c.policy = pol
-	return c, nil
+	return &Cache{sets: sets, shift: uint8(cfg.IndexShift)}, nil
 }
 
 // MustNew is New but panics on a bad configuration. It is for tests and
@@ -145,21 +107,18 @@ func MustNew(cfg Config) *Cache {
 // initial state and the statistics zeroed. The filled chunks are cleared
 // and kept, and each filled set keeps its slot.
 func (c *Cache) Reset() {
-	for _, chunk := range c.chunks {
-		clear(chunk)
-	}
-	c.policy.Reset()
+	c.sets.Reset()
 	c.stats = Stats{}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.slots) }
+func (c *Cache) Sets() int { return c.sets.Sets() }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return int(c.ways) }
+func (c *Cache) Ways() int { return c.sets.Ways() }
 
 // Capacity returns the total number of lines.
-func (c *Cache) Capacity() int { return len(c.slots) * int(c.ways) }
+func (c *Cache) Capacity() int { return c.sets.Sets() * c.sets.Ways() }
 
 // Stats counts a tag array's activity.
 type Stats struct {
@@ -175,43 +134,7 @@ func (c *Cache) Stats() *Stats { return &c.stats }
 //
 //stash:hotpath
 func (c *Cache) SetIndex(b mem.Block) int {
-	return int((b >> c.shift) & mem.Block(len(c.slots)-1))
-}
-
-// setLines returns the ways of the set whose slot map entry is slot, which
-// must not be 0.
-//
-//stash:hotpath
-func (c *Cache) setLines(slot int32) []Line {
-	i, w := uint(slot-1), uint(c.ways)
-	off := i % chunkSets * w
-	return c.chunks[i/chunkSets][off : off+w]
-}
-
-// flat returns the lines of a cache of at most one chunk, which holds set
-// i in slot i and so is already in set-major order, or nil for a cache
-// whose sets get storage on first fill. The walks below take it to skip
-// the slot map on the model checker's one-set caches, whose encoding runs
-// them once per explored state.
-func (c *Cache) flat() []Line {
-	if len(c.slots) > chunkSets {
-		return nil
-	}
-	return c.chunks[0]
-}
-
-// fill gives a never-filled set the next slot, allocating a chunk of lines
-// and the policy's state for it when the slot starts one, and returns the
-// set's new slot map entry. Victim is the only caller: a line is only ever
-// filled through a way Victim returned.
-func (c *Cache) fill(set int) int32 {
-	if c.used%chunkSets == 0 {
-		c.chunks = append(c.chunks, make([]Line, chunkSets*int(c.ways)))
-		c.policy.grow(chunkSets)
-	}
-	c.used++
-	c.slots[set] = c.used
-	return c.used
+	return int((b >> c.shift) & mem.Block(len(c.sets.slots)-1))
 }
 
 // Lookup finds b and returns its line, recording a hit (and touching the
@@ -219,12 +142,12 @@ func (c *Cache) fill(set int) int32 {
 //
 //stash:hotpath
 func (c *Cache) Lookup(b mem.Block) *Line {
-	if slot := c.slots[c.SetIndex(b)]; slot != 0 {
-		ways := c.setLines(slot)
+	if slot := c.sets.Slot(c.SetIndex(b)); slot != 0 {
+		ways := c.sets.Set(slot)
 		for w := range ways {
 			if ln := &ways[w]; ln.Valid() && ln.Block == b {
 				c.stats.Hits.Inc()
-				c.policy.Touch(int(slot-1), w)
+				c.sets.Touch(slot, w)
 				return ln
 			}
 		}
@@ -238,8 +161,8 @@ func (c *Cache) Lookup(b mem.Block) *Line {
 //
 //stash:hotpath
 func (c *Cache) Probe(b mem.Block) *Line {
-	if slot := c.slots[c.SetIndex(b)]; slot != 0 {
-		ways := c.setLines(slot)
+	if slot := c.sets.Slot(c.SetIndex(b)); slot != 0 {
+		ways := c.sets.Set(slot)
 		for w := range ways {
 			if ln := &ways[w]; ln.Valid() && ln.Block == b {
 				return ln
@@ -260,11 +183,11 @@ func (c *Cache) Probe(b mem.Block) *Line {
 //stash:hotpath
 func (c *Cache) Victim(b mem.Block, skip func(*Line) bool) *Line {
 	set := c.SetIndex(b)
-	slot := c.slots[set]
+	slot := c.sets.Slot(set)
 	if slot == 0 {
-		slot = c.fill(set)
+		slot = c.sets.Fill(set)
 	}
-	ways := c.setLines(slot)
+	ways := c.sets.Set(slot)
 	for w := range ways {
 		if ln := &ways[w]; !ln.Valid() && (skip == nil || !skip(ln)) {
 			return ln
@@ -277,7 +200,7 @@ func (c *Cache) Victim(b mem.Block, skip func(*Line) bool) *Line {
 		}
 		c.victimSkip, c.victimSlot, excluded = skip, slot, c.victimFn
 	}
-	w := c.policy.Victim(int(slot-1), excluded)
+	w := c.sets.Victim(slot, excluded)
 	c.victimSkip = nil
 	if w < 0 {
 		return nil
@@ -287,7 +210,7 @@ func (c *Cache) Victim(b mem.Block, skip func(*Line) bool) *Line {
 
 // bindVictimFn binds victimFn, once per cache.
 func (c *Cache) bindVictimFn() {
-	c.victimFn = func(way int) bool { return c.victimSkip(&c.setLines(c.victimSlot)[way]) }
+	c.victimFn = func(way int) bool { return c.victimSkip(&c.sets.Set(c.victimSlot)[way]) }
 }
 
 // Install writes block b into the given line of b's set (obtained from
@@ -307,7 +230,7 @@ func (c *Cache) Install(ln *Line, b mem.Block, state mem.State, data uint64) {
 	ln.Data = data
 	ln.Flags = 0
 	c.stats.Installs.Inc()
-	c.policy.Insert(slot, way)
+	c.sets.Insert(slot, way)
 }
 
 // Evict invalidates the given line, counting an eviction if it was valid.
@@ -326,21 +249,22 @@ func (c *Cache) Evict(ln *Line) {
 //
 //stash:hotpath
 func (c *Cache) Touch(ln *Line) {
-	c.policy.Touch(c.wayOf(ln.Block, ln))
+	slot, way := c.wayOf(ln.Block, ln)
+	c.sets.Touch(slot, way)
 }
 
-// wayOf returns the slot of b's set and ln's way within it, panicking when
-// ln is not one of that set's ways: a line of another set or of another
-// cache is a caller bug.
+// wayOf returns the slot map entry of b's set and ln's way within it,
+// panicking when ln is not one of that set's ways: a line of another set
+// or of another cache is a caller bug.
 //
 //stash:hotpath
-func (c *Cache) wayOf(b mem.Block, ln *Line) (slot, way int) {
+func (c *Cache) wayOf(b mem.Block, ln *Line) (slot int32, way int) {
 	set := c.SetIndex(b)
-	if s := c.slots[set]; s != 0 {
-		ways := c.setLines(s)
+	if s := c.sets.Slot(set); s != 0 {
+		ways := c.sets.Set(s)
 		for w := range ways {
 			if &ways[w] == ln {
-				return int(s - 1), w
+				return s, w
 			}
 		}
 	}
@@ -354,19 +278,19 @@ func (c *Cache) wayOf(b mem.Block, ln *Line) (slot, way int) {
 // scans every filled set, which suits the checker's one-set caches; the
 // simulation's paths never call it.
 func (c *Cache) Locate(ln *Line) (set, way int) {
-	if lines := c.flat(); lines != nil {
-		for i := range lines {
-			if &lines[i] == ln {
-				return i / int(c.ways), i % int(c.ways)
+	if lines := c.sets.Flat(); lines != nil {
+		for w := range lines {
+			if &lines[w] == ln {
+				return 0, w
 			}
 		}
 		panic("cache: line not owned by this cache")
 	}
-	for set, slot := range c.slots {
+	for set, slot := range c.sets.slots {
 		if slot == 0 {
 			continue
 		}
-		ways := c.setLines(slot)
+		ways := c.sets.Set(slot)
 		for w := range ways {
 			if &ways[w] == ln {
 				return set, w
@@ -383,15 +307,15 @@ func (c *Cache) Locate(ln *Line) (set, way int) {
 // set that was never filled are shown as invalid zero lines that belong
 // to no set; fn must not keep them.
 func (c *Cache) ForEachSlot(fn func(idx int, ln *Line)) {
-	if lines := c.flat(); lines != nil {
+	if lines := c.sets.Flat(); lines != nil {
 		for i := range lines {
 			fn(i, &lines[i])
 		}
 		return
 	}
 	var blank *Line
-	w := int(c.ways)
-	for set, slot := range c.slots {
+	w := c.Ways()
+	for set, slot := range c.sets.slots {
 		if slot == 0 {
 			if blank == nil {
 				blank = new(Line)
@@ -402,7 +326,7 @@ func (c *Cache) ForEachSlot(fn func(idx int, ln *Line)) {
 			}
 			continue
 		}
-		ways := c.setLines(slot)
+		ways := c.sets.Set(slot)
 		for i := range ways {
 			fn(set*w+i, &ways[i])
 		}
@@ -412,7 +336,7 @@ func (c *Cache) ForEachSlot(fn func(idx int, ln *Line)) {
 // ForEach calls fn for every valid line. Iteration order is set-major and
 // deterministic.
 func (c *Cache) ForEach(fn func(*Line)) {
-	if lines := c.flat(); lines != nil {
+	if lines := c.sets.Flat(); lines != nil {
 		for i := range lines {
 			if lines[i].Valid() {
 				fn(&lines[i])
@@ -420,11 +344,11 @@ func (c *Cache) ForEach(fn func(*Line)) {
 		}
 		return
 	}
-	for _, slot := range c.slots {
+	for _, slot := range c.sets.slots {
 		if slot == 0 {
 			continue
 		}
-		ways := c.setLines(slot)
+		ways := c.sets.Set(slot)
 		for i := range ways {
 			if ways[i].Valid() {
 				fn(&ways[i])
@@ -436,7 +360,7 @@ func (c *Cache) ForEach(fn func(*Line)) {
 // OccupiedLines returns the number of valid lines.
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for _, chunk := range c.chunks {
+	for _, chunk := range c.sets.chunks {
 		for i := range chunk {
 			if chunk[i].Valid() {
 				n++

@@ -36,25 +36,25 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// TestLookupMissThenHit runs on a one-chunk cache, filled whole at New,
-// and on one whose sets get storage on first fill. On the second, a Lookup
-// or Probe of a never-filled set misses (still counted) without allocating
-// and without giving the set storage.
+// TestLookupMissThenHit runs on a one-set cache, filled at New, and on
+// caches whose sets get storage on first fill. On those, a Lookup or Probe
+// of a never-filled set misses (still counted) without allocating and
+// without giving the set storage.
 func TestLookupMissThenHit(t *testing.T) {
-	for _, sets := range []int{4, 64} {
+	for _, sets := range []int{1, 4, 64} {
 		c := mustCache(t, Config{Name: "t", Sets: sets, Ways: 2})
 		if c.Lookup(5) != nil {
 			t.Fatal("lookup in empty cache hit")
 		}
 		misses := int64(1)
-		if sets > chunkSets {
+		if sets > 1 {
 			allocs := testing.AllocsPerRun(100, func() {
 				if c.Lookup(6) != nil || c.Probe(7) != nil {
 					t.Fatal("never-filled set hit")
 				}
 			})
-			if allocs != 0 || c.used != 0 || len(c.chunks) != 0 {
-				t.Fatalf("misses on never-filled sets: %v allocs, %d sets filled, %d chunks; want none", allocs, c.used, len(c.chunks))
+			if allocs != 0 || c.sets.used != 0 || len(c.sets.chunks) != 0 {
+				t.Fatalf("misses on never-filled sets: %v allocs, %d sets filled, %d chunks; want none", allocs, c.sets.used, len(c.sets.chunks))
 			}
 			misses += 101 // AllocsPerRun's warm-up run and its 100 runs
 		}

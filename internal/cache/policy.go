@@ -47,9 +47,11 @@ func ParsePolicy(s string) (PolicyKind, error) {
 	return 0, fmt.Errorf("cache: unknown replacement policy %q", s)
 }
 
-// Policy tracks recency state per set and chooses eviction victims.
-// Implementations are deterministic (Random uses a fixed seed).
-type Policy interface {
+// policy tracks recency state per set and chooses eviction victims. A
+// SetArena indexes its per-set state by slot and grows it a chunk of sets
+// at a time, as sets are first filled. Implementations are deterministic
+// (Random uses a fixed seed).
+type policy interface {
 	// Touch marks (set, way) as just used.
 	Touch(set, way int)
 	// Insert marks (set, way) as just filled.
@@ -61,24 +63,11 @@ type Policy interface {
 	// its storage: no way has been used, and a seeded policy restarts from
 	// its construction seed.
 	Reset()
-}
-
-// slotPolicy is a Policy whose per-set state a Cache indexes by slot and
-// grows a chunk of sets at a time, as sets are first filled.
-type slotPolicy interface {
-	Policy
 	// grow appends state for n more sets, none of whose ways has been used.
 	grow(n int)
 }
 
-// NewPolicy builds a standalone replacement policy instance for callers
-// that manage their own tag storage (the directory organizations in
-// internal/core reuse the policies this way).
-func NewPolicy(kind PolicyKind, sets, ways int, seed int64) (Policy, error) {
-	return newPolicy(kind, sets, ways, seed)
-}
-
-func newPolicy(kind PolicyKind, sets, ways int, seed int64) (slotPolicy, error) {
+func newPolicy(kind PolicyKind, sets, ways int, seed int64) (policy, error) {
 	switch kind {
 	case LRU:
 		return newLRUPolicy(sets, ways), nil
@@ -92,25 +81,73 @@ func newPolicy(kind PolicyKind, sets, ways int, seed int64) (slotPolicy, error) 
 	return nil, fmt.Errorf("unknown replacement policy %v", kind)
 }
 
-// lruPolicy keeps an exact recency order per set: stamps[set*ways+way]
-// holds a monotonically increasing use time; the victim is the smallest
+// setState is a policy's per-set state, per elements per set, kept a
+// chunk of sets at a time as a SetArena fills them. A chunk is never
+// copied once allocated, so the state costs its own bytes; one flat slice
+// would copy itself at every regrowth. While there is one chunk, chunks
+// lives in first, so a one-set structure's state is one allocation.
+//
+//stash:tileowned
+type setState[T any] struct {
+	per    int
+	chunks [][]T
+	first  [1][]T
+}
+
+// init gives s state for sets sets, none of whose ways has been used. s
+// must not be copied afterwards.
+func (s *setState[T]) init(sets, per int) {
+	s.per = per
+	s.chunks = s.first[:0]
+	for n := sets; n > 0; n -= chunkSets {
+		s.grow(min(n, chunkSets))
+	}
+}
+
+// grow appends a chunk for n more sets, at most chunkSets.
+func (s *setState[T]) grow(n int) { s.chunks = append(s.chunks, make([]T, n*s.per)) }
+
+// at returns way's state in set.
+//
+//stash:hotpath
+func (s *setState[T]) at(set, way int) *T {
+	return &s.chunks[set/chunkSets][set%chunkSets*s.per+way]
+}
+
+// of returns set's state.
+//
+//stash:hotpath
+func (s *setState[T]) of(set int) []T {
+	off := set % chunkSets * s.per
+	return s.chunks[set/chunkSets][off : off+s.per]
+}
+
+func (s *setState[T]) reset() {
+	for _, c := range s.chunks {
+		clear(c)
+	}
+}
+
+// lruPolicy keeps an exact recency order per set: a set's stamps hold a
+// monotonically increasing use time per way; the victim is the smallest
 // stamp among non-excluded ways.
 //
 //stash:tileowned
 type lruPolicy struct {
-	ways   int
 	clock  uint64
-	stamps []uint64
+	stamps setState[uint64]
 }
 
 func newLRUPolicy(sets, ways int) *lruPolicy {
-	return &lruPolicy{ways: ways, stamps: make([]uint64, sets*ways)}
+	p := &lruPolicy{}
+	p.stamps.init(sets, ways)
+	return p
 }
 
 //stash:hotpath
 func (p *lruPolicy) Touch(set, way int) {
 	p.clock++
-	p.stamps[set*p.ways+way] = p.clock
+	*p.stamps.at(set, way) = p.clock
 }
 
 //stash:hotpath
@@ -118,20 +155,19 @@ func (p *lruPolicy) Insert(set, way int) { p.Touch(set, way) }
 
 func (p *lruPolicy) Reset() {
 	p.clock = 0
-	clear(p.stamps)
+	p.stamps.reset()
 }
 
-func (p *lruPolicy) grow(n int) { p.stamps = append(p.stamps, make([]uint64, n*p.ways)...) }
+func (p *lruPolicy) grow(n int) { p.stamps.grow(n) }
 
 //stash:hotpath
 func (p *lruPolicy) Victim(set int, excluded func(way int) bool) int {
 	best := -1
 	var bestStamp uint64
-	for w := 0; w < p.ways; w++ {
+	for w, s := range p.stamps.of(set) {
 		if excluded != nil && excluded(w) {
 			continue
 		}
-		s := p.stamps[set*p.ways+w]
 		if best == -1 || s < bestStamp {
 			best, bestStamp = w, s
 		}
@@ -148,7 +184,7 @@ func (p *lruPolicy) Victim(set int, excluded func(way int) bool) int {
 type plruPolicy struct {
 	ways     int
 	treeWays int // ways rounded up to a power of two
-	bits     []bool
+	bits     setState[bool]
 }
 
 func newPLRUPolicy(sets, ways int) *plruPolicy {
@@ -156,7 +192,9 @@ func newPLRUPolicy(sets, ways int) *plruPolicy {
 	for tw < ways {
 		tw <<= 1
 	}
-	return &plruPolicy{ways: ways, treeWays: tw, bits: make([]bool, sets*(tw-1))}
+	p := &plruPolicy{ways: ways, treeWays: tw}
+	p.bits.init(sets, tw-1)
+	return p
 }
 
 // walk flips the tree bits along the path to way so the path points away
@@ -164,11 +202,11 @@ func newPLRUPolicy(sets, ways int) *plruPolicy {
 //
 //stash:hotpath
 func (p *plruPolicy) walk(set, way int) {
-	base := set * (p.treeWays - 1)
+	bits := p.bits.of(set)
 	node := 0
 	for span := p.treeWays / 2; span >= 1; span /= 2 {
 		right := way%(span*2) >= span
-		p.bits[base+node] = !right // point away from the touched half
+		bits[node] = !right // point away from the touched half
 		node = 2*node + 1
 		if right {
 			node++
@@ -182,16 +220,16 @@ func (p *plruPolicy) Touch(set, way int) { p.walk(set, way) }
 //stash:hotpath
 func (p *plruPolicy) Insert(set, way int) { p.walk(set, way) }
 
-func (p *plruPolicy) Reset() { clear(p.bits) }
+func (p *plruPolicy) Reset() { p.bits.reset() }
 
-func (p *plruPolicy) grow(n int) { p.bits = append(p.bits, make([]bool, n*(p.treeWays-1))...) }
+func (p *plruPolicy) grow(n int) { p.bits.grow(n) }
 
 //stash:hotpath
 func (p *plruPolicy) Victim(set int, excluded func(way int) bool) int {
-	base := set * (p.treeWays - 1)
+	bits := p.bits.of(set)
 	node, way := 0, 0
 	for span := p.treeWays / 2; span >= 1; span /= 2 {
-		right := p.bits[base+node]
+		right := bits[node]
 		node = 2*node + 1
 		if right {
 			node++
@@ -218,26 +256,28 @@ func (p *plruPolicy) Victim(set int, excluded func(way int) bool) int {
 //
 //stash:tileowned
 type nruPolicy struct {
-	ways int
-	bits []bool
+	bits setState[bool]
 }
 
 func newNRUPolicy(sets, ways int) *nruPolicy {
-	return &nruPolicy{ways: ways, bits: make([]bool, sets*ways)}
+	p := &nruPolicy{}
+	p.bits.init(sets, ways)
+	return p
 }
 
 //stash:hotpath
 func (p *nruPolicy) mark(set, way int) {
-	p.bits[set*p.ways+way] = true
+	bits := p.bits.of(set)
+	bits[way] = true
 	// If every bit in the set is now set, clear the others.
-	for w := 0; w < p.ways; w++ {
-		if !p.bits[set*p.ways+w] {
+	for _, b := range bits {
+		if !b {
 			return
 		}
 	}
-	for w := 0; w < p.ways; w++ {
+	for w := range bits {
 		if w != way {
-			p.bits[set*p.ways+w] = false
+			bits[w] = false
 		}
 	}
 }
@@ -248,18 +288,18 @@ func (p *nruPolicy) Touch(set, way int) { p.mark(set, way) }
 //stash:hotpath
 func (p *nruPolicy) Insert(set, way int) { p.mark(set, way) }
 
-func (p *nruPolicy) Reset() { clear(p.bits) }
+func (p *nruPolicy) Reset() { p.bits.reset() }
 
-func (p *nruPolicy) grow(n int) { p.bits = append(p.bits, make([]bool, n*p.ways)...) }
+func (p *nruPolicy) grow(n int) { p.bits.grow(n) }
 
 //stash:hotpath
 func (p *nruPolicy) Victim(set int, excluded func(way int) bool) int {
 	fallback := -1
-	for w := 0; w < p.ways; w++ {
+	for w, b := range p.bits.of(set) {
 		if excluded != nil && excluded(w) {
 			continue
 		}
-		if !p.bits[set*p.ways+w] {
+		if !b {
 			return w
 		}
 		if fallback == -1 {
@@ -270,7 +310,9 @@ func (p *nruPolicy) Victim(set int, excluded func(way int) bool) int {
 }
 
 // randomPolicy picks a uniformly random non-excluded way using a seeded
-// generator, so runs remain reproducible.
+// generator, so runs remain reproducible. The generator (~5 KB of state)
+// and Victim's scratch are made on the first Victim call, so a structure
+// that never evicts, as most of a machine's do, pays for neither.
 //
 //stash:tileowned
 type randomPolicy struct {
@@ -283,12 +325,13 @@ type randomPolicy struct {
 }
 
 func newRandomPolicy(ways int, seed int64) *randomPolicy {
-	return &randomPolicy{
-		ways:    ways,
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
-		scratch: make([]int, 0, ways),
-	}
+	return &randomPolicy{ways: ways, seed: seed}
+}
+
+// start makes the generator and the scratch on the first Victim call.
+func (p *randomPolicy) start() {
+	p.rng = rand.New(rand.NewSource(p.seed))
+	p.scratch = make([]int, 0, p.ways)
 }
 
 //stash:hotpath
@@ -297,14 +340,22 @@ func (p *randomPolicy) Touch(set, way int) {}
 //stash:hotpath
 func (p *randomPolicy) Insert(set, way int) {}
 
-// Reset re-seeds the generator, so the victim sequence restarts.
-func (p *randomPolicy) Reset() { p.rng.Seed(p.seed) }
+// Reset re-seeds the generator, if one was made, so the victim sequence
+// restarts.
+func (p *randomPolicy) Reset() {
+	if p.rng != nil {
+		p.rng.Seed(p.seed)
+	}
+}
 
 // grow has nothing to add: the random policy keeps no per-set state.
 func (p *randomPolicy) grow(int) {}
 
 //stash:hotpath
 func (p *randomPolicy) Victim(set int, excluded func(way int) bool) int {
+	if p.rng == nil {
+		p.start()
+	}
 	candidates := p.scratch[:0]
 	for w := 0; w < p.ways; w++ {
 		if excluded == nil || !excluded(w) {

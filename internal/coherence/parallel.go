@@ -53,6 +53,7 @@ type tileLocal struct {
 	traffic   noc.LocalTraffic
 	env       []*noc.Message
 	deliverFn func(any)
+	self      noc.Queue // self-addressed envelopes in flight
 }
 
 // getEnv draws a delivery envelope from the tile's free list.
@@ -69,20 +70,29 @@ func (tl *tileLocal) getEnv() *noc.Message {
 }
 
 // deliver hands an arrived message to the tile endpoint and recycles the
-// envelope. It is the parallel counterpart of Mesh.deliver, bound once
-// per tile so deliveries schedule without closures.
+// envelope; a self-delivery event carries the tile's queue of its
+// messages to itself and delivers the oldest. It is the parallel
+// counterpart of Mesh.deliver, bound once per tile so deliveries schedule
+// without closures.
 //
 //stash:hotpath
 func (tl *tileLocal) deliver(arg any) {
-	m := arg.(*noc.Message)
+	var m *noc.Message
+	switch a := arg.(type) {
+	case *noc.Message:
+		m = a
+	case *noc.Queue:
+		m = a.Pop()
+	}
 	tl.ep.Deliver(m)
 	m.Payload = nil
 	tl.env = append(tl.env, m)
 }
 
 // psend is send's parallel-mode tail: self-addressed messages turn around
-// through the local router on the tile's own queue; cross-tile ones are
-// parked in the mailbox, stamped with the send cycle, for the merge.
+// through the local router on the tile's own queue, delivered in send
+// order as on the mesh (see noc.Mesh.deliver); cross-tile ones are parked
+// in the mailbox, stamped with the send cycle, for the merge.
 //
 //stash:transfer
 //stash:hotpath
@@ -92,7 +102,8 @@ func (f *Fabric) psend(src, dst noc.NodeID, m *Msg) {
 		tl.traffic.Msgs[m.class()]++
 		env := tl.getEnv()
 		env.Src, env.Dst, env.Class, env.Flits, env.Payload = src, dst, m.class(), m.flits(), m
-		tl.eng.AtArg(tl.eng.Now()+tl.router, "noc.deliver", tl.deliverFn, env)
+		tl.self.Push(env)
+		tl.eng.AtArg(tl.eng.Now()+tl.router, "noc.deliver", tl.deliverFn, &tl.self)
 		return
 	}
 	f.pout.Push(uint64(tl.eng.Now()), parcel{dst: dst, class: m.class(), flits: int32(m.flits()), msg: m})

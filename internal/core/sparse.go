@@ -59,27 +59,25 @@ func (d *Sparse) Probe(b mem.Block) *Entry { return d.store.find(b) }
 //
 //stash:hotpath
 func (d *Sparse) Allocate(b mem.Block, busy func(mem.Block) bool) AllocResult {
-	if d.store.find(b) != nil {
-		panic("core: Allocate for already-tracked block")
-	}
-	if e := d.store.freeSlot(b); e != nil {
-		d.store.install(e, b)
+	slot, ways := d.store.setOf(b)
+	if e := freeWay(ways, b); e != nil {
+		d.store.install(slot, e, b)
 		d.st.Allocations.Inc()
 		return AllocResult{Outcome: AllocOK, Entry: e}
 	}
 	if d.stashable != nil {
-		if v := d.store.victim(b, busy, true, d.stashable); v != nil {
+		if v := d.store.victim(slot, ways, busy, true, d.stashable); v != nil {
 			stashed := Stashed{Block: v.Block, Owner: v.Sharers.Only()}
 			v.valid = false
 			v.Sharers.Clear()
 			v.Owned = false
-			d.store.install(v, b)
+			d.store.install(slot, v, b)
 			d.st.StashEvictions.Inc()
 			d.st.Allocations.Inc()
 			return AllocResult{Outcome: AllocStashed, Entry: v, Stashed: stashed}
 		}
 	}
-	v := d.store.victim(b, busy, false, nil)
+	v := d.store.victim(slot, ways, busy, false, nil)
 	if v == nil {
 		d.st.AllocBlocked.Inc()
 		return AllocResult{Outcome: AllocBlocked}

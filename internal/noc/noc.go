@@ -126,6 +126,60 @@ type Mesh struct {
 	// send schedules its delivery event without allocating a closure.
 	free      []*Message
 	deliverFn func(any)
+
+	// local holds each node's self-addressed messages in flight, oldest
+	// first (see deliver). It is made on the first self-addressed send: a
+	// model-checker world, whose sends never reach the mesh, has none.
+	local []Queue
+}
+
+// Queue holds a node's self-addressed messages in flight, in send order,
+// so that the delivery events of two of them, which tie, deliver them in
+// that order (see Mesh.deliver). It is a ring that doubles when full.
+//
+//stash:tileowned
+type Queue struct {
+	ring []*Message // length 0 or a power of two
+	head int
+	n    int
+}
+
+// Push appends msg; the queue owns it until Pop returns it.
+//
+//stash:transfer
+//stash:hotpath
+func (q *Queue) Push(msg *Message) {
+	if q.n == len(q.ring) {
+		q.grow()
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = msg
+	q.n++
+}
+
+// Pop removes and returns the oldest message; the queue must not be empty.
+//
+//stash:hotpath
+func (q *Queue) Pop() *Message {
+	msg := q.ring[q.head]
+	q.ring[q.head] = nil
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return msg
+}
+
+// grow doubles the ring, keeping its order.
+func (q *Queue) grow() {
+	ring := make([]*Message, max(4, 2*len(q.ring)))
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.ring[(q.head+i)&(len(q.ring)-1)]
+	}
+	q.ring, q.head = ring, 0
+}
+
+// reset empties the queue, keeping its ring.
+func (q *Queue) reset() {
+	clear(q.ring)
+	q.head, q.n = 0, 0
 }
 
 // New builds a mesh attached to the given engine.
@@ -152,12 +206,25 @@ func New(engine *sim.Engine, cfg Config) (*Mesh, error) {
 }
 
 // deliver hands an arrived message to its destination endpoint and recycles
-// a pooled envelope.
+// a pooled envelope. A message between two nodes is its event's argument.
+// A self-addressed one is not: its event carries the node's queue of them
+// and delivers the oldest. Every self-addressed message takes the same
+// latency, so the oldest is due whenever any is, and delivery events tied
+// in one cycle, which a shuffle seed runs in any order, still deliver a
+// node's messages to itself in send order, as the protocol requires of
+// every (source, destination) pair. Messages between two nodes cannot
+// tie: the second waits for the first on every link.
 //
 //stash:fold serial-engine delivery path; parallel tiles deliver via tileLocal, never through the mesh
 //stash:hotpath
 func (m *Mesh) deliver(arg any) {
-	msg := arg.(*Message)
+	var msg *Message
+	switch a := arg.(type) {
+	case *Message:
+		msg = a
+	case *Queue:
+		msg = a.Pop()
+	}
 	m.endpoints[msg.Dst].Deliver(msg)
 	if msg.pooled {
 		m.putMessage(msg)
@@ -188,12 +255,19 @@ func (m *Mesh) putMessage(msg *Message) {
 	m.free = append(m.free, msg)
 }
 
-// Reset returns the mesh to what New built: every link free from cycle 0
-// and the statistics zeroed. Attached endpoints and the envelope free list
-// are kept. Envelopes still in flight belong to the engine's pending
-// events, which its own Reset drops; they are not recovered.
+// makeLocal makes every node's queue of self-addressed messages.
+func (m *Mesh) makeLocal() { m.local = make([]Queue, len(m.endpoints)) }
+
+// Reset returns the mesh to what New built: every link free from cycle 0,
+// no self-addressed message in flight and the statistics zeroed. Attached
+// endpoints and the envelope free list are kept. Envelopes still in flight
+// belong to the engine's pending events, which its own Reset drops; they
+// are not recovered.
 func (m *Mesh) Reset() {
 	clear(m.linkFree)
+	for i := range m.local {
+		m.local[i].reset()
+	}
 	m.stats = Stats{}
 }
 
@@ -321,7 +395,16 @@ func (m *Mesh) Send(msg *Message) sim.Cycle {
 		panic(fmt.Sprintf("noc: no endpoint attached to node %d", msg.Dst))
 	}
 	t := m.route(msg.Src, msg.Dst, msg.Class, msg.Flits, m.engine.Now())
-	m.engine.AtArg(t, "noc.deliver", m.deliverFn, msg)
+	if msg.Src == msg.Dst {
+		if m.local == nil {
+			m.makeLocal()
+		}
+		q := &m.local[msg.Dst]
+		q.Push(msg)
+		m.engine.AtArg(t, "noc.deliver", m.deliverFn, q)
+	} else {
+		m.engine.AtArg(t, "noc.deliver", m.deliverFn, msg)
+	}
 	return t
 }
 

@@ -84,6 +84,40 @@ func TestSelfDelivery(t *testing.T) {
 	}
 }
 
+// TestSelfDeliveryKeepsOrderUnderShuffle: messages a node sends itself in
+// one cycle tie, and a shuffle seed runs tied events in any order, yet
+// they arrive in send order, across the queue's growth and wrap-around.
+func TestSelfDeliveryKeepsOrderUnderShuffle(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		eng := sim.NewEngine()
+		eng.SetShuffleSeed(seed)
+		m, err := New(eng, Config{Width: 2, Height: 1, RouterLatency: 3, LinkLatency: 1, LinkBandwidth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Attach(0, &sink{eng: eng})
+		s := &sink{eng: eng}
+		m.Attach(1, s)
+		var sent []*Message
+		for burst := 0; burst < 3; burst++ {
+			for i := 0; i < 2+burst*5; i++ {
+				msg := &Message{Src: 1, Dst: 1, Class: ClassAck, Flits: 1}
+				sent = append(sent, msg)
+				m.Send(msg)
+			}
+			eng.Run(0)
+		}
+		if len(s.got) != len(sent) {
+			t.Fatalf("seed %d: %d of %d messages delivered", seed, len(s.got), len(sent))
+		}
+		for i := range sent {
+			if s.got[i] != sent[i] {
+				t.Fatalf("seed %d: delivery %d is not the %d-th message sent", seed, i, i)
+			}
+		}
+	}
+}
+
 func TestContentionSerializes(t *testing.T) {
 	eng, m, sinks := newTestMesh(t, 4, 1)
 	// Two 5-flit data messages on the same route: the second must queue

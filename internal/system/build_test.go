@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/trace"
 	"repro/internal/workloads"
 )
@@ -80,24 +81,21 @@ func benchScalingFiles(b testing.TB, cores, accesses int) []string {
 }
 
 // TestBuildBytes bounds the heap one Build allocates at the two shapes of
-// buildShape. Tag arrays get their lines and replacement state on a set's
-// first fill, a trace source's read window is sized to its file and its
-// decode batch to the records in it, so a build pays for its slot maps,
-// controllers and sources rather than for the capacity it models; a bound
-// crossed here is a per-line or per-core cost that every simulation job
-// pays before its first event. The caps are the measured 0.64 MB and
-// 1.76 MB with margins of about half and 14%. A 256-core build whose
-// batches held one access per payload byte took 2.31 MB, and one that
-// allocated every LLC line up front 22.5 MB (9.2 MB at 16 cores).
+// buildShape. Tag arrays and set-associative directory slices get their
+// ways and replacement state on a set's first fill, a random policy its
+// generator on its first eviction, and a trace source's read window is
+// sized to its file and its decode batch to the records in it, so a build
+// pays for its slot maps, controllers and sources rather than for the
+// capacity it models; a bound crossed here is a per-entry or per-core
+// cost that every simulation job pays before its first event. The caps
+// are the measured 0.125 MB and 1.23 MB with margins of about 140% and
+// 22%; a 256-core build under the random policy must stay within 0.1 MB
+// of the LRU one. Before directory slices filled on first use, the builds
+// took 0.64 and 1.73 MB; before tag arrays did, 9.2 and 22.5 MB; and a
+// random policy that made its generator up front took 6.44 MB at 256
+// cores.
 func TestBuildBytes(t *testing.T) {
-	for _, tc := range []struct {
-		cores int
-		maxMB float64
-	}{
-		{16, 1},
-		{256, 2},
-	} {
-		cfg := buildShape(t, tc.cores)
+	buildMB := func(cfg Config) float64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, procs, err := Build(cfg)
@@ -108,10 +106,29 @@ func TestBuildBytes(t *testing.T) {
 		if err := finishSources(procs); err != nil {
 			t.Fatal(err)
 		}
-		mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+		return float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	}
+	for _, tc := range []struct {
+		cores int
+		maxMB float64
+	}{
+		{16, 0.3},
+		{256, 1.5},
+	} {
+		cfg := buildShape(t, tc.cores)
+		mb := buildMB(cfg)
 		t.Logf("cores=%d: Build allocates %.3f MB", tc.cores, mb)
 		if mb > tc.maxMB {
 			t.Errorf("cores=%d: Build allocates %.3f MB, want at most %.1f MB", tc.cores, mb, tc.maxMB)
+		}
+		if tc.cores != 256 {
+			continue
+		}
+		cfg.ReplacementPolicy = cache.Random
+		random := buildMB(cfg)
+		t.Logf("cores=%d: Build allocates %.3f MB under the random policy", tc.cores, random)
+		if random > mb+0.1 {
+			t.Errorf("cores=%d: Build allocates %.3f MB under the random policy, want at most %.3f MB (LRU's %.3f + 0.1)", tc.cores, random, mb+0.1, mb)
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // served as a hit. Bump it with any change that alters the Results of some
 // config; TestModelVersionPinsGoldens fails when the golden fixtures change
 // while it stays put.
-const ModelVersion = "2"
+const ModelVersion = "3"
 
 // Directory organization names accepted by Config.DirKind.
 const (

@@ -14,10 +14,12 @@ import (
 // are append-only: a model change that re-pins the goldens bumps
 // ModelVersion and adds its digest here, so an -update without a bump
 // fails below. Version 2 is version 1's model; its digest also covers the
-// variant fixtures, which version 1 did not have.
+// variant fixtures, which version 1 did not have. Version 3 is version 2's
+// model; its digest also covers the canneal variant fixtures.
 var modelGoldens = map[string]string{
 	"1": "53f55f9db34455e08570ee1a3209e1418985c5de6350de6a5fbc8d14426a42ce",
 	"2": "87dc304516f17eb1e0cc1414ca513ad22c1e589cabd0ad28bb7648e27f5a5116",
+	"3": "8178c684147512c7e158ada973ed8a32dd128406ec03dae8da25c1dedb1cb45b",
 }
 
 // goldenDigest hashes every golden fixture, each framed by its name and

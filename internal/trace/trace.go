@@ -159,9 +159,9 @@ type Stream struct {
 
 	// Memoization (see memo.go): replay is a previously recorded identical
 	// stream to serve instead of generating; rec accumulates this stream's
-	// output for publication once fully consumed.
-	replay []mem.Access
-	rec    []mem.Access
+	// output, packed, for publication once fully consumed.
+	replay []uint32
+	rec    []uint32
 	key    streamKey
 }
 
@@ -181,7 +181,7 @@ func NewStream(mix Mix, core, cores, length int, seed int64) (*Stream, error) {
 	rng := rand.New(rand.NewSource(seed*1_000_003 + int64(core)*7919 + 1))
 	s := &Stream{mix: mix, core: core, cores: cores, length: length, rng: rng, key: key}
 	if length > 0 && length <= memoMaxStream {
-		s.rec = make([]mem.Access, 0, length)
+		s.rec = make([]uint32, 0, length)
 	}
 	if mix.ZipfS > 1 {
 		if mix.PrivateBlocks > 0 {
@@ -217,36 +217,35 @@ func (s *Stream) Next() (mem.Access, bool) {
 	step := s.pos
 	s.pos++
 	if s.replay != nil {
-		return s.replay[step], true
+		return unpackAccess(s.replay[step]), true
 	}
 
 	r := s.rng.Float64()
 	m := &s.mix
-	var a mem.Access
+	var b mem.Block
+	var write bool
 	switch {
 	case r < m.PrivateFrac:
-		b := basePrivate + mem.Block(s.core)*privateStride + mem.Block(s.pick(m.PrivateBlocks, s.zipfPrivate))
-		a = mem.Access{Addr: mem.AddrOf(b), Write: s.rng.Float64() < m.WriteFrac}
+		b = basePrivate + mem.Block(s.core)*privateStride + mem.Block(s.pick(m.PrivateBlocks, s.zipfPrivate))
+		write = s.rng.Float64() < m.WriteFrac
 
 	case r < m.PrivateFrac+m.SharedReadFrac:
-		b := baseSharedRead + mem.Block(s.pick(m.SharedBlocks, s.zipfShared))
-		a = mem.Access{Addr: mem.AddrOf(b)}
+		b = baseSharedRead + mem.Block(s.pick(m.SharedBlocks, s.zipfShared))
 
 	case r < m.PrivateFrac+m.SharedReadFrac+m.SharedRWFrac:
-		b := baseSharedRW + mem.Block(s.pick(m.SharedBlocks, s.zipfShared))
-		a = mem.Access{Addr: mem.AddrOf(b), Write: s.rng.Float64() < m.WriteFrac}
+		b = baseSharedRW + mem.Block(s.pick(m.SharedBlocks, s.zipfShared))
+		write = s.rng.Float64() < m.WriteFrac
 
 	case r < m.PrivateFrac+m.SharedReadFrac+m.SharedRWFrac+m.ProdConsFrac:
 		// Each core produces into its own channel and consumes its left
 		// neighbor's; half the references produce, half consume.
 		if s.rng.Intn(2) == 0 {
 			ch := mem.Block(s.core)
-			b := baseProdCons + ch*prodConsStride + mem.Block(s.pick(m.ProdConsBlocks, s.zipfProdCons))
-			a = mem.Access{Addr: mem.AddrOf(b), Write: true}
+			b = baseProdCons + ch*prodConsStride + mem.Block(s.pick(m.ProdConsBlocks, s.zipfProdCons))
+			write = true
 		} else {
 			ch := mem.Block((s.core + s.cores - 1) % s.cores)
-			b := baseProdCons + ch*prodConsStride + mem.Block(s.pick(m.ProdConsBlocks, s.zipfProdCons))
-			a = mem.Access{Addr: mem.AddrOf(b)}
+			b = baseProdCons + ch*prodConsStride + mem.Block(s.pick(m.ProdConsBlocks, s.zipfProdCons))
 		}
 
 	default:
@@ -258,18 +257,22 @@ func (s *Stream) Next() (mem.Access, bool) {
 			phase = 8
 		}
 		slot := step / phase
-		b := baseMigratory + mem.Block(slot%m.MigratoryBlocks)
+		b = baseMigratory + mem.Block(slot%m.MigratoryBlocks)
 		// Alternate read/write to form the RMW pattern.
-		a = mem.Access{Addr: mem.AddrOf(b), Write: step%2 == 1}
+		write = step%2 == 1
 	}
-	if s.rec != nil {
-		s.rec = append(s.rec, a)
+	switch {
+	case s.rec == nil:
+	case b >= memoBlockLimit:
+		s.rec = nil // cannot be packed: this stream is never memoized
+	default:
+		s.rec = append(s.rec, packAccess(b, write))
 		if len(s.rec) == s.length {
 			memoPublish(s.key, s.rec)
 			s.rec = nil
 		}
 	}
-	return a, true
+	return mem.Access{Addr: mem.AddrOf(b), Write: write}, true
 }
 
 // Remaining returns how many accesses the stream will still produce.

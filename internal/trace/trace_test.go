@@ -131,6 +131,71 @@ func TestMemoReplayMatchesFreshGeneration(t *testing.T) {
 	}
 }
 
+// drainStream returns every access s produces.
+func drainStream(s *Stream) []mem.Access {
+	var out []mem.Access
+	for {
+		a, ok := s.Next()
+		if !ok {
+			return out
+		}
+		out = append(out, a)
+	}
+}
+
+// TestMemoBytesPerAccess pins the memo's cost: a published stream of n
+// accesses holds 4n bytes of the budget.
+func TestMemoBytesPerAccess(t *testing.T) {
+	const seed, n = 987_654, 300
+	s, err := NewStream(validMix(), 2, 8, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memo.Lock()
+	before := memo.held
+	memo.Unlock()
+	drainStream(s)
+	memo.Lock()
+	after := memo.held
+	memo.Unlock()
+	if got := after - before; got != 4*n {
+		t.Fatalf("publishing %d accesses grew the memo by %d bytes, want %d", n, got, 4*n)
+	}
+}
+
+// TestMemoSkipsUnpackableBlocks checks the packed form's guard: a stream
+// that reaches a block of 2^31 or more is generated afresh every time,
+// and matches its earlier generation.
+func TestMemoSkipsUnpackableBlocks(t *testing.T) {
+	mix := Mix{Name: "far", PrivateFrac: 1, WriteFrac: 0.5, PrivateBlocks: 64}
+	// Core 30,000's private region starts above block 2^31.
+	const core, cores, n, seed = 30_000, 30_001, 200, 987_655
+	first, err := NewStream(mix, core, cores, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainStream(first)
+	if b := want[0].Block(); b < memoBlockLimit {
+		t.Fatalf("first access is to block %#x, want one at or above %#x", uint64(b), uint64(memoBlockLimit))
+	}
+	again, err := NewStream(mix, core, cores, n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.replay != nil {
+		t.Fatal("a stream with blocks at or above 2^31 was served from the memo")
+	}
+	got := drainStream(again)
+	if len(got) != len(want) {
+		t.Fatalf("regenerated %d accesses, first generation made %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("regeneration diverged at access %d: %v vs %v", i, got[i], want[i])
+		}
+	}
+}
+
 func TestStreamSeedsAndCoresDiffer(t *testing.T) {
 	collect := func(core int, seed int64) []mem.Access {
 		s, _ := NewStream(validMix(), core, 8, 200, seed)
