@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: ci build test race vet fmt-check lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke race-psim perfbench-check
+.PHONY: ci build test race vet fmt-check lint lint-fast mcheck mcheck-smoke fuzz-smoke proto-table proto-table-check bench bench-engine bench-protocol bench-psim bench-trace bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol-smoke race-psim perfbench-check
 
-ci: lint race race-psim mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol perfbench-check
+ci: lint race race-psim mcheck-smoke fuzz-smoke proto-table-check bench-smoke bench-psim-smoke bench-trace-smoke bench-protocol-smoke perfbench-check
 
 build:
 	$(GO) build ./...
@@ -127,11 +127,11 @@ bench-engine:
 # exploration rate (BenchmarkExplore: the sparse and stash 2x2 slices to
 # depth 2, in states/s) into BENCH_protocol.json. It fails if any
 # steady-state protocol or directory path allocates: the pooled-message/
-# pooled-TBE design is a zero-allocs/op contract, enforced here in CI.
-# The explorer builds its fabrics and grows its visited set, so the gate
-# leaves it out. When it fails, start with the static picture: `make
-# lint` — the hotpath analyzer usually names the exact allocation site
-# that broke the contract.
+# pooled-TBE design is a zero-allocs/op contract, which CI enforces
+# through bench-protocol-smoke. The explorer builds its fabrics and grows
+# its visited set, so the gate leaves it out. When it fails, start with
+# the static picture: `make lint` — the hotpath analyzer usually names the
+# exact allocation site that broke the contract.
 bench-protocol:
 	@$(GO) test -run '^$$' -bench 'BenchmarkProtocol|BenchmarkDirectory|BenchmarkExplore' -benchmem ./internal/coherence ./internal/core ./internal/mcheck | $(GO) run ./cmd/benchjson -o BENCH_protocol.json -max-allocs 0 -max-allocs-filter 'BenchmarkProtocol|BenchmarkDirectory' || \
 		{ echo "bench-protocol: allocation contract broken; run 'make lint' — the hotpath analyzer pinpoints allocation sites in //stash:hotpath functions" >&2; exit 1; }
@@ -169,3 +169,12 @@ bench-psim-smoke:
 bench-trace-smoke:
 	@$(GO) test -run '^$$' -bench 'BenchmarkTrace|BenchmarkBuild' -benchtime=1x -benchmem ./internal/trace ./internal/system | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'ReplayBinary' > /dev/null || \
 		{ echo "bench-trace-smoke: binary replay hot path allocates; run 'make lint'" >&2; exit 1; }
+
+# bench-protocol-smoke is ci's copy of bench-protocol's zero-alloc gate:
+# the same benchmarks at 100 ms each (~5 s in all on a 2-CPU Xeon host,
+# enough runs that pool warm-up rounds to 0 allocs/op), with the results
+# discarded, so a ci run leaves BENCH_protocol.json as committed. Record
+# the ledger with `make bench-protocol`.
+bench-protocol-smoke:
+	@$(GO) test -run '^$$' -bench 'BenchmarkProtocol|BenchmarkDirectory|BenchmarkExplore' -benchtime=100ms -benchmem ./internal/coherence ./internal/core ./internal/mcheck | $(GO) run ./cmd/benchjson -max-allocs 0 -max-allocs-filter 'BenchmarkProtocol|BenchmarkDirectory' > /dev/null || \
+		{ echo "bench-protocol-smoke: allocation contract broken; run 'make lint'" >&2; exit 1; }

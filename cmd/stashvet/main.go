@@ -1,7 +1,7 @@
 // Command stashvet runs the repo's static-analysis suite: the analyzers
 // that turn the simulator's runtime invariants into build-time errors.
 //
-//	poolcheck    pooled values (coherence messages, TBEs, NoC envelopes)
+//	poolcheck    pooled values (coherence messages, TBEs)
 //	             must be released or ownership-transferred on every path
 //	hotpath      //stash:hotpath functions must not heap-allocate
 //	determinism  simulation packages must not read wall clocks, draw from

@@ -1,6 +1,6 @@
 // Package poolcheck implements the stashvet analyzer for pool ownership.
-// The simulator recycles its hot objects — coherence messages, L1/directory
-// TBEs, NoC envelopes — through hand-managed free lists, and the //stash:
+// The simulator recycles its hot objects — coherence messages and
+// L1/directory TBEs — through hand-managed free lists, and the //stash:
 // directives name the functions that move values in and out of them:
 //
 //	//stash:acquire  — the function's pointer result is pool-owned; the

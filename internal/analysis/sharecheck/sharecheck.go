@@ -35,9 +35,9 @@
 //     the callees of go statements (the psim worker entry), every named
 //     function whose value escapes (address-taken — the event-callback
 //     idiom binds handler methods into func-typed fields at construction),
-//     and every local method bound into an interface (the endpoint /
-//     access-source idiom), closed over static calls. //stash:fold
-//     functions stop the closure.
+//     and every local method bound into an interface (the access-source
+//     idiom), closed over static calls. //stash:fold functions stop the
+//     closure.
 //  4. A write to shared state, or to unclassified state of an in-scope
 //     package, inside a worker-reachable function is reported at the write
 //     site; a worker-context call or escape of an imported function whose

@@ -35,18 +35,19 @@ func NewFabric(cfg BuildConfig) (*Fabric, error) {
 	if tiles != cfg.Params.Cores {
 		return nil, fmt.Errorf("coherence: mesh has %d tiles for %d cores", tiles, cfg.Params.Cores)
 	}
-	engine := sim.NewEngine()
-	mesh, err := noc.New(engine, cfg.Mesh)
+	mesh, err := noc.New(cfg.Mesh)
 	if err != nil {
 		return nil, err
 	}
 	f := &Fabric{
-		Engine:  engine,
+		Engine:  sim.NewEngine(),
 		Mesh:    mesh,
 		Params:  cfg.Params,
 		Memory:  NewMemory(),
 		Checker: NewChecker(),
+		tiles:   make([]tile, tiles),
 	}
+	f.deliverFn = f.deliver
 	f.L1s = make([]*L1, cfg.Params.Cores)
 	f.Banks = make([]*Bank, cfg.Params.Cores)
 	for i := 0; i < cfg.Params.Cores; i++ {
@@ -56,7 +57,6 @@ func NewFabric(cfg BuildConfig) (*Fabric, error) {
 		}
 		f.L1s[i] = l1
 		f.Banks[i] = bank
-		mesh.Attach(noc.NodeID(i), &tile{l1: l1, bank: bank})
 	}
 	return f, nil
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -622,12 +623,12 @@ func TestReadersRaceSingleWriter(t *testing.T) {
 
 // TestDeliverUnknownTypePanics: MsgType.ToBank routes every type it does
 // not name to the L1, so a type outside the protocol must still panic on
-// both delivery paths, the NoC endpoint and the model checker's direct one.
+// both entries to delivery, the timed event's and the model checker's.
 func TestDeliverUnknownTypePanics(t *testing.T) {
 	f := testFabric(t, 4, fullMapFactory())
 	bogus := MsgUnblock + 1
 	for name, deliver := range map[string]func(*Msg){
-		"tile.Deliver":  func(m *Msg) { (&tile{l1: f.L1s[0], bank: f.Banks[0]}).Deliver(&noc.Message{Payload: m}) },
+		"deliver":       func(m *Msg) { m.dst = 0; f.deliver(m) },
 		"DeliverDirect": func(m *Msg) { f.DeliverDirect(0, m) },
 	} {
 		func() {
@@ -638,5 +639,47 @@ func TestDeliverUnknownTypePanics(t *testing.T) {
 			}()
 			deliver(f.newMsg(bogus, 0))
 		}()
+	}
+}
+
+// TestSelfDeliveryKeepsOrderUnderShuffle: messages a node sends itself in
+// one cycle tie, and a shuffle seed runs tied events in any order, yet
+// they arrive in send order. Here node 1 sends its own bank requests for
+// one block, a burst of 2 at cycle 0 and one of 7 at cycle 1, tagged in
+// send order: the first opens the block's transaction and the rest queue
+// behind it in the order they arrived.
+func TestSelfDeliveryKeepsOrderUnderShuffle(t *testing.T) {
+	const node = 1
+	b := mem.Block(node) // homed at bank 1
+	for seed := uint64(1); seed <= 16; seed++ {
+		f := testFabric(t, 4, fullMapFactory())
+		f.Engine.SetShuffleSeed(seed)
+		var sent uint64
+		burst := func(n int) {
+			for i := 0; i < n; i++ {
+				m := f.newMsg(MsgGetS, b)
+				m.From, m.Data = node, sent
+				sent++
+				f.send(node, node, m)
+			}
+		}
+		burst(2)
+		f.Engine.At(1, "test.burst", func() { burst(7) })
+		// The burst event and the nine deliveries, all before the first
+		// request's handler runs at cycle 3 + BankLatency.
+		if n := f.Engine.Run(10); n != 10 {
+			t.Fatalf("seed %d: ran %d events, want 10", seed, n)
+		}
+		tbe, ok := f.Banks[node].tbes.get(b)
+		if !ok {
+			t.Fatalf("seed %d: no transaction open for block %#x", seed, uint64(b))
+		}
+		var got []uint64
+		for q := tbe.qhead; q != nil; q = q.next {
+			got = append(got, q.Data)
+		}
+		if want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}; !slices.Equal(got, want) {
+			t.Fatalf("seed %d: requests queued in order %v, want %v", seed, got, want)
+		}
 	}
 }

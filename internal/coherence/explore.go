@@ -90,17 +90,14 @@ func (p ParkedRetry) Fire() {
 	}
 }
 
-// DeliverDirect hands a captured message to its destination tile's
-// controller, bypassing the mesh: the same demultiplexing as the NoC
-// endpoint, without transport latency. The receiver takes ownership of m.
+// DeliverDirect hands a captured message to node dst's controller at
+// once, bypassing the mesh, through the same deliver a timed delivery
+// event runs. The receiver takes ownership of m.
 //
 //stash:transfer
 func (f *Fabric) DeliverDirect(dst noc.NodeID, m *Msg) {
-	if m.Type.ToBank() {
-		f.Banks[dst].deliver(m)
-	} else {
-		f.L1s[dst].deliver(m)
-	}
+	m.dst = int32(dst)
+	f.deliver(m)
 }
 
 // RecycleMsg returns a captured message to the fabric's pool without

@@ -74,8 +74,9 @@ func (p Params) Validate() error {
 }
 
 // Fabric wires the controllers together: it owns the engine, the mesh, the
-// L1s, the banks, the memory model and the checker, and provides message
-// transport with tile-level demultiplexing.
+// L1s, the banks, the memory model and the checker, and transports
+// messages: the mesh times each one, and the fabric delivers it to the
+// destination node's L1 or bank.
 //
 // Topology: tile i holds core i, its L1, and LLC/directory bank i; blocks
 // are address-interleaved across banks on the low block bits.
@@ -109,11 +110,18 @@ type Fabric struct {
 	// touches the heap only while these pools warm up.
 	pool msgPool
 
+	// tiles[i] holds node i's messages to itself in flight; parallel tile
+	// views share the root's, each touching only its own. deliverFn is
+	// deliver, bound once so that a send schedules its delivery without
+	// allocating a closure.
+	tiles     []tile
+	deliverFn func(any)
+
 	// Parallel-mode fields, set only on the per-tile fabric views built by
 	// NewParallelFabric (nil on a serial fabric). pout buffers this tile's
-	// cross-tile sends for the epoch merge; local delivers self-addressed
-	// messages on the tile's own queue. See parallel.go.
-	pout  *psim.Mailbox[parcel]
+	// cross-tile sends for the epoch merge; local counts the tile's
+	// messages to itself. See parallel.go.
+	pout  *psim.Mailbox[*Msg]
 	local *tileLocal
 }
 
@@ -141,21 +149,23 @@ func (f *Fabric) SetPoolDebug(on bool) { f.pool.poison = on }
 
 // Reset returns a serial fabric to the state NewFabric built, keeping the
 // storage every layer has grown: the engine at cycle 0 with nothing
-// pending, idle mesh links, empty caches, directory slices, transaction
-// tables and memory, a fresh value oracle, and every statistic zeroed.
-// Live TBEs go back to their free lists and queued requests to the message
-// pool; messages held anywhere else (pending engine events, a send hook's
-// capture) are abandoned unless their holder recycles them first. The
-// wiring, the send and retry hooks, OnMessage, the checker's enabled flag,
-// the engine's shuffle seed and the pool's debug mode are kept. Processors
-// attached before the reset must not be started again; attach new ones.
-// The model checker resets one fabric per replay instead of building one.
+// pending, idle mesh links, no message in flight, empty caches, directory
+// slices, transaction tables and memory, a fresh value oracle, and every
+// statistic zeroed. Live TBEs go back to their free lists and queued
+// requests to the message pool; messages held anywhere else (in flight, a
+// send hook's capture) are abandoned unless their holder recycles them
+// first. The wiring, the send and retry hooks, OnMessage, the checker's
+// enabled flag, the engine's shuffle seed and the pool's debug mode are
+// kept. Processors attached before the reset must not be started again;
+// attach new ones. The model checker resets one fabric per replay instead
+// of building one.
 func (f *Fabric) Reset() {
 	if f.pout != nil || (len(f.L1s) > 0 && f.L1s[0].fab != f) {
 		panic("coherence: Reset on a parallel fabric")
 	}
 	f.Engine.Reset()
 	f.Mesh.Reset()
+	clear(f.tiles)
 	for _, l1 := range f.L1s {
 		l1.reset()
 	}
@@ -173,36 +183,15 @@ func (f *Fabric) MsgPoolStats() (inUse, highWater int) {
 	return f.pool.inUse, f.pool.high
 }
 
-// tile is the per-node NoC endpoint; it routes bank-bound message types
-// (MsgType.ToBank) to the bank and the rest to the L1.
-type tile struct {
-	l1   *L1
-	bank *Bank
-}
-
-// Deliver implements noc.Endpoint. The receiving controller takes ownership
-// of the payload message and releases it at the end of its handler.
-//
-//stash:hotpath
-func (t *tile) Deliver(nm *noc.Message) {
-	m := nm.Payload.(*Msg)
-	if m.Type.ToBank() {
-		t.bank.deliver(m)
-	} else {
-		t.l1.deliver(m)
-	}
-}
-
 // HomeBank returns the bank that owns block b.
 func (f *Fabric) HomeBank(b mem.Block) int {
 	return int(uint64(b) % uint64(len(f.Banks)))
 }
 
-// send transports m across the mesh on a pooled envelope. The mesh (and
-// eventually the receiving tile) owns m from here on. On a parallel tile
-// view the transport is deferred instead: self-addressed messages are
-// scheduled on the tile's own queue and cross-tile ones parked in the
-// tile's mailbox for the epoch merge (see parallel.go).
+// send transports m from node src to node dst; the receiving controller
+// owns m from here on. The mesh accounts the message and times its route,
+// and deliverAt schedules its delivery at the arrival cycle. On a parallel
+// tile view the route is deferred instead (see psend).
 //
 //stash:transfer
 //stash:hotpath
@@ -213,11 +202,70 @@ func (f *Fabric) send(src, dst noc.NodeID, m *Msg) {
 	if f.sendHook != nil && f.sendHook(src, dst, m) {
 		return
 	}
+	m.dst = int32(dst)
 	if f.pout != nil {
-		f.psend(src, dst, m)
+		f.psend(src, m)
 		return
 	}
-	f.Mesh.Post(src, dst, m.class(), m.flits(), m)
+	f.deliverAt(src, m, f.Mesh.Route(src, dst, m.class(), m.flits(), f.Engine.Now()))
+}
+
+// tile holds one node's messages to itself in flight, oldest first,
+// chained through Msg.next. Every message a node sends itself takes the
+// same latency, so its oldest is due whenever any is: the delivery event
+// of a self-addressed message carries the tile and delivers the oldest
+// (see deliver). Delivery events tied in one cycle, which a shuffle seed
+// runs in any order, then still deliver a node's messages to itself in
+// send order, as the protocol requires of every (source, destination)
+// pair. Messages between two nodes cannot tie: the second waits for the
+// first on every link.
+//
+//stash:tileowned
+type tile struct{ head, tail *Msg }
+
+// deliverAt schedules the delivery of m, sent by node src, at cycle at on
+// the fabric's engine. The event's argument is m itself, or, for a message
+// to self, the node's tile after m joins it.
+//
+//stash:transfer
+//stash:hotpath
+func (f *Fabric) deliverAt(src noc.NodeID, m *Msg, at sim.Cycle) {
+	if src != noc.NodeID(m.dst) {
+		f.Engine.AtArg(at, "coherence.deliver", f.deliverFn, m)
+		return
+	}
+	t := &f.tiles[m.dst]
+	if t.tail == nil {
+		t.head = m
+	} else {
+		t.tail.next = m
+	}
+	t.tail = m
+	f.Engine.AtArg(at, "coherence.deliver", f.deliverFn, t)
+}
+
+// deliver hands an arrived message, or the oldest of a tile's messages to
+// itself, to its destination node's controller: bank-bound types
+// (MsgType.ToBank) to the node's bank, the rest to its L1. The controller
+// takes ownership and releases the message at the end of its handler.
+//
+//stash:hotpath
+func (f *Fabric) deliver(arg any) {
+	m, ok := arg.(*Msg)
+	if !ok {
+		t := arg.(*tile)
+		m = t.head
+		t.head = m.next
+		if t.head == nil {
+			t.tail = nil
+		}
+		m.next = nil
+	}
+	if m.Type.ToBank() {
+		f.Banks[m.dst].deliver(m)
+	} else {
+		f.L1s[m.dst].deliver(m)
+	}
 }
 
 // sendToBank sends m from core-side node src to block's home bank.

@@ -157,7 +157,8 @@ const (
 	DiscoverInvalidate
 )
 
-// Msg is a protocol message; it travels as the payload of a noc.Message.
+// Msg is a protocol message. The fabric routes it through the mesh and
+// delivers it itself (see Fabric.send).
 //
 //stash:tileowned
 type Msg struct {
@@ -188,8 +189,12 @@ type Msg struct {
 	// the copy did not survive.
 	HaveLine bool
 
-	// next chains queued requests behind a busy bank transaction (the TBE
-	// owns the chain head), replacing the per-block queue map.
+	// dst is the node the message is delivered to: set by Fabric.send, or
+	// by DeliverDirect for a message a send hook captured.
+	dst int32
+	// next chains a node's messages to itself in flight (see tile), and
+	// queued requests behind a busy bank transaction (the TBE owns the
+	// chain head).
 	next *Msg
 	// free marks a message currently parked in its pool, to catch
 	// double-release bugs.

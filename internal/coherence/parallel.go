@@ -13,11 +13,11 @@ import (
 // (internal/psim). The partitioning unit is the NoC tile: tile i's L1,
 // bank and processor all run on tile i's private event queue, and each
 // tile gets its own *view* of the fabric — a Fabric value whose shared
-// structure (mesh, controller slices, parameters) aliases the root's but
-// whose per-tile machinery (engine, message pool, memory counters, store
-// stamper, outgoing mailbox) is private. The controllers themselves are
-// untouched: at runtime they reach everything through their own fabric
-// pointer, so handing them a view at construction is the entire
+// structure (mesh, controller and tile slices, parameters) aliases the
+// root's but whose per-tile machinery (engine, message pool, memory
+// counters, store stamper, outgoing mailbox) is private. The controllers
+// themselves are untouched: at runtime they reach everything through their
+// own fabric pointer, so handing them a view at construction is the entire
 // integration.
 //
 // Cross-tile message ownership (the pooled-Msg handoff rule): a *Msg is
@@ -30,97 +30,43 @@ import (
 // another tile's pool concurrently (sends during an epoch only push to
 // the sender-owned mailbox; pool puts happen in the receiver's epoch).
 
-// parcel is one cross-tile protocol message parked for the epoch merge:
-// everything the merge needs to replay the send against the mesh.
-//
-//stash:tileowned
-type parcel struct {
-	dst   noc.NodeID
-	class noc.Class
-	flits int32
-	msg   *Msg
-}
-
-// tileLocal is a tile view's private transport state: the self-delivery
-// path (messages a tile sends to itself never cross the merge) and the
-// tile's share of the mesh statistics, folded into the mesh after the run.
+// tileLocal is a tile view's share of the mesh statistics: the messages
+// the tile sends itself, which turn around through the local router and
+// never cross the merge, folded into the mesh after the run.
 //
 //stash:tileowned
 type tileLocal struct {
-	eng       *sim.Engine
-	ep        *tile
-	router    sim.Cycle
-	traffic   noc.LocalTraffic
-	env       []*noc.Message
-	deliverFn func(any)
-	self      noc.Queue // self-addressed envelopes in flight
+	router  sim.Cycle
+	traffic noc.LocalTraffic
 }
 
-// getEnv draws a delivery envelope from the tile's free list.
-//
-//stash:acquire
-//stash:hotpath
-func (tl *tileLocal) getEnv() *noc.Message {
-	if n := len(tl.env); n > 0 {
-		m := tl.env[n-1]
-		tl.env = tl.env[:n-1]
-		return m
-	}
-	return &noc.Message{} //stash:ignore hotpath pool warm-up; amortized away by reuse
-}
-
-// deliver hands an arrived message to the tile endpoint and recycles the
-// envelope; a self-delivery event carries the tile's queue of its
-// messages to itself and delivers the oldest. It is the parallel
-// counterpart of Mesh.deliver, bound once per tile so deliveries schedule
-// without closures.
-//
-//stash:hotpath
-func (tl *tileLocal) deliver(arg any) {
-	var m *noc.Message
-	switch a := arg.(type) {
-	case *noc.Message:
-		m = a
-	case *noc.Queue:
-		m = a.Pop()
-	}
-	tl.ep.Deliver(m)
-	m.Payload = nil
-	tl.env = append(tl.env, m)
-}
-
-// psend is send's parallel-mode tail: self-addressed messages turn around
-// through the local router on the tile's own queue, delivered in send
-// order as on the mesh (see noc.Mesh.deliver); cross-tile ones are parked
-// in the mailbox, stamped with the send cycle, for the merge.
+// psend is send's parallel-mode tail: a message to self turns around
+// through the local router and is delivered on the tile's own queue, as on
+// a serial fabric (see deliverAt); a cross-tile one is parked in the
+// mailbox, stamped with the send cycle, for the merge to route.
 //
 //stash:transfer
 //stash:hotpath
-func (f *Fabric) psend(src, dst noc.NodeID, m *Msg) {
-	tl := f.local
-	if src == dst {
-		tl.traffic.Msgs[m.class()]++
-		env := tl.getEnv()
-		env.Src, env.Dst, env.Class, env.Flits, env.Payload = src, dst, m.class(), m.flits(), m
-		tl.self.Push(env)
-		tl.eng.AtArg(tl.eng.Now()+tl.router, "noc.deliver", tl.deliverFn, &tl.self)
+func (f *Fabric) psend(src noc.NodeID, m *Msg) {
+	if src == noc.NodeID(m.dst) {
+		f.local.traffic.Msgs[m.class()]++
+		f.deliverAt(src, m, f.Engine.Now()+f.local.router)
 		return
 	}
-	f.pout.Push(uint64(tl.eng.Now()), parcel{dst: dst, class: m.class(), flits: int32(m.flits()), msg: m})
+	f.pout.Push(uint64(f.Engine.Now()), m)
 }
 
 // ParallelFabric is a fabric split across per-tile event queues for the
 // parallel engine. Root is the shared spine (mesh, controller slices,
-// fold targets); Views[i] is tile i's fabric view.
+// fold targets) and has no engine; Views[i] is tile i's fabric view.
 type ParallelFabric struct {
 	Root   *Fabric
 	Views  []*Fabric
 	shards int
 
 	engines []*sim.Engine
-	boxes   []*psim.Mailbox[parcel]
-	locals  []*tileLocal
-	visitFn func(src int, at uint64, p parcel)
+	boxes   []*psim.Mailbox[*Msg]
+	visitFn func(src int, at uint64, m *Msg)
 
 	// EpochHook, when set before Drive, runs on the driver thread at every
 	// epoch barrier (see psim.Engine.OnEpoch). The occupancy sampler hooks
@@ -145,22 +91,18 @@ func NewParallelFabric(cfg BuildConfig, shards int) (*ParallelFabric, error) {
 	if shards < 1 || shards > tiles {
 		return nil, fmt.Errorf("coherence: shards must be in [1,%d], got %d", tiles, shards)
 	}
-	// The root engine exists only to satisfy the mesh constructor; no
-	// event is ever scheduled on it (ReserveRoute does not schedule, and
-	// parallel sends never reach Mesh.Send).
-	rootEngine := sim.NewEngine()
-	mesh, err := noc.New(rootEngine, cfg.Mesh)
+	mesh, err := noc.New(cfg.Mesh)
 	if err != nil {
 		return nil, err
 	}
 	root := &Fabric{
-		Engine:  rootEngine,
 		Mesh:    mesh,
 		Params:  cfg.Params,
 		Memory:  NewMemory(),
 		Checker: NewChecker(),
 		L1s:     make([]*L1, tiles),
 		Banks:   make([]*Bank, tiles),
+		tiles:   make([]tile, tiles),
 	}
 	// Load verification needs a globally ordered oracle; parallel tiles
 	// stamp stores independently (see NewStridedChecker), so the root
@@ -172,8 +114,7 @@ func NewParallelFabric(cfg BuildConfig, shards int) (*ParallelFabric, error) {
 		Views:   make([]*Fabric, tiles),
 		shards:  shards,
 		engines: make([]*sim.Engine, tiles),
-		boxes:   make([]*psim.Mailbox[parcel], tiles),
-		locals:  make([]*tileLocal, tiles),
+		boxes:   make([]*psim.Mailbox[*Msg], tiles),
 	}
 	pf.visitFn = pf.visit
 	for i := 0; i < tiles; i++ {
@@ -186,22 +127,20 @@ func NewParallelFabric(cfg BuildConfig, shards int) (*ParallelFabric, error) {
 			Checker: NewStridedChecker(i, tiles),
 			L1s:     root.L1s,
 			Banks:   root.Banks,
-			pout:    &psim.Mailbox[parcel]{},
+			tiles:   root.tiles,
+			pout:    &psim.Mailbox[*Msg]{},
+			local:   &tileLocal{router: cfg.Mesh.RouterLatency},
 		}
+		v.deliverFn = v.deliver
 		l1, bank, err := buildTile(v, i, &cfg)
 		if err != nil {
 			return nil, err
 		}
 		root.L1s[i] = l1
 		root.Banks[i] = bank
-		ep := &tile{l1: l1, bank: bank}
-		mesh.Attach(noc.NodeID(i), ep)
-		v.local = &tileLocal{eng: eng, ep: ep, router: cfg.Mesh.RouterLatency}
-		v.local.deliverFn = v.local.deliver
 		pf.Views[i] = v
 		pf.engines[i] = eng
 		pf.boxes[i] = v.pout
-		pf.locals[i] = v.local
 	}
 	return pf, nil
 }
@@ -219,18 +158,15 @@ func (pf *ParallelFabric) AttachProcessors(sources []AccessSource) ([]*Processor
 	return procs, nil
 }
 
-// visit replays one cross-tile send at the merge front: reserve the route
+// visit replays one cross-tile send at the merge front: route it
 // (identical link arbitration to the serial send path, in the canonical
-// order Drain imposes) and schedule the delivery on the destination
-// tile's queue from the destination's envelope pool.
+// order Drain imposes) and schedule its delivery on the destination tile's
+// queue.
 //
 //stash:hotpath
-func (pf *ParallelFabric) visit(src int, at uint64, p parcel) {
-	arrival := pf.Root.Mesh.ReserveRoute(noc.NodeID(src), p.dst, p.class, int(p.flits), sim.Cycle(at))
-	tl := pf.locals[p.dst]
-	env := tl.getEnv()
-	env.Src, env.Dst, env.Class, env.Flits, env.Payload = noc.NodeID(src), p.dst, p.class, int(p.flits), p.msg
-	tl.eng.AtArg(arrival, "noc.deliver", tl.deliverFn, env)
+func (pf *ParallelFabric) visit(src int, at uint64, m *Msg) {
+	arrival := pf.Root.Mesh.Route(noc.NodeID(src), noc.NodeID(m.dst), m.class(), m.flits(), sim.Cycle(at))
+	pf.Views[m.dst].deliverAt(noc.NodeID(src), m, arrival)
 }
 
 // merge is the epoch merge front: drain every tile's mailbox in
@@ -302,9 +238,7 @@ func (pf *ParallelFabric) Drive(procs []*Processor, maxEvents uint64) error {
 	// is a commutative accumulation, so the totals are shard-invariant.
 	for _, v := range pf.Views {
 		pf.Root.Memory.FoldStats(v.Memory)
-	}
-	for _, tl := range pf.locals {
-		pf.Root.Mesh.FoldLocal(&tl.traffic)
+		pf.Root.Mesh.FoldLocal(&v.local.traffic)
 	}
 	return nil
 }
@@ -315,9 +249,4 @@ func (pf *ParallelFabric) Stop() {
 	for _, e := range pf.engines {
 		e.Stop()
 	}
-}
-
-// MinHopLatency exposes the run's lookahead (epoch width) for reporting.
-func (pf *ParallelFabric) MinHopLatency() sim.Cycle {
-	return pf.Root.Mesh.MinHopLatency()
 }

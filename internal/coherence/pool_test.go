@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // Pool invariants, checked under the pool's poison mode so any
@@ -118,5 +119,14 @@ func TestMsgPoolInvariantsDiscoveryChurn(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		checkPools(t, f, fmt.Sprintf("churn/seed%d", seed))
+	}
+}
+
+// TestMsgSize pins the pooled message at 72 bytes: its destination node,
+// which the fabric's delivery reads, fits in padding the fields already
+// left.
+func TestMsgSize(t *testing.T) {
+	if n := unsafe.Sizeof(Msg{}); n != 72 {
+		t.Errorf("Msg is %d bytes, want 72", n)
 	}
 }

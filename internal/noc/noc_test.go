@@ -6,34 +6,17 @@ import (
 	"repro/internal/sim"
 )
 
-type sink struct {
-	got []*Message
-	at  []sim.Cycle
-	eng *sim.Engine
-}
-
-func (s *sink) Deliver(m *Message) {
-	s.got = append(s.got, m)
-	s.at = append(s.at, s.eng.Now())
-}
-
-func newTestMesh(t *testing.T, w, h int) (*sim.Engine, *Mesh, []*sink) {
+func newTestMesh(t *testing.T, w, h int) *Mesh {
 	t.Helper()
-	eng := sim.NewEngine()
-	m, err := New(eng, Config{Width: w, Height: h, RouterLatency: 3, LinkLatency: 1, LinkBandwidth: 1})
+	m, err := New(Config{Width: w, Height: h, RouterLatency: 3, LinkLatency: 1, LinkBandwidth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sinks := make([]*sink, m.Nodes())
-	for i := range sinks {
-		sinks[i] = &sink{eng: eng}
-		m.Attach(NodeID(i), sinks[i])
-	}
-	return eng, m, sinks
+	return m
 }
 
 func TestCoord(t *testing.T) {
-	_, m, _ := newTestMesh(t, 4, 4)
+	m := newTestMesh(t, 4, 4)
 	cases := []struct {
 		id   NodeID
 		x, y int
@@ -46,109 +29,71 @@ func TestCoord(t *testing.T) {
 	}
 }
 
+// TestHops: a one-flit message records one flit-hop per link of its XY
+// route, so the count is the Manhattan distance between the nodes.
 func TestHops(t *testing.T) {
-	_, m, _ := newTestMesh(t, 4, 4)
 	cases := []struct {
 		a, b NodeID
-		want int
+		want int64
 	}{{0, 0, 0}, {0, 3, 3}, {0, 15, 6}, {5, 6, 1}, {5, 9, 1}, {12, 3, 6}}
 	for _, c := range cases {
-		if got := m.Hops(c.a, c.b); got != c.want {
-			t.Errorf("Hops(%d,%d) = %d, want %d", c.a, c.b, got, c.want)
+		m := newTestMesh(t, 4, 4)
+		m.Route(c.a, c.b, ClassRequest, 1, 0)
+		if got := m.TotalFlitHops(); got != c.want {
+			t.Errorf("route %d->%d crossed %d links, want %d", c.a, c.b, got, c.want)
 		}
 	}
 }
 
 func TestDeliveryLatencyUncontended(t *testing.T) {
-	eng, m, sinks := newTestMesh(t, 4, 4)
+	m := newTestMesh(t, 4, 4)
 	// 0 -> 3: 3 hops. latency = injection router (3) + per hop (1 link + 3 router) = 3 + 3*4 = 15.
-	m.Send(&Message{Src: 0, Dst: 3, Class: ClassRequest, Flits: 1})
-	eng.Run(0)
-	if len(sinks[3].got) != 1 {
-		t.Fatalf("message not delivered")
+	if at := m.Route(0, 3, ClassRequest, 1, 0); at != 15 {
+		t.Fatalf("arrival at %d, want 15", at)
 	}
-	if sinks[3].at[0] != 15 {
-		t.Fatalf("arrival at %d, want 15", sinks[3].at[0])
+	// The same route later, on idle links, takes the same 15 cycles.
+	if at := m.Route(0, 3, ClassRequest, 1, 100); at != 115 {
+		t.Fatalf("arrival at %d, want 115", at)
 	}
 }
 
 func TestSelfDelivery(t *testing.T) {
-	eng, m, sinks := newTestMesh(t, 2, 2)
-	m.Send(&Message{Src: 1, Dst: 1, Class: ClassAck, Flits: 1})
-	eng.Run(0)
-	if len(sinks[1].got) != 1 || sinks[1].at[0] != 3 {
-		t.Fatalf("self delivery at %v, want cycle 3", sinks[1].at)
+	m := newTestMesh(t, 2, 2)
+	if at := m.Route(1, 1, ClassAck, 1, 10); at != 13 {
+		t.Fatalf("self turnaround arrives at %d, want cycle 13", at)
 	}
 	if m.TotalFlitHops() != 0 {
 		t.Fatal("self delivery should not use links")
 	}
-}
-
-// TestSelfDeliveryKeepsOrderUnderShuffle: messages a node sends itself in
-// one cycle tie, and a shuffle seed runs tied events in any order, yet
-// they arrive in send order, across the queue's growth and wrap-around.
-func TestSelfDeliveryKeepsOrderUnderShuffle(t *testing.T) {
-	for seed := uint64(1); seed <= 16; seed++ {
-		eng := sim.NewEngine()
-		eng.SetShuffleSeed(seed)
-		m, err := New(eng, Config{Width: 2, Height: 1, RouterLatency: 3, LinkLatency: 1, LinkBandwidth: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		m.Attach(0, &sink{eng: eng})
-		s := &sink{eng: eng}
-		m.Attach(1, s)
-		var sent []*Message
-		for burst := 0; burst < 3; burst++ {
-			for i := 0; i < 2+burst*5; i++ {
-				msg := &Message{Src: 1, Dst: 1, Class: ClassAck, Flits: 1}
-				sent = append(sent, msg)
-				m.Send(msg)
-			}
-			eng.Run(0)
-		}
-		if len(s.got) != len(sent) {
-			t.Fatalf("seed %d: %d of %d messages delivered", seed, len(s.got), len(sent))
-		}
-		for i := range sent {
-			if s.got[i] != sent[i] {
-				t.Fatalf("seed %d: delivery %d is not the %d-th message sent", seed, i, i)
-			}
-		}
+	if m.Messages(ClassAck) != 1 {
+		t.Fatalf("%d ack messages counted, want 1", m.Messages(ClassAck))
 	}
 }
 
 func TestContentionSerializes(t *testing.T) {
-	eng, m, sinks := newTestMesh(t, 4, 1)
+	m := newTestMesh(t, 4, 1)
 	// Two 5-flit data messages on the same route: the second must queue
 	// behind the first at each shared link.
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassResponse, Flits: 5})
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassResponse, Flits: 5})
-	eng.Run(0)
-	if len(sinks[1].at) != 2 {
-		t.Fatal("messages lost")
-	}
-	d := sinks[1].at[1] - sinks[1].at[0]
-	if d != 5 {
+	first := m.Route(0, 1, ClassResponse, 5, 0)
+	second := m.Route(0, 1, ClassResponse, 5, 0)
+	if d := second - first; d != 5 {
 		t.Fatalf("second message delayed by %d, want 5 (serialization)", d)
 	}
 }
 
 func TestDisjointPathsNoContention(t *testing.T) {
-	eng, m, sinks := newTestMesh(t, 4, 4)
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassRequest, Flits: 5})
-	m.Send(&Message{Src: 4, Dst: 5, Class: ClassRequest, Flits: 5})
-	eng.Run(0)
-	if sinks[1].at[0] != sinks[5].at[0] {
-		t.Fatalf("disjoint paths interfered: %d vs %d", sinks[1].at[0], sinks[5].at[0])
+	m := newTestMesh(t, 4, 4)
+	a := m.Route(0, 1, ClassRequest, 5, 0)
+	b := m.Route(4, 5, ClassRequest, 5, 0)
+	if a != b {
+		t.Fatalf("disjoint paths interfered: %d vs %d", a, b)
 	}
 }
 
 func TestFlitHopAccounting(t *testing.T) {
-	eng, m, _ := newTestMesh(t, 4, 4)
-	m.Send(&Message{Src: 0, Dst: 15, Class: ClassResponse, Flits: 5}) // 6 hops * 5 flits
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassRequest, Flits: 1})   // 1 hop * 1 flit
-	eng.Run(0)
+	m := newTestMesh(t, 4, 4)
+	m.Route(0, 15, ClassResponse, 5, 0) // 6 hops * 5 flits
+	m.Route(0, 1, ClassRequest, 1, 0)   // 1 hop * 1 flit
 	if got := m.FlitHops(ClassResponse); got != 30 {
 		t.Errorf("response flit-hops = %d, want 30", got)
 	}
@@ -163,73 +108,84 @@ func TestFlitHopAccounting(t *testing.T) {
 	}
 }
 
+// TestXYRouteAvoidsDeadlockPattern: all-to-all traffic on a 3x3 mesh, sent
+// in one cycle, is routed in full: every message arrives no earlier than
+// it would alone, and the flit-hops add up to every XY path's length.
 func TestXYRouteAvoidsDeadlockPattern(t *testing.T) {
-	// All-to-all traffic on a 3x3 mesh must fully drain.
-	eng, m, sinks := newTestMesh(t, 3, 3)
-	n := m.Nodes()
-	sent := 0
+	const n = 9
+	m := newTestMesh(t, 3, 3)
+	var sent, hops int64
 	for s := 0; s < n; s++ {
 		for d := 0; d < n; d++ {
 			if s == d {
 				continue
 			}
-			m.Send(&Message{Src: NodeID(s), Dst: NodeID(d), Class: ClassRequest, Flits: 1})
+			sx, sy := m.Coord(NodeID(s))
+			dx, dy := m.Coord(NodeID(d))
+			h := abs(sx-dx) + abs(sy-dy)
+			alone := sim.Cycle(3 + 4*h)
+			if at := m.Route(NodeID(s), NodeID(d), ClassRequest, 1, 0); at < alone {
+				t.Fatalf("%d->%d arrives at %d, before its uncontended %d", s, d, at, alone)
+			}
 			sent++
+			hops += int64(h)
 		}
 	}
-	eng.Run(0)
-	got := 0
-	for _, s := range sinks {
-		got += len(s.got)
+	if got := m.Messages(ClassRequest); got != sent {
+		t.Errorf("counted %d of %d messages", got, sent)
 	}
-	if got != sent {
-		t.Fatalf("delivered %d of %d messages", got, sent)
+	if got := m.TotalFlitHops(); got != hops {
+		t.Errorf("%d flit-hops, want %d", got, hops)
 	}
 }
 
-func TestAttachTwicePanics(t *testing.T) {
-	eng := sim.NewEngine()
-	m, _ := New(eng, DefaultConfig(2, 2))
-	m.Attach(0, &sink{eng: eng})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double attach did not panic")
-		}
-	}()
-	m.Attach(0, &sink{eng: eng})
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
 }
 
-func TestNoEndpointPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	m, _ := New(eng, DefaultConfig(2, 2))
-	m.Attach(0, &sink{eng: eng})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("send to unattached node did not panic")
+// TestReset: a reset mesh routes like a new one, with every link free from
+// cycle 0 and no traffic counted.
+func TestReset(t *testing.T) {
+	used := newTestMesh(t, 4, 4)
+	for i := 0; i < 4; i++ {
+		used.Route(0, 15, ClassResponse, 5, 0)
+		used.Route(5, 5, ClassAck, 1, 0)
+	}
+	used.Reset()
+	if *used.Stats() != (Stats{}) {
+		t.Fatalf("stats after reset %+v, want zero", *used.Stats())
+	}
+	fresh := newTestMesh(t, 4, 4)
+	for i := 0; i < 4; i++ {
+		if got, want := used.Route(0, 15, ClassResponse, 5, 0), fresh.Route(0, 15, ClassResponse, 5, 0); got != want {
+			t.Fatalf("message %d after reset arrives at %d, a new mesh's at %d", i, got, want)
 		}
-	}()
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassRequest, Flits: 1})
+	}
+	if *used.Stats() != *fresh.Stats() {
+		t.Errorf("stats %+v, a new mesh's %+v", *used.Stats(), *fresh.Stats())
+	}
 }
 
 func TestBadConfigRejected(t *testing.T) {
-	eng := sim.NewEngine()
-	if _, err := New(eng, Config{Width: 0, Height: 2, LinkBandwidth: 1}); err == nil {
+	if _, err := New(Config{Width: 0, Height: 2, LinkBandwidth: 1}); err == nil {
 		t.Error("zero width accepted")
 	}
-	if _, err := New(eng, Config{Width: 2, Height: 2, LinkBandwidth: 0}); err == nil {
+	if _, err := New(Config{Width: 2, Height: 2, LinkBandwidth: 0}); err == nil {
 		t.Error("zero bandwidth accepted")
 	}
 }
 
 func TestZeroFlitPanics(t *testing.T) {
-	eng, m, _ := newTestMesh(t, 2, 2)
-	_ = eng
+	m := newTestMesh(t, 2, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero-flit message did not panic")
 		}
 	}()
-	m.Send(&Message{Src: 0, Dst: 1, Class: ClassRequest, Flits: 0})
+	m.Route(0, 1, ClassRequest, 0, 0)
 }
 
 func TestClassString(t *testing.T) {
@@ -245,19 +201,15 @@ func TestClassString(t *testing.T) {
 
 func TestLinkBandwidthReducesSerialization(t *testing.T) {
 	run := func(bw int) sim.Cycle {
-		eng := sim.NewEngine()
-		m, err := New(eng, Config{Width: 2, Height: 1, RouterLatency: 1, LinkLatency: 1, LinkBandwidth: bw})
+		m, err := New(Config{Width: 2, Height: 1, RouterLatency: 1, LinkLatency: 1, LinkBandwidth: bw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := &sink{eng: eng}
-		m.Attach(0, &sink{eng: eng})
-		m.Attach(1, s)
+		var last sim.Cycle
 		for i := 0; i < 4; i++ {
-			m.Send(&Message{Src: 0, Dst: 1, Class: ClassResponse, Flits: 4})
+			last = m.Route(0, 1, ClassResponse, 4, 0)
 		}
-		eng.Run(0)
-		return s.at[len(s.at)-1]
+		return last
 	}
 	narrow, wide := run(1), run(4)
 	if wide >= narrow {
